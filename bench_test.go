@@ -150,7 +150,7 @@ func BenchmarkAblationValidityRules(b *testing.B) {
 // parallel clients issue subgraph queries against a warm Server while a
 // background writer applies ADD batches, exercising the epoch-sequenced
 // update path under load. Compare ns/op across shard counts for the
-// scaling trajectory (cmd/gcbench -throughput reports qps/p50/p99 for the
+// scaling trajectory (bash benchmark/run.sh reports qps/p50/p99 for the
 // same system).
 func BenchmarkConcurrentThroughput(b *testing.B) {
 	graphs, err := GenerateAIDSLike(400, 3)

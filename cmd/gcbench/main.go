@@ -9,49 +9,10 @@
 //	gcbench -insights                   # §7.2 exact/sub/super hit stats
 //	gcbench -ablation all               # policies, cache sizes, validity, churn
 //	gcbench -figure all -scale paper    # full 40k × 10k run (hours)
-//	gcbench -throughput -shards 8 -clients 16   # concurrent serving summary
-//	gcbench -throughput -update-kind churn -update-every 10 -eager         # repair on
-//	gcbench -throughput -update-kind churn -update-every 10 -eager -norepair  # baseline
-//	gcbench -throughput -cache 2000 -queries 5000 -update-every 0             # large cache, query index on
-//	gcbench -throughput -cache 2000 -queries 5000 -update-every 0 -hit-index=false  # linear-scan baseline
-//	gcbench -throughput -planner                 # cost-based planner + plan cache on
-//	gcbench -throughput -planner -plan-cache -1  # planning on, plan caching off
-//	gcbench -warm-restart -scale smoke           # durability: recovery vs cold start
-//	gcbench -throughput -burst 32 -max-inflight-queries 8   # flash crowd vs admission control
-//	gcbench -throughput -trace-overhead          # tracing cost: untraced vs fully-sampled qps
-//	gcbench -chaos -scale smoke                  # fault-injected soak + crash + warm restart
-//	gcbench -chaos -wal-policy degrade-to-volatile
 //
-// The -warm-restart mode exercises the durability subsystem end to end:
-// it warms a persistent server under churn, forces a snapshot, lands
-// more churn in the WAL tail, kills the server without flushing, then
-// measures recovery time, time-to-full-validity (background repair
-// re-verifying replay-touched bits), and the recovered instance's hit
-// rate over a repeat of the stream against both the pre-restart
-// instance and a cold start — asserting the answers are bit-identical.
-//
-// The -throughput mode drives the sharded serving front-end (the system
-// behind cmd/gcserve) with concurrent clients and a live update stream,
-// and emits a JSON summary (queries/sec, p50/p95/p99 latency) so serving
-// performance has a trajectory to compare across changes. With
-// -update-kind churn the writer toggles edges of existing graphs (UA/UR)
-// instead of adding new ones — the update-heavy scenario in which the
-// background cache-repair pipeline recovers the validity ratio and hit
-// rate that invalidation would otherwise bleed away; compare against a
-// -norepair run on the same seed.
-//
-// The -burst flag turns a -throughput run into a flash-crowd scenario:
-// N extra query clients spin up for the middle third of the run and the
-// summary gains the shed rate, degraded-mode seconds and the p99 split
-// into before/during/after the spike — the overload-resilience numbers
-// (see README "Operating under failure").
-//
-// The -chaos mode is the fault-injection harness end to end: WAL and
-// snapshot I/O fail, tear and stall on a seeded schedule while a query
-// stream with interleaved churn runs; the server is then killed
-// abruptly and warm-restarted, and every answer digest is compared
-// against a fault-free reference replica. The JSON includes the full
-// fault schedule, so a failing CI run is replayable from the artifact.
+// Serving-path numbers (throughput, latency, recovery, per-layer cost)
+// come from the repository's one perf ledger: bash benchmark/run.sh (see
+// benchmark/README.md).
 //
 // Absolute times depend on the host; the speedup shapes are what
 // reproduce the paper (see EXPERIMENTS.md).
@@ -76,37 +37,9 @@ func main() {
 		workloads = flag.String("workloads", "", "comma-separated workload list (default all six)")
 		seed      = flag.Int64("seed", 42, "experiment seed")
 		verbose   = flag.Bool("v", false, "print per-run progress")
-
-		throughput  = flag.Bool("throughput", false, "run the concurrent-serving throughput benchmark (JSON output)")
-		shards      = flag.Int("shards", 4, "throughput: server shard count")
-		clients     = flag.Int("clients", 8, "throughput: concurrent query clients")
-		tpQueries   = flag.Int("queries", 0, "throughput: total queries (default scale's query count)")
-		updateEvery = flag.Int("update-every", 50, "throughput: apply an update batch every N queries (0 disables)")
-		eager       = flag.Bool("eager", false, "throughput: validate shard caches at update time")
-		nocache     = flag.Bool("nocache", false, "throughput: serve through raw Method M")
-		verifyPar   = flag.Int("verify-parallelism", 0, "throughput: per-shard intra-query verification workers (0 = auto: GOMAXPROCS/shards, 1 = sequential)")
-		updateKind  = flag.String("update-kind", "add", "throughput: update stream shape: add (live ingest) or churn (UA/UR edge toggles on existing graphs)")
-		repairPar   = flag.Int("repair-parallelism", 0, "throughput: per-shard background cache-repair workers (0 = default of 1)")
-		norepair    = flag.Bool("norepair", false, "throughput: disable background cache repair (baseline for the churn scenario)")
-		cacheCap    = flag.Int("cache", 0, "throughput: per-shard cache capacity (0 = scale default; the query index targets 2000-10000)")
-		hitIndex    = flag.Bool("hit-index", true, "throughput: maintain the cache query index for sub-linear hit discovery (false = linear scan baseline)")
-		burst       = flag.Int("burst", 0, "throughput: flash-crowd mode — N extra query clients for the middle third of the run (0 disables)")
-		maxInflight = flag.Int("max-inflight-queries", 0, "throughput: server admission limit on concurrent queries (0 = serving default, negative = unlimited)")
-		planner     = flag.Bool("planner", false, "throughput: enable the cost-based query planner + compiled-plan cache (answers stay bit-identical to -planner=false)")
-		planCache   = flag.Int("plan-cache", 0, "throughput: per-shard compiled-plan cache size (0 = default of 256, negative = planning without plan caching; needs -planner)")
-		transport   = flag.String("transport", "local", "throughput/chaos/warm-restart: router→shard transport: local (in-process) or loopback (full wire path over 127.0.0.1 TCP)")
-		traceRate   = flag.Float64("trace-sample-rate", 0, "throughput: distributed-tracing head-sample rate for the run (0 = tracing off, the benchmark default)")
-		traceOver   = flag.Bool("trace-overhead", false, "throughput: rerun with every request traced and report the qps delta as trace_overhead (answers must stay bit-identical)")
-
-		chaos     = flag.Bool("chaos", false, "run the chaos benchmark: fault-injected WAL/snapshot I/O under load, abrupt kill, warm restart, differential answer check (JSON output)")
-		walPolicy = flag.String("wal-policy", "", "chaos: WAL append-failure policy: fail-update (default) or degrade-to-volatile")
-
-		warmRestart = flag.Bool("warm-restart", false, "run the durability warm-restart benchmark: time-to-full-validity and hit-rate-at-t after crash recovery vs a cold start (JSON output)")
-		dataDir     = flag.String("data-dir", "", "warm-restart/chaos: durability directory (default: a fresh temp dir, removed after)")
-		tailBatches = flag.Int("tail-batches", 0, "warm-restart: churn batches applied after the snapshot, i.e. the WAL tail replayed on recovery (0 = default)")
 	)
 	flag.Parse()
-	if *figure == "" && !*insights && *ablation == "" && !*throughput && !*warmRestart && !*chaos {
+	if *figure == "" && !*insights && *ablation == "" {
 		*figure = "all"
 	}
 
@@ -130,93 +63,6 @@ func main() {
 		specs = append(specs, spec)
 	}
 
-	if *throughput {
-		var spec bench.WorkloadSpec // zero value: RunThroughput's default
-		if len(specs) > 0 {
-			spec = specs[0]
-		}
-		res, err := bench.RunThroughput(bench.ThroughputConfig{
-			Scale:              sc,
-			Workload:           spec,
-			Method:             methodList[0],
-			Shards:             *shards,
-			Clients:            *clients,
-			Queries:            *tpQueries,
-			UpdateEvery:        *updateEvery,
-			UpdateKind:         *updateKind,
-			EagerValidate:      *eager,
-			DisableCache:       *nocache,
-			VerifyParallelism:  *verifyPar,
-			RepairParallelism:  *repairPar,
-			DisableRepair:      *norepair,
-			CacheCapacity:      *cacheCap,
-			DisableHitIndex:    !*hitIndex,
-			BurstClients:       *burst,
-			MaxInFlightQueries: *maxInflight,
-			EnablePlanner:      *planner,
-			PlanCacheSize:      *planCache,
-			Transport:          *transport,
-			TraceSampleRate:    *traceRate,
-			TraceOverhead:      *traceOver,
-			Seed:               *seed,
-		}, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteThroughputJSON(os.Stdout, res); err != nil {
-			fatal(err)
-		}
-	}
-	if *warmRestart {
-		var spec bench.WorkloadSpec
-		if len(specs) > 0 {
-			spec = specs[0]
-		}
-		res, err := bench.RunWarmRestart(bench.WarmRestartConfig{
-			Scale:         sc,
-			Workload:      spec,
-			Method:        methodList[0],
-			Shards:        *shards,
-			Queries:       *tpQueries,
-			CacheCapacity: *cacheCap,
-			UpdateEvery:   *updateEvery,
-			TailBatches:   *tailBatches,
-			DataDir:       *dataDir,
-			Transport:     *transport,
-			Seed:          *seed,
-		}, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteWarmRestartJSON(os.Stdout, res); err != nil {
-			fatal(err)
-		}
-	}
-	if *chaos {
-		var spec bench.WorkloadSpec
-		if len(specs) > 0 {
-			spec = specs[0]
-		}
-		res, err := bench.RunChaos(bench.ChaosConfig{
-			Scale:         sc,
-			Workload:      spec,
-			Method:        methodList[0],
-			Shards:        *shards,
-			Queries:       *tpQueries,
-			CacheCapacity: *cacheCap,
-			UpdateEvery:   *updateEvery,
-			WALPolicy:     *walPolicy,
-			DataDir:       *dataDir,
-			Transport:     *transport,
-			Seed:          *seed,
-		}, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteChaosJSON(os.Stdout, res); err != nil {
-			fatal(err)
-		}
-	}
 	if *figure != "" {
 		runFigures(*figure, sc, *seed, methodList, specs, progress)
 	}

@@ -54,7 +54,6 @@
 //	-max-inflight-queries 64      admission limit before shedding with 429
 //	-max-inflight-updates 16      same for update batches
 //	-wal-policy fail-update       or degrade-to-volatile
-//	-nodegrade                    disable graceful degradation under load
 //
 // Example:
 //
@@ -93,13 +92,10 @@ func main() {
 		cacheCap  = flag.Int("cache", 100, "per-shard cache capacity")
 		window    = flag.Int("window", 20, "per-shard admission window size")
 		nocache   = flag.Bool("nocache", false, "disable GC+ caching (raw Method M baseline)")
-		eager     = flag.Bool("eager", false, "validate caches at update time instead of lazily at query time")
 		verifyPar = flag.Int("verify-parallelism", 0, "per-shard intra-query verification workers (0 = auto: GOMAXPROCS/shards, 1 = sequential)")
-		hitIndex  = flag.Bool("hit-index", true, "maintain the cache query index for sub-linear hit discovery (false = linear scan reference)")
 		planner   = flag.Bool("planner", false, "enable the cost-based query planner + compiled-plan cache (per-query algorithm choice; answers unchanged)")
-		planCache = flag.Int("plan-cache", 0, "per-shard compiled-plan cache size (0 = default of 256, negative = planning without plan caching; needs -planner)")
+		planCache = flag.Int("plan-cache", 0, "per-shard compiled-plan cache size (0 = default of 256; needs -planner)")
 		repairPar = flag.Int("repair-parallelism", 0, "per-shard background cache-repair workers (0 = default of 1)")
-		norepair  = flag.Bool("norepair", false, "disable background cache repair (invalidated bits stay dead until a query re-verifies them)")
 		dataDir   = flag.String("data-dir", "", "durability directory: WAL + snapshots for crash-safe warm restarts (empty = no persistence)")
 		snapEvery = flag.Int("snapshot-every", 0, "update batches between automatic snapshots (0 = default; needs -data-dir)")
 		nowal     = flag.Bool("nowal", false, "disable the write-ahead log, keeping snapshots only (a crash loses batches since the last snapshot)")
@@ -117,7 +113,6 @@ func main() {
 		maxUpdates    = flag.Int("max-inflight-updates", 0, "admitted concurrent update batches before shedding with 429 (0 = default of 16, negative = unlimited)")
 		walPolicy     = flag.String("wal-policy", "fail-update", "WAL append-failure policy: fail-update (503 the batch) or degrade-to-volatile (ack and raise the volatile-WAL alarm)")
 		transport     = flag.String("transport", "local", "router→shard transport: local (in-process) or loopback (each shard behind its own 127.0.0.1 TCP connection; the cluster seed)")
-		nodegrade     = flag.Bool("nodegrade", false, "disable graceful degradation under overload (no verify capping or cache bypass)")
 	)
 	flag.Parse()
 
@@ -138,15 +133,13 @@ func main() {
 		}
 	}
 
-	opts := gcplus.ServeOptions{Shards: *shards, EagerValidate: *eager}
+	opts := gcplus.ServeOptions{Shards: *shards}
 	opts.Method = *method
 	opts.CacheSize = *cacheCap
 	opts.WindowSize = *window
 	opts.DisableCache = *nocache
 	opts.VerifyParallelism = *verifyPar
 	opts.RepairParallelism = *repairPar
-	opts.DisableRepair = *norepair
-	opts.DisableHitIndex = !*hitIndex
 	opts.EnablePlanner = *planner
 	opts.PlanCacheSize = *planCache
 	opts.DataDir = *dataDir
@@ -162,7 +155,6 @@ func main() {
 	opts.MaxInFlightQueries = *maxQueries
 	opts.MaxInFlightUpdates = *maxUpdates
 	opts.WALPolicy = *walPolicy
-	opts.DisableDegradation = *nodegrade
 	opts.Transport = *transport
 	opts.Logger = logger
 	if opts.Model, err = cache.ParseModel(*modelName); err != nil {
@@ -177,10 +169,8 @@ func main() {
 		fatal(logger, "server construction failed", err)
 	}
 
-	// Repair only runs for CON caches and the query index only exists
-	// when a cache does; report the resolved states, not the raw flags.
-	repairOn := !*norepair && !*nocache && opts.Model == cache.ModelCON
-	hitIndexOn := *hitIndex && !*nocache
+	// Repair only runs for CON caches; report the resolved state.
+	repairOn := !*nocache && opts.Model == cache.ModelCON
 	if entries, epoch, ok := srv.Recovered(); ok {
 		logger.Info("warm restart", "data_dir", *dataDir, "cache_entries", entries, "epoch", epoch)
 	}
@@ -191,8 +181,8 @@ func main() {
 	logger.Info("serving",
 		"addr", *addr, "graphs", st.LiveGraphs, "shards", srv.Shards(),
 		"method", *method, "model", *modelName, "policy", *policy,
-		"cache", *cacheCap, "eager", *eager, "repair", repairOn,
-		"hit_index", hitIndexOn, "planner", *planner, "durable", *dataDir != "",
+		"cache", *cacheCap, "repair", repairOn,
+		"planner", *planner, "durable", *dataDir != "",
 		"wal_policy", *walPolicy, "transport", *transport,
 		"query_timeout", queryTimeout.String(),
 		"max_inflight_queries", *maxQueries,

@@ -84,9 +84,10 @@
 //
 // cmd/gcserve wraps the Server in a standalone HTTP daemon (POST /query,
 // POST /update, GET /stats, GET /metrics, GET /healthz, GET /readyz,
-// GET /debug/slowlog), and cmd/gcbench's -throughput mode measures its
-// queries/sec and latency percentiles under concurrent load (with
-// -transport selecting the shard transport on both commands).
+// GET /debug/slowlog; -transport selects the shard transport). Its
+// throughput, latency percentiles, recovery time and per-layer costs are
+// measured by the repository's one perf ledger: bash benchmark/run.sh
+// (see benchmark/README.md).
 //
 // # Background cache repair
 //
@@ -103,9 +104,9 @@
 // in-flight batch and answers remain bit-identical to the cache-
 // disabled ground truth (enforced by the differential consistency
 // oracle test in internal/core). ServeOptions.RepairParallelism bounds
-// the per-shard verification fan-out; DisableRepair restores the
-// pre-repair behavior. Stats report validity_ratio, repaired_bits and
-// pending_repairs per shard.
+// the per-shard verification fan-out; EVI and cache-disabled servers
+// have nothing to repair and run no repair worker. Stats report
+// validity_ratio, repaired_bits and pending_repairs per shard.
 //
 // # Query index
 //
@@ -116,12 +117,11 @@
 // signature postings over entry slots select the few candidates a
 // query could relate to, and a memoized query-to-query relation graph
 // lets a repeated (isomorphic) query replay a cached entry's hit
-// classification with zero pairwise sub-iso tests. The index is on by
-// default and answers are bit-identical with it on or off
-// (Options.DisableHitIndex keeps the linear scan available as the
-// reference; a differential property test pins the two paths to each
-// other). QueryStats.HitCandidates and HitScanned — and the
-// hit_candidates metric on serving stats — report the realized
+// classification with zero pairwise sub-iso tests. The index is always
+// built; a differential property test pins its classification to a
+// linear-scan reference kept in the test suite, so answers are
+// bit-identical to scanning. QueryStats.HitCandidates and HitScanned —
+// and the hit_candidates metric on serving stats — report the realized
 // selectivity. The index is what makes per-shard cache capacities in
 // the thousands serve without hit discovery becoming the bottleneck.
 //
@@ -163,8 +163,8 @@
 // invalidated, recovery queues every replay-touched (entry, graph)
 // pair for the background repair pipeline. Answers are bit-identical
 // to a cold rebuild from the first post-restart query, and the cache
-// arrives warm — the kill-point differential tests and the gcbench
-// -warm-restart mode pin both properties.
+// arrives warm — the kill-point and warm-restart differential tests pin
+// both properties, and the ledger's recovery_s metric times it.
 //
 // # Observability
 //
@@ -175,11 +175,10 @@
 // backlog, WAL and snapshot counters — as Prometheus text exposition
 // at GET /metrics (gcplus_stage_duration_seconds{shard,stage},
 // gcplus_queue_wait_seconds, gcplus_queries_total, ...); the
-// histogram totals are pinned to Metrics.Queries by tests, and the
-// bench harness computes its reported p50/p95/p99 from the same
-// histogram code path. POST /query?trace=1 returns the per-shard
-// stage trace inline; queries crossing ServeOptions.SlowLogThreshold
-// are captured into a bounded ring served at GET /debug/slowlog.
+// histogram totals are pinned to Metrics.Queries by tests.
+// POST /query?trace=1 returns the per-shard stage trace inline; queries
+// crossing ServeOptions.SlowLogThreshold are captured into a bounded
+// ring served at GET /debug/slowlog.
 // GET /healthz and GET /readyz are the liveness and readiness probes
 // (readiness is gated on the repair backlog via
 // ServeOptions.ReadyMaxPendingRepairs), ServeOptions.Logger receives

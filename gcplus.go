@@ -104,14 +104,6 @@ type Options struct {
 	// this many workers, each with its own compiled-matcher scratch.
 	// 0 means GOMAXPROCS; 1 keeps verification sequential.
 	VerifyParallelism int
-	// DisableHitIndex turns the cache's query index off, so hit
-	// discovery scans every cached entry linearly instead of asking the
-	// index for candidates. The index is on by default; disabling it is
-	// the reference/baseline mode for differential tests and benchmarks
-	// (at the paper's capacity of 100 the difference is modest, at
-	// capacities in the thousands the index is what keeps hit discovery
-	// off the critical path).
-	DisableHitIndex bool
 	// EnablePlanner turns on the cost-based query planner: each query's
 	// Method M algorithm and verification parallelism are chosen from
 	// measured per-algorithm cost moments, and compiled plans (matchers,
@@ -120,10 +112,8 @@ type Options struct {
 	// are bit-identical with the planner off — every candidate algorithm
 	// is exact.
 	EnablePlanner bool
-	// PlanCacheSize bounds the compiled-plan cache per runtime (0 = the
-	// default of 256 plans; negative disables plan caching while keeping
-	// cost-based algorithm selection). Only meaningful with
-	// EnablePlanner.
+	// PlanCacheSize bounds the compiled-plan cache per runtime (≤ 0 =
+	// the default of 256 plans). Only meaningful with EnablePlanner.
 	PlanCacheSize int
 }
 
@@ -154,11 +144,10 @@ func Open(initial []*Graph, opts Options) (*System, error) {
 	}
 	if !opts.DisableCache {
 		coreOpts.Cache = &cache.Config{
-			Capacity:        opts.CacheSize,
-			WindowSize:      opts.WindowSize,
-			Model:           opts.Model,
-			Policy:          opts.Policy,
-			DisableHitIndex: opts.DisableHitIndex,
+			Capacity:   opts.CacheSize,
+			WindowSize: opts.WindowSize,
+			Model:      opts.Model,
+			Policy:     opts.Policy,
 		}
 	}
 	rt, err := core.NewRuntime(ds, coreOpts)
@@ -274,20 +263,13 @@ type ServeOptions struct {
 	// the dataset, its own GC+ cache and one worker goroutine
 	// (default 4).
 	Shards int
-	// EagerValidate reconciles shard caches (CON validation / EVI purge)
-	// at update time instead of lazily before the next query, trading
-	// update latency for query latency.
-	EagerValidate bool
 	// RepairParallelism bounds each shard's background repair worker:
 	// validity bits cleared by CON validation are re-verified off the
 	// query path and restored when the relation still holds, so
 	// update-heavy traffic stops bleeding hit rate. 0 means 1 worker per
-	// shard; see DisableRepair to turn the pipeline off.
+	// shard. Repair runs only for CON caches: EVI purges wholesale and
+	// leaves nothing to repair.
 	RepairParallelism int
-	// DisableRepair disables background cache repair, leaving cleared
-	// validity bits dead until a future query re-verifies them on the
-	// hot path.
-	DisableRepair bool
 	// DataDir enables the durability subsystem: update batches are
 	// written to a per-shard WAL and dataset + cache state is
 	// snapshotted periodically under this directory, so a restarted
@@ -353,10 +335,6 @@ type ServeOptions struct {
 	// way the shard stops claiming durability for new batches until a
 	// snapshot rotation heals the gap.
 	WALPolicy string
-	// DisableDegradation turns the overload pressure controller off:
-	// the server never caps verify parallelism or serves cache-bypass
-	// under repair-backlog or queue pressure.
-	DisableDegradation bool
 	// Transport selects how the router reaches its shard hosts:
 	// TransportLocal (default) for direct in-process calls, or
 	// TransportLoopback to run every shard behind a real TCP connection
@@ -437,10 +415,8 @@ func NewServer(initial []*Graph, opts ServeOptions) (*Server, error) {
 		Shards:            opts.Shards,
 		Method:            opts.Method,
 		DisableCache:      opts.DisableCache,
-		EagerValidate:     opts.EagerValidate,
 		VerifyParallelism: opts.VerifyParallelism,
 		RepairParallelism: opts.RepairParallelism,
-		DisableRepair:     opts.DisableRepair,
 		DataDir:           opts.DataDir,
 		SnapshotEvery:     opts.SnapshotEvery,
 		DisableWAL:        opts.DisableWAL,
@@ -458,17 +434,15 @@ func NewServer(initial []*Graph, opts ServeOptions) (*Server, error) {
 		MaxInFlightQueries:     opts.MaxInFlightQueries,
 		MaxInFlightUpdates:     opts.MaxInFlightUpdates,
 		WALPolicy:              opts.WALPolicy,
-		DisableDegradation:     opts.DisableDegradation,
 		Transport:              opts.Transport,
 		Logger:                 opts.Logger,
 	}
 	if !opts.DisableCache {
 		srvOpts.Cache = &cache.Config{
-			Capacity:        opts.CacheSize,
-			WindowSize:      opts.WindowSize,
-			Model:           opts.Model,
-			Policy:          opts.Policy,
-			DisableHitIndex: opts.DisableHitIndex,
+			Capacity:   opts.CacheSize,
+			WindowSize: opts.WindowSize,
+			Model:      opts.Model,
+			Policy:     opts.Policy,
 		}
 	}
 	srv, err := router.New(initial, srvOpts)
@@ -480,24 +454,24 @@ func NewServer(initial []*Graph, opts ServeOptions) (*Server, error) {
 
 // SubgraphQuery returns all live dataset graphs containing q.
 func (s *Server) SubgraphQuery(q *Graph) (*ServerAnswer, error) {
-	return s.srv.SubgraphQuery(q)
+	return s.srv.Query(context.Background(), cache.KindSub, q, 0)
 }
 
 // SupergraphQuery returns all live dataset graphs contained in q.
 func (s *Server) SupergraphQuery(q *Graph) (*ServerAnswer, error) {
-	return s.srv.SupergraphQuery(q)
+	return s.srv.Query(context.Background(), cache.KindSuper, q, 0)
 }
 
 // SubgraphQueryCtx is SubgraphQuery bounded by ctx: cancellation or an
 // expired deadline aborts the query at its next cooperative checkpoint
 // (on top of any ServeOptions.QueryTimeout).
 func (s *Server) SubgraphQueryCtx(ctx context.Context, q *Graph) (*ServerAnswer, error) {
-	return s.srv.SubgraphQueryCtx(ctx, q)
+	return s.srv.Query(ctx, cache.KindSub, q, 0)
 }
 
 // SupergraphQueryCtx is SupergraphQuery bounded by ctx.
 func (s *Server) SupergraphQueryCtx(ctx context.Context, q *Graph) (*ServerAnswer, error) {
-	return s.srv.SupergraphQueryCtx(ctx, q)
+	return s.srv.Query(ctx, cache.KindSuper, q, 0)
 }
 
 // SubgraphQueryLimit streams: it returns the limit smallest answer ids
@@ -506,12 +480,12 @@ func (s *Server) SupergraphQueryCtx(ctx context.Context, q *Graph) (*ServerAnswe
 // field reports whether answers were cut; truncated results are never
 // admitted into the cache. limit <= 0 means no limit.
 func (s *Server) SubgraphQueryLimit(ctx context.Context, q *Graph, limit int) (*ServerAnswer, error) {
-	return s.srv.SubgraphQueryLimitCtx(ctx, q, limit)
+	return s.srv.Query(ctx, cache.KindSub, q, limit)
 }
 
 // SupergraphQueryLimit is SubgraphQueryLimit for supergraph queries.
 func (s *Server) SupergraphQueryLimit(ctx context.Context, q *Graph, limit int) (*ServerAnswer, error) {
-	return s.srv.SupergraphQueryLimitCtx(ctx, q, limit)
+	return s.srv.Query(ctx, cache.KindSuper, q, limit)
 }
 
 // UpdateCtx is Update bounded by ctx; a deadline that expires before the

@@ -56,16 +56,6 @@ type Config struct {
 	// disables collection entirely; when the queue is full further pairs
 	// are dropped (and counted) rather than blocking the validator.
 	RepairQueue int
-	// DisableHitIndex turns the query index off: hit discovery falls
-	// back to the linear scan over every entry (the differential-test
-	// reference). The index is on by default — it is what keeps hit
-	// discovery sub-linear as Capacity grows past the paper's 100.
-	DisableHitIndex bool
-	// HitIndexPathLen bounds the path length (in edges) of the query
-	// index's path-signature postings: 0 means DefaultHitIndexPathLen,
-	// negative disables path postings (label and size-bucket postings
-	// remain). Ignored when DisableHitIndex is set.
-	HitIndexPathLen int
 }
 
 func (c Config) withDefaults() Config {
@@ -77,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyHD
-	}
-	if c.HitIndexPathLen == 0 {
-		c.HitIndexPathLen = DefaultHitIndexPathLen
 	}
 	return c
 }
@@ -117,7 +104,7 @@ type Cache struct {
 	// entries whose Valid bit covers it (see index.go).
 	idx *invIndex
 	// qidx is the query index backing sub-linear hit discovery (see
-	// qindex.go); nil when Config.DisableHitIndex is set.
+	// qindex.go).
 	qidx *queryIndex
 	// slots holds the live entries by slot; freeSlots recycles slots of
 	// evicted entries so index bitsets stay small.
@@ -143,11 +130,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, idx: newInvIndex()}
-	if !cfg.DisableHitIndex {
-		c.qidx = newQueryIndex(cfg.HitIndexPathLen)
-	}
-	return c
+	return &Cache{cfg: cfg, idx: newInvIndex(), qidx: newQueryIndex()}
 }
 
 // Config returns the effective configuration.
@@ -222,9 +205,7 @@ func (c *Cache) AddWithRelations(e *Entry, containing, contained []*Entry) {
 	}
 	c.assignSlot(e)
 	c.idx.addEntry(e)
-	if c.qidx != nil {
-		c.qidx.addEntry(e, containing, contained)
-	}
+	c.qidx.addEntry(e, containing, contained)
 	c.window = append(c.window, e)
 	if len(c.window) >= c.cfg.WindowSize {
 		c.flushWindow()

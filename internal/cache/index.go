@@ -115,9 +115,7 @@ func (c *Cache) assignSlot(e *Entry) {
 // repair tasks referring to it are skipped.
 func (c *Cache) releaseEntry(e *Entry) {
 	c.idx.removeEntry(e)
-	if c.qidx != nil {
-		c.qidx.removeEntry(e)
-	}
+	c.qidx.removeEntry(e)
 	c.slots[e.slot] = nil
 	c.freeSlots = append(c.freeSlots, e.slot)
 	e.dead = true

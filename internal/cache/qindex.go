@@ -25,7 +25,7 @@ import (
 //
 //   - per-label postings: slots of entries whose query carries a label;
 //   - vertex- and edge-count buckets: slots grouped by query size;
-//   - optional short-path-signature postings reusing internal/ftv's
+//   - short-path-signature postings reusing internal/ftv's
 //     canonical path extraction (gIndex-style filtering applied to the
 //     cached queries instead of the dataset).
 //
@@ -51,11 +51,13 @@ import (
 // the invariant after every mutation sequence in tests, and
 // FuzzQueryIndex drives random op streams against it.
 
-// DefaultHitIndexPathLen is the default maximum path length (in edges)
-// of the query index's path-signature postings. Short paths keep
-// per-admission extraction cheap while pruning far better than labels
-// alone; length 2 is plenty for the small query graphs GC+ caches.
-const DefaultHitIndexPathLen = 2
+// QueryPathLen is the maximum path length (in edges) of the query
+// index's path-signature postings. Short paths keep per-admission
+// extraction cheap while pruning far better than labels alone; length 2
+// is plenty for the small query graphs GC+ caches. Callers holding
+// signatures pre-extracted at this length can seed them with
+// PrimeQuerySigs.
+const QueryPathLen = 2
 
 // qindexMaxBucket saturates the size buckets: queries with ≥ this many
 // vertices (or edges) share the top bucket. Below the cap the bucket is
@@ -73,8 +75,7 @@ func qindexBucket(n int) int {
 // signatures needed to undo path postings on removal, and the memoized
 // query-to-query relation graph.
 type queryIndex struct {
-	pathLen int // ≤ 0 disables path postings
-	kinds   [2]kindIndex
+	kinds [2]kindIndex
 	// sigs remembers each slot's path signatures so removeEntry can
 	// clean up without re-extracting (extraction is deterministic, but
 	// the entry may hold the only reference to its query by then).
@@ -142,14 +143,11 @@ type kindIndex struct {
 	byMaxDeg   []*bitset.Set
 }
 
-func newQueryIndex(pathLen int) *queryIndex {
+func newQueryIndex() *queryIndex {
 	qi := &queryIndex{
-		pathLen:    pathLen,
+		sigs:       make(map[int][]string),
 		containing: bitset.New(0),
 		contained:  bitset.New(0),
-	}
-	if pathLen > 0 {
-		qi.sigs = make(map[int][]string)
 	}
 	for k := range qi.kinds {
 		qi.kinds[k] = kindIndex{
@@ -247,17 +245,15 @@ func (qi *queryIndex) addEntry(e *Entry, containing, contained []*Entry) {
 	bucketSet(&ki.byVertices, qindexBucket(sum.Vertices()), e.slot)
 	bucketSet(&ki.byEdges, qindexBucket(sum.Edges()), e.slot)
 	bucketSet(&ki.byMaxDeg, qindexBucket(sum.MaxDegree()), e.slot)
-	if qi.pathLen > 0 {
-		sigs := ftv.PathSignatures(e.Query, qi.pathLen)
-		qi.sigs[e.slot] = sigs
-		for _, s := range sigs {
-			p := ki.byPath[s]
-			if p == nil {
-				p = bitset.New(e.slot + 1)
-				ki.byPath[s] = p
-			}
-			p.Set(e.slot)
+	sigs := ftv.PathSignatures(e.Query, QueryPathLen)
+	qi.sigs[e.slot] = sigs
+	for _, s := range sigs {
+		p := ki.byPath[s]
+		if p == nil {
+			p = bitset.New(e.slot + 1)
+			ki.byPath[s] = p
 		}
+		p.Set(e.slot)
 	}
 }
 
@@ -284,17 +280,15 @@ func (qi *queryIndex) removeEntry(e *Entry) {
 	bucketClear(ki.byVertices, qindexBucket(sum.Vertices()), e.slot)
 	bucketClear(ki.byEdges, qindexBucket(sum.Edges()), e.slot)
 	bucketClear(ki.byMaxDeg, qindexBucket(sum.MaxDegree()), e.slot)
-	if qi.pathLen > 0 {
-		for _, s := range qi.sigs[e.slot] {
-			if p := ki.byPath[s]; p != nil {
-				p.Clear(e.slot)
-				if p.None() {
-					delete(ki.byPath, s)
-				}
+	for _, s := range qi.sigs[e.slot] {
+		if p := ki.byPath[s]; p != nil {
+			p.Clear(e.slot)
+			if p.None() {
+				delete(ki.byPath, s)
 			}
 		}
-		delete(qi.sigs, e.slot)
 	}
+	delete(qi.sigs, e.slot)
 }
 
 // couldContain fills out with the slots of entries whose query could
@@ -377,12 +371,9 @@ func (ki *kindIndex) couldBeContained(sum *graph.Summary, out *bitset.Set) {
 // extraction. Graphs are immutable once published, so pointer identity
 // is a sound memo key.
 func (qi *queryIndex) querySigs(q *graph.Graph) []string {
-	if qi.pathLen <= 0 {
-		return nil
-	}
 	if qi.sigMemoGraph != q {
 		qi.sigMemoGraph = q
-		qi.sigMemo = ftv.PathSignatures(q, qi.pathLen)
+		qi.sigMemo = ftv.PathSignatures(q, QueryPathLen)
 	}
 	return qi.sigMemo
 }
@@ -406,29 +397,14 @@ func cutBucketsAbove(out *bitset.Set, buckets []*bitset.Set, b int) {
 	}
 }
 
-// QueryIndexEnabled reports whether the cache maintains a query index
-// for hit discovery.
-func (c *Cache) QueryIndexEnabled() bool { return c.qidx != nil }
-
-// QuerySigPathLen returns the path-signature length the query index
-// extracts per probe query (0 when the index is off or path postings
-// are disabled). Callers holding pre-extracted signatures at this
-// length can seed them with PrimeQuerySigs.
-func (c *Cache) QuerySigPathLen() int {
-	if c.qidx == nil {
-		return 0
-	}
-	return c.qidx.pathLen
-}
-
 // PrimeQuerySigs seeds the query-index signature memo for q with
-// signatures previously extracted — at QuerySigPathLen — from q or any
+// signatures previously extracted — at QueryPathLen — from q or any
 // structurally equal graph (path signatures are a pure function of
 // structure). Hit discovery for q then skips its extraction, the
-// dominant per-probe cost. A nil or foreign-length sigs is simply not
-// seeded; correctness never depends on priming.
+// dominant per-probe cost. A nil sigs is simply not seeded; correctness
+// never depends on priming.
 func (c *Cache) PrimeQuerySigs(q *graph.Graph, sigs []string) {
-	if c.qidx == nil || c.qidx.pathLen <= 0 || sigs == nil {
+	if sigs == nil {
 		return
 	}
 	c.qidx.sigMemoGraph = q
@@ -440,8 +416,7 @@ func (c *Cache) PrimeQuerySigs(q *graph.Graph, sigs []string) {
 // buckets, equal (capped) per-label counts, and containing all of q's
 // path signatures — the only entries that could be isomorphic to q.
 // Iteration order is unspecified (candidates are interchangeable for an
-// isomorphism probe); return false from fn to stop. Panics when the
-// index is disabled.
+// isomorphism probe); return false from fn to stop.
 func (c *Cache) ForEachIsoCandidate(kind Kind, q *graph.Graph, fn func(e *Entry) bool) {
 	qi := c.qidx
 	ki := &qi.kinds[kind]
@@ -522,8 +497,7 @@ func (c *Cache) ForEachRelated(base *Entry, fn func(e *Entry, contains, containe
 // sub-iso test it gates, would fail — so index-backed hit discovery
 // classifies and credits identically to the linear scan it replaces.
 // Return false from fn to stop early. The number of entries visited is
-// returned. Lookup allocates nothing beyond the index's scratch sets;
-// it panics when the index is disabled.
+// returned. Lookup allocates nothing beyond the index's scratch sets.
 //
 // Order is produced by walking the window and entry stores and probing
 // the candidate bitsets per entry — one O(1) membership test each,
@@ -565,13 +539,13 @@ func (c *Cache) ForEachHitCandidate(kind Kind, q *graph.Graph, fn func(e *Entry,
 // CheckQueryIndex verifies the query-index invariant: for each kind the
 // postings hold exactly the live entries of that kind — slot membership
 // in the kind set, in every label posting of the entry's query, in
-// exactly its size buckets, and (when path postings are on) in exactly
-// its path-signature postings — with no stray slots anywhere; and the
-// relation graph is symmetric (a ∈ sup[b] ⟺ b ∈ sub[a]), references
-// only live same-kind slots, and is present for exactly the live
-// entries. A disabled index trivially passes, as does a nil receiver.
+// exactly its size buckets, and in exactly its path-signature postings —
+// with no stray slots anywhere; and the relation graph is symmetric
+// (a ∈ sup[b] ⟺ b ∈ sub[a]), references only live same-kind slots, and
+// is present for exactly the live entries. A nil receiver trivially
+// passes.
 func (c *Cache) CheckQueryIndex() error {
-	if c == nil || c.qidx == nil {
+	if c == nil {
 		return nil
 	}
 	if err := c.checkRelationGraph(); err != nil {
@@ -616,21 +590,19 @@ func (c *Cache) CheckQueryIndex() error {
 		wants[e.Kind].vbucket++
 		wants[e.Kind].ebucket++
 		wants[e.Kind].dbucket++
-		if c.qidx.pathLen > 0 {
-			sigs := ftv.PathSignatures(e.Query, c.qidx.pathLen)
-			stored := c.qidx.sigs[e.slot]
-			if len(stored) != len(sigs) {
-				failed = fmt.Errorf("cache: entry #%d stored %d path sigs, query has %d",
-					e.ID, len(stored), len(sigs))
+		sigs := ftv.PathSignatures(e.Query, QueryPathLen)
+		stored := c.qidx.sigs[e.slot]
+		if len(stored) != len(sigs) {
+			failed = fmt.Errorf("cache: entry #%d stored %d path sigs, query has %d",
+				e.ID, len(stored), len(sigs))
+			return false
+		}
+		for _, s := range sigs {
+			if p := ki.byPath[s]; p == nil || !p.Get(e.slot) {
+				failed = fmt.Errorf("cache: entry #%d missing from path posting %q", e.ID, s)
 				return false
 			}
-			for _, s := range sigs {
-				if p := ki.byPath[s]; p == nil || !p.Get(e.slot) {
-					failed = fmt.Errorf("cache: entry #%d missing from path posting %q", e.ID, s)
-					return false
-				}
-				wants[e.Kind].path++
-			}
+			wants[e.Kind].path++
 		}
 		return true
 	})

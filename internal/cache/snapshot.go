@@ -125,14 +125,12 @@ func (c *Cache) Export() *Snapshot {
 	for _, e := range c.window {
 		export(e)
 	}
-	if c.qidx != nil {
-		s.RelIncomplete = c.qidx.relIncomplete
-		for _, e := range c.entries {
-			c.exportRelations(e, slotIdx, s)
-		}
-		for _, e := range c.window {
-			c.exportRelations(e, slotIdx, s)
-		}
+	s.RelIncomplete = c.qidx.relIncomplete
+	for _, e := range c.entries {
+		c.exportRelations(e, slotIdx, s)
+	}
+	for _, e := range c.window {
+		c.exportRelations(e, slotIdx, s)
 	}
 	for _, t := range c.repairQ {
 		if t.Entry.dead {
@@ -194,33 +192,31 @@ func (c *Cache) Restore(s *Snapshot) error {
 		restored[i] = e
 		c.assignSlot(e)
 		c.idx.addEntry(e)
-		if c.qidx != nil {
-			// Replay the relation graph: each unordered pair is recorded
-			// once, when its higher-indexed member is added — exactly how
-			// admission built it — so reciprocal writes in addEntry
-			// reconstruct the full symmetric adjacency.
-			var containing, contained []*Entry
-			if es.RelKnown {
-				containing, contained = []*Entry{}, []*Entry{}
-				for _, j := range es.Sup {
-					if j < 0 || j >= len(s.Entries) {
-						return fmt.Errorf("cache: snapshot entry %d sup-related to out-of-range index %d", i, j)
-					}
-					if j < i {
-						containing = append(containing, restored[j])
-					}
+		// Replay the relation graph: each unordered pair is recorded
+		// once, when its higher-indexed member is added — exactly how
+		// admission built it — so reciprocal writes in addEntry
+		// reconstruct the full symmetric adjacency.
+		var containing, contained []*Entry
+		if es.RelKnown {
+			containing, contained = []*Entry{}, []*Entry{}
+			for _, j := range es.Sup {
+				if j < 0 || j >= len(s.Entries) {
+					return fmt.Errorf("cache: snapshot entry %d sup-related to out-of-range index %d", i, j)
 				}
-				for _, j := range es.Sub {
-					if j < 0 || j >= len(s.Entries) {
-						return fmt.Errorf("cache: snapshot entry %d sub-related to out-of-range index %d", i, j)
-					}
-					if j < i {
-						contained = append(contained, restored[j])
-					}
+				if j < i {
+					containing = append(containing, restored[j])
 				}
 			}
-			c.qidx.addEntry(e, containing, contained)
+			for _, j := range es.Sub {
+				if j < 0 || j >= len(s.Entries) {
+					return fmt.Errorf("cache: snapshot entry %d sub-related to out-of-range index %d", i, j)
+				}
+				if j < i {
+					contained = append(contained, restored[j])
+				}
+			}
 		}
+		c.qidx.addEntry(e, containing, contained)
 	}
 	c.entries = append(c.entries, restored[:s.WindowStart]...)
 	c.window = append(c.window, restored[s.WindowStart:]...)
@@ -233,7 +229,7 @@ func (c *Cache) Restore(s *Snapshot) error {
 	c.validates = s.Validates
 	c.repairedBits = s.RepairedBits
 	c.repairDropped = s.RepairDropped
-	if c.qidx != nil && s.RelIncomplete {
+	if s.RelIncomplete {
 		c.qidx.relIncomplete = true
 	}
 	for _, ref := range s.RepairQueue {

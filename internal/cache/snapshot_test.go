@@ -143,20 +143,6 @@ func TestCacheExportRestoreRoundTrip(t *testing.T) {
 	requireQueryIndex(t, r)
 }
 
-func TestCacheRestoreIntoIndexlessConfig(t *testing.T) {
-	c := buildRelatedCache(t, Config{Capacity: 20, WindowSize: 5}, 30, 3)
-	snap := c.Export()
-	r := New(Config{Capacity: 20, WindowSize: 5, DisableHitIndex: true})
-	if err := r.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	requireQueryIndex(t, r) // trivially passes with the index off
-	if r.QueryIndexEnabled() {
-		t.Fatal("index-off cache reports an index")
-	}
-	requireSameCacheState(t, c, r)
-}
-
 func TestCacheRestoreRejects(t *testing.T) {
 	c := buildRelatedCache(t, Config{Capacity: 10, WindowSize: 4}, 6, 9)
 	snap := c.Export()

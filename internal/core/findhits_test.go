@@ -1,9 +1,9 @@
 package core
 
-// Differential tests pinning the two hit-discovery paths to each other:
-// the index-backed findHitsIndexed must classify every cache entry
-// (direct / restrict / iso) exactly as the linear-scan reference
-// findHitsScan, in the same order, under randomized workloads with
+// Differential tests pinning hit discovery to its reference: the
+// index-backed findHits must classify every cache entry (direct /
+// restrict / iso) exactly as the linear-scan reference findHitsScan
+// below, in the same order, under randomized workloads with
 // evictions, purges, refreshes and background repair churning the cache.
 // The same loop also pins the marginal R-crediting property: per query,
 // the total credit handed to cache entries never exceeds the number of
@@ -52,6 +52,22 @@ func hitQuery(rng *rand.Rand, ds *dataset.Dataset, history []*graph.Graph) *grap
 	return q
 }
 
+// findHitsScan is the linear-scan reference for findHits: every window
+// and cache entry is visited, every same-kind one examined.
+func (r *Runtime) findHitsScan(g *graph.Graph, kind cache.Kind, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
+	h := r.newHitClassifier(g, kind, st)
+	st.HitScanned = r.cache.Size() + r.cache.WindowLen()
+	r.cache.ForEach(func(e *cache.Entry) bool {
+		if e.Kind != kind {
+			return true
+		}
+		st.HitCandidates++
+		h.visit(e, true, true)
+		return true
+	})
+	return h.direct, h.restrict, h.iso
+}
+
 func sameEntries(a, b []*cache.Entry) bool {
 	if len(a) != len(b) {
 		return false
@@ -81,9 +97,6 @@ func TestFindHitsIndexedMatchesScan(t *testing.T) {
 				WindowSize:  4,
 				RepairQueue: 256,
 			})
-			if !rt.cache.QueryIndexEnabled() {
-				t.Fatal("query index should be on by default")
-			}
 			var history []*graph.Graph
 			for step := 0; step < 160; step++ {
 				// Churn: dataset changes (invalidation), occasional
@@ -109,7 +122,7 @@ func TestFindHitsIndexedMatchesScan(t *testing.T) {
 
 				var stScan, stIdx QueryStats
 				dScan, rScan, isoScan := rt.findHitsScan(q, kind, &stScan)
-				dIdx, rIdx, isoIdx := rt.findHitsIndexed(q, kind, &stIdx)
+				dIdx, rIdx, isoIdx := rt.findHits(q, kind, &stIdx)
 				if !sameEntries(dScan, dIdx) {
 					t.Fatalf("step %d: direct hits diverge: scan %v, index %v", step, dScan, dIdx)
 				}
@@ -223,13 +236,12 @@ func TestOverlappingDirectHitsCreditMarginally(t *testing.T) {
 // to n distinct queries (isomorphic draws refresh in place, so the
 // final size can fall short on small pools), for the findHits
 // benchmarks.
-func benchHitRuntime(b *testing.B, n int, disableIndex bool) (*Runtime, []*graph.Graph) {
+func benchHitRuntime(b *testing.B, n int) (*Runtime, []*graph.Graph) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	rt, _ := hitSystem(b, rng, 200, cache.Config{
-		Capacity:        n,
-		WindowSize:      20,
-		DisableHitIndex: disableIndex,
+		Capacity:   n,
+		WindowSize: 20,
 	})
 	var queries []*graph.Graph
 	for i := 0; i < n && rt.cache.Size()+rt.cache.WindowLen() < n; i++ {
@@ -248,12 +260,15 @@ func benchHitRuntime(b *testing.B, n int, disableIndex bool) (*Runtime, []*graph
 }
 
 func benchmarkFindHits(b *testing.B, entries int, indexed bool) {
-	rt, queries := benchHitRuntime(b, entries, !indexed)
+	rt, queries := benchHitRuntime(b, entries)
+	find := rt.findHitsScan
+	if indexed {
+		find = rt.findHits
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st QueryStats
-		q := queries[i%len(queries)]
-		rt.findHits(q, cache.KindSub, &st)
+		find(queries[i%len(queries)], cache.KindSub, &st)
 	}
 }
 

@@ -36,8 +36,7 @@ type Metrics struct {
 	// TestsSaved aggregates per-query spared tests.
 	TestsSaved stats.Running
 	// HitCandidates aggregates the per-query number of entries hit
-	// discovery examined (index candidates, or every same-kind entry
-	// when the query index is off).
+	// discovery examined (the query index's candidates).
 	HitCandidates stats.Running
 	// HitScanned aggregates the per-query cache+window size at hit
 	// discovery; HitCandidates/HitScanned is the index's selectivity.

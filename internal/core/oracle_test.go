@@ -71,16 +71,9 @@ func newOracleSystems(t *testing.T, initial []*graph.Graph) (gt *oracleSystem, s
 		return cfg
 	}
 	planner := func(o *core.Options) { o.EnablePlanner = true }
-	plannerNoCache := func(o *core.Options) { o.EnablePlanner = true; o.PlanCacheSize = -1 }
 	gt = build("ground-truth", nil, false, nil)
 	systems = []*oracleSystem{
-		// The query index is on by default, so plain "CON" doubles as
-		// the hit-index-on variant; "CON+noindex" pins the linear-scan
-		// discovery path and "CON+nopaths" the index without its
-		// path-signature postings.
 		build("CON", small(nil), false, nil),
-		build("CON+noindex", small(func(c *cache.Config) { c.DisableHitIndex = true }), false, nil),
-		build("CON+nopaths", small(func(c *cache.Config) { c.HitIndexPathLen = -1 }), false, nil),
 		build("CON+repair", small(func(c *cache.Config) { c.RepairQueue = 4096 }), true, nil),
 		build("EVI", small(func(c *cache.Config) { c.Model = cache.ModelEVI }), false, nil),
 		build("strict", small(func(c *cache.Config) { c.StrictInvalidation = true }), false, nil),
@@ -88,10 +81,9 @@ func newOracleSystems(t *testing.T, initial []*graph.Graph) (gt *oracleSystem, s
 			c.StrictInvalidation = true
 			c.RepairQueue = 4096
 		}), true, nil),
-		// Planner variants: cost-based algorithm choice with and without
-		// the compiled-plan cache must be answer-invisible.
+		// Cost-based algorithm choice and the compiled-plan cache must be
+		// answer-invisible.
 		build("CON+planner", small(nil), false, planner),
-		build("CON+planner+noplancache", small(nil), false, plannerNoCache),
 	}
 	// Streaming variants answer every query through the OnAnswer path
 	// (full stream, never stopping): the emitted sequence must be the
@@ -329,7 +321,6 @@ func concurrentOracleRound(t *testing.T, seed int64, planner bool, transport str
 	srv, err := router.New(initial, router.Options{
 		Shards:            shards,
 		Method:            "VF2",
-		EagerValidate:     true, // invalidations (and hence repair) fire right at update time
 		RepairParallelism: 2,
 		EnablePlanner:     planner,
 		Transport:         transport,
@@ -403,9 +394,9 @@ func concurrentOracleRound(t *testing.T, seed int64, planner bool, transport str
 				var res *router.QueryResult
 				var err error
 				if qi%2 == 0 {
-					res, err = srv.SubgraphQuery(queries[qi])
+					res, err = srv.Query(context.Background(), cache.KindSub, queries[qi], 0)
 				} else {
-					res, err = srv.SupergraphQuery(queries[qi])
+					res, err = srv.Query(context.Background(), cache.KindSuper, queries[qi], 0)
 				}
 				if err != nil {
 					t.Error(err)

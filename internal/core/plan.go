@@ -10,10 +10,10 @@ import (
 )
 
 // DefaultPlanCacheSize is the compiled-plan cache capacity used when
-// Options.EnablePlanner is set and Options.PlanCacheSize is zero. Plans
-// are small (a few compiled matchers plus a verdict memo), so the
-// default comfortably covers the repeat sets of the paper's Zipf
-// workloads.
+// Options.EnablePlanner is set and Options.PlanCacheSize is not
+// positive. Plans are small (a few compiled matchers plus a verdict
+// memo), so the default comfortably covers the repeat sets of the
+// paper's Zipf workloads.
 const DefaultPlanCacheSize = 256
 
 // minCostSampleTests is the fewest Method M tests a query must execute
@@ -53,8 +53,7 @@ type planner struct {
 	// cost holds per-test CPU-seconds moments indexed [kindIdx][algoIdx].
 	cost [2][]stats.Running
 
-	// cacheCap bounds byKey; 0 disables plan caching (the planner still
-	// chooses algorithms and parallelism, recompiling per query).
+	// cacheCap bounds byKey (≥ 1).
 	cacheCap int
 	// byKey caches plans under the canonical plan key; order is its
 	// FIFO eviction queue (plan compilation is cheap enough that smarter
@@ -89,25 +88,19 @@ type queryPlan struct {
 	// hitClassifier memo bits), keyed by cached-query graph pointer.
 	memo map[*graph.Graph]uint8
 
-	// qsigs memoizes the query's ftv path signatures at qsigsLen (the
-	// cache query index's configured path length). Signatures are a pure
+	// qsigs memoizes the query's ftv path signatures at the cache query
+	// index's path length (cache.QueryPathLen). Signatures are a pure
 	// function of graph structure, so they hold for every structurally
 	// equal repeat the plan serves — extracting them is the single most
 	// expensive per-query step of indexed hit discovery, which a plan
 	// hit thereby skips.
-	qsigs    []string
-	qsigsLen int
+	qsigs []string
 }
 
-// sigsFor returns the query's path signatures at pathLen, extracting
-// them on first use (or when the index's configured length changed).
-func (pl *queryPlan) sigsFor(pathLen int) []string {
-	if pathLen <= 0 {
-		return nil
-	}
-	if pl.qsigs == nil || pl.qsigsLen != pathLen {
-		pl.qsigs = ftv.PathSignatures(pl.query, pathLen)
-		pl.qsigsLen = pathLen
+// sigs returns the query's path signatures, extracting them on first use.
+func (pl *queryPlan) sigs() []string {
+	if pl.qsigs == nil {
+		pl.qsigs = ftv.PathSignatures(pl.query, cache.QueryPathLen)
 	}
 	return pl.qsigs
 }
@@ -132,11 +125,9 @@ func newPlanner(algo, hitAlgo subiso.Algorithm, cacheCap int) *planner {
 	for k := range p.cost {
 		p.cost[k] = make([]stats.Running, len(p.algos))
 	}
-	if cacheCap > 0 {
-		p.byKey = make(map[uint64]*queryPlan, cacheCap)
-		p.ptr[0] = make(map[*graph.Graph]*queryPlan)
-		p.ptr[1] = make(map[*graph.Graph]*queryPlan)
-	}
+	p.byKey = make(map[uint64]*queryPlan, cacheCap)
+	p.ptr[0] = make(map[*graph.Graph]*queryPlan)
+	p.ptr[1] = make(map[*graph.Graph]*queryPlan)
 	return p
 }
 
@@ -153,9 +144,6 @@ func kindIdx(k cache.Kind) int {
 // a colliding non-equal graph is treated as a miss and replaces the
 // slot (its artifacts would test against the wrong vertex numbering).
 func (p *planner) planFor(g *graph.Graph, kind cache.Kind, st *QueryStats) *queryPlan {
-	if p.cacheCap <= 0 {
-		return p.compile(g, kind)
-	}
 	ki := kindIdx(kind)
 	if pl, ok := p.ptr[ki][g]; ok {
 		st.PlanCached = true

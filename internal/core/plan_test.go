@@ -179,32 +179,6 @@ func TestPlanCacheReuse(t *testing.T) {
 	if hits := rPlan.Metrics().PlanCacheHits; hits < 2 {
 		t.Fatalf("PlanCacheHits = %d, want >= 2", hits)
 	}
-
-	// Plan caching disabled (negative size): planning still runs, every
-	// query is a miss, answers unchanged.
-	rNoCache, err := NewRuntime(dataset.New(pool), Options{Algorithm: subiso.VF2{}, EnablePlanner: true, PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		res, err := rNoCache.SubgraphQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.PlanCached {
-			t.Fatal("PlanCached with plan caching disabled")
-		}
-		want, err := rBase.SubgraphQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Answer.Equal(want.Answer) {
-			t.Fatalf("no-plan-cache answer diverged: %v != %v", res.AnswerIDs(), want.AnswerIDs())
-		}
-	}
-	if m := rNoCache.Metrics(); m.PlanCacheHits != 0 || m.PlanCacheMisses != 2 {
-		t.Fatalf("plan-cache-off metrics = %d hits / %d misses, want 0/2", m.PlanCacheHits, m.PlanCacheMisses)
-	}
 }
 
 // TestStreamingVerify pins the streaming contract: with Limit k the

@@ -59,9 +59,8 @@ type Options struct {
 	// bit-identical either way (every candidate algorithm is exact).
 	EnablePlanner bool
 	// PlanCacheSize bounds the compiled-plan cache (entries, per kind
-	// combined). 0 means DefaultPlanCacheSize when the planner is on;
-	// negative disables plan caching while keeping the planner's
-	// algorithm and parallelism choices.
+	// combined); ≤ 0 means DefaultPlanCacheSize. Only meaningful with
+	// EnablePlanner.
 	PlanCacheSize int
 }
 
@@ -117,11 +116,8 @@ func NewRuntime(ds *dataset.Dataset, opts Options) (*Runtime, error) {
 	}
 	if opts.EnablePlanner {
 		size := opts.PlanCacheSize
-		if size == 0 {
+		if size <= 0 {
 			size = DefaultPlanCacheSize
-		}
-		if size < 0 {
-			size = 0
 		}
 		r.planner = newPlanner(r.algo, r.hitAlgo, size)
 	}
@@ -208,9 +204,8 @@ type QueryStats struct {
 	HitScanned int
 	// HitCandidates is the number of entries hit discovery actually
 	// examined with fingerprint (and possibly sub-iso) checks: the
-	// query index's candidate set when the index is on, every same-kind
-	// entry when it is off. HitCandidates/HitScanned is the index's
-	// realized selectivity.
+	// query index's candidate set. HitCandidates/HitScanned is the
+	// index's realized selectivity.
 	HitCandidates int
 	// Overhead is cache-maintenance time: consistency (log analysis +
 	// validation or purge) plus window/cache updates. Figure 6's
@@ -351,7 +346,7 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 			// Seed the query index with the plan's memoized path
 			// signatures: on a plan hit, indexed hit discovery then skips
 			// the signature extraction — its dominant per-query cost.
-			r.cache.PrimeQuerySigs(g, r.plan.sigsFor(r.cache.QuerySigPathLen()))
+			r.cache.PrimeQuerySigs(g, r.plan.sigs())
 		}
 	}
 
@@ -847,23 +842,60 @@ func (r *Runtime) CacheStats() cache.Stats {
 // validly failed). For a supergraph query the roles are exactly inverted,
 // as §6's "supergraph queries follow the exact inverse logic".
 //
-// Discovery is index-backed when the cache maintains a query index
-// (the default): the index hands over the two candidate sets — entries
-// whose fingerprints could subsume g and entries g could subsume — and
-// only those are examined, making hit discovery sub-linear in the cache
-// size. With the index disabled, findHits falls back to the linear scan
-// over every entry; the scan is retained as the differential-test
-// reference and the two paths are pinned to classify identically.
+// Discovery is index-backed: the cache's query index hands over the two
+// candidate sets — entries whose fingerprints could subsume g and entries
+// g could subsume — and only those are examined, in the order a linear
+// scan over the cache would reach them, making hit discovery sub-linear
+// in the cache size. The differential property test pins classification,
+// credit order and iso selection to the linear-scan reference in
+// findhits_test.go.
+//
+// Repeated queries take a second shortcut: the index's isomorphism
+// probe narrows the cache to entries whose features exactly match g's;
+// if one proves isomorphic, its memoized relation sets — recorded at
+// admission, when the query behind it was classified against every
+// entry — replay the full hit classification with zero query-to-query
+// sub-iso tests. Under the Zipf workloads of the paper most queries are
+// repeats, so most hit discovery collapses to this path.
 func (r *Runtime) findHits(g *graph.Graph, kind cache.Kind, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
-	if r.cache.QueryIndexEnabled() {
-		return r.findHitsIndexed(g, kind, st)
+	h := r.newHitClassifier(g, kind, st)
+	st.HitScanned = r.cache.Size() + r.cache.WindowLen()
+	probed := 0
+	var isoBase *cache.Entry
+	r.cache.ForEachIsoCandidate(kind, g, func(e *cache.Entry) bool {
+		probed++
+		if h.isoProbe(e) {
+			isoBase = e
+			return false
+		}
+		return true
+	})
+	if isoBase != nil {
+		if n, ok := r.cache.ForEachRelated(isoBase, func(e *cache.Entry, contains, containedIn bool) bool {
+			h.record(e, contains, containedIn)
+			return true
+		}); ok {
+			// isoBase was examined by the probe and revisited by
+			// ForEachRelated; count it once.
+			st.HitCandidates = probed + n - 1
+			return h.direct, h.restrict, h.iso
+		}
 	}
-	return r.findHitsScan(g, kind, st)
+	// The probe's candidates are a subset of the classification
+	// candidates (exact-feature equality is stricter than could-contain),
+	// so counting only the latter keeps HitCandidates a distinct-entry
+	// count on this path.
+	st.HitCandidates = r.cache.ForEachHitCandidate(kind, g,
+		func(e *cache.Entry, mayContain, mayBeContained bool) bool {
+			h.visit(e, mayContain, mayBeContained)
+			return true
+		})
+	return h.direct, h.restrict, h.iso
 }
 
-// hitClassifier applies the per-entry hit classification shared by the
-// indexed and linear discovery paths. mayContain/mayBeContained are
-// sound prefilter verdicts: false means the corresponding fingerprint
+// hitClassifier applies the per-entry hit classification shared by
+// findHits and its linear-scan test reference. mayContain/mayBeContained
+// are sound prefilter verdicts: false means the corresponding fingerprint
 // subsumption is guaranteed to fail, so the check is skipped entirely.
 type hitClassifier struct {
 	kind cache.Kind
@@ -1002,71 +1034,6 @@ func (h *hitClassifier) record(e *cache.Entry, isContaining, isContained bool) {
 			h.direct = append(h.direct, e)
 		}
 	}
-}
-
-// findHitsScan is the linear-scan reference: every window and cache
-// entry is visited, every same-kind one examined.
-func (r *Runtime) findHitsScan(g *graph.Graph, kind cache.Kind, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
-	h := r.newHitClassifier(g, kind, st)
-	st.HitScanned = r.cache.Size() + r.cache.WindowLen()
-	r.cache.ForEach(func(e *cache.Entry) bool {
-		if e.Kind != kind {
-			return true
-		}
-		st.HitCandidates++
-		h.visit(e, true, true)
-		return true
-	})
-	return h.direct, h.restrict, h.iso
-}
-
-// findHitsIndexed asks the cache's query index for the candidate
-// entries and examines only those, in the same order the scan would
-// have reached them — classification, credit order and iso selection
-// are bit-identical to findHitsScan by construction (the differential
-// property test pins this).
-//
-// Repeated queries take a second shortcut: the index's isomorphism
-// probe narrows the cache to entries whose features exactly match g's;
-// if one proves isomorphic, its memoized relation sets — recorded at
-// admission, when the query behind it was classified against every
-// entry — replay the full hit classification with zero query-to-query
-// sub-iso tests. Under the Zipf workloads of the paper most queries are
-// repeats, so most hit discovery collapses to this path.
-func (r *Runtime) findHitsIndexed(g *graph.Graph, kind cache.Kind, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
-	h := r.newHitClassifier(g, kind, st)
-	st.HitScanned = r.cache.Size() + r.cache.WindowLen()
-	probed := 0
-	var isoBase *cache.Entry
-	r.cache.ForEachIsoCandidate(kind, g, func(e *cache.Entry) bool {
-		probed++
-		if h.isoProbe(e) {
-			isoBase = e
-			return false
-		}
-		return true
-	})
-	if isoBase != nil {
-		if n, ok := r.cache.ForEachRelated(isoBase, func(e *cache.Entry, contains, containedIn bool) bool {
-			h.record(e, contains, containedIn)
-			return true
-		}); ok {
-			// isoBase was examined by the probe and revisited by
-			// ForEachRelated; count it once.
-			st.HitCandidates = probed + n - 1
-			return h.direct, h.restrict, h.iso
-		}
-	}
-	// The probe's candidates are a subset of the classification
-	// candidates (exact-feature equality is stricter than could-contain),
-	// so counting only the latter keeps HitCandidates a distinct-entry
-	// count on this path.
-	st.HitCandidates = r.cache.ForEachHitCandidate(kind, g,
-		func(e *cache.Entry, mayContain, mayBeContained bool) bool {
-			h.visit(e, mayContain, mayBeContained)
-			return true
-		})
-	return h.direct, h.restrict, h.iso
 }
 
 // ForEachCacheEntry exposes a read-only view of the cache contents

@@ -5,11 +5,8 @@
 //
 // The paper's evaluation is built on per-stage measurement (Figures 4–6
 // report per-stage means); a serving system additionally needs tail
-// latencies and live gauges. The histogram here is the single latency
-// representation shared by the serving layer (/metrics, the slow-query
-// log) and the benchmark harness (gcbench -throughput p50/p95/p99), so
-// a percentile on a dashboard and a percentile in a BENCH_*.json came
-// from the identical code path.
+// latencies and live gauges. The histogram here is the serving layer's
+// single latency representation (/metrics, the slow-query log).
 package obs
 
 import (

@@ -112,7 +112,7 @@ func chaosSoak(t *testing.T, policy, transport string) {
 			defer readersDone.Done()
 			for !stop.Load() {
 				q := queries[r%len(queries)]
-				if _, err := srv.SubgraphQuery(q); err != nil {
+				if _, err := subQ(srv, q); err != nil {
 					var ce *core.CancelError
 					if !IsOverload(err) && !errors.As(err, &ce) {
 						t.Errorf("reader %d: %v", r, err)

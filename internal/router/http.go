@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
@@ -77,12 +78,13 @@ type queryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	kind := r.URL.Query().Get("kind")
-	if kind == "" {
-		kind = "sub"
-	}
-	if kind != "sub" && kind != "super" {
-		httpError(w, http.StatusBadRequest, "kind must be sub or super, got %q", kind)
+	kind := cache.KindSub
+	switch k := r.URL.Query().Get("kind"); k {
+	case "", "sub":
+	case "super":
+		kind = cache.KindSuper
+	default:
+		httpError(w, http.StatusBadRequest, "kind must be sub or super, got %q", k)
 		return
 	}
 	limit := 0
@@ -103,12 +105,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "want exactly one query graph, got %d", len(graphs))
 		return
 	}
-	var res *QueryResult
-	if kind == "sub" {
-		res, err = s.SubgraphQueryLimitCtx(r.Context(), graphs[0], limit)
-	} else {
-		res, err = s.SupergraphQueryLimitCtx(r.Context(), graphs[0], limit)
-	}
+	res, err := s.Query(r.Context(), kind, graphs[0], limit)
 	if err != nil {
 		writeErr(w, err, "query failed: %v", err)
 		return

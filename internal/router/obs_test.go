@@ -96,7 +96,7 @@ func TestMetricsExposition(t *testing.T) {
 	const rounds = 7
 	for i := 0; i < rounds; i++ {
 		q := queries[i%len(queries)]
-		if _, err := srv.SubgraphQuery(q); err != nil {
+		if _, err := subQ(srv, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,17 +182,19 @@ func TestHealthzReadyz(t *testing.T) {
 	}
 }
 
-// TestReadyzBacklog: with repair disabled but a repair queue configured,
-// invalidated pairs accumulate with nothing draining them, and a
-// negative threshold (= "any backlog is unready") must flip readiness.
+// TestReadyzBacklog: invalidated pairs awaiting repair are a backlog,
+// and a negative threshold (= "any backlog is unready") must flip
+// readiness. The shard worker is parked while the validating query and
+// the readiness probe's stats job line up behind it, so FIFO order puts
+// the probe between the validation that queues the pairs and the repair
+// plan job that would drain them.
 func TestReadyzBacklog(t *testing.T) {
 	initial := genGraphs(t, 16, 5)
 	srv, err := New(initial, Options{
-		Shards:                 2,
+		Shards:                 1,
 		Cache:                  &cache.Config{Capacity: 32, WindowSize: 2, RepairQueue: 64},
-		DisableRepair:          true,
-		EagerValidate:          true,
 		ReadyMaxPendingRepairs: -1,
+		pressureInterval:       -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,38 +207,58 @@ func TestReadyzBacklog(t *testing.T) {
 		t.Fatalf("fresh server readyz status %d: %s", status, body)
 	}
 
-	// Populate the cache, then invalidate: edge updates clear validity
-	// bits during eager validation and enqueue the pairs for repair —
-	// which nothing drains.
-	for _, q := range testQueries(initial) {
-		if _, err := srv.SubgraphQuery(q); err != nil {
+	// Populate the cache, then change every graph: validation is lazy, so
+	// the log suffix just accumulates until the next query.
+	queries := testQueries(initial)
+	for _, q := range queries {
+		if _, err := subQ(srv, q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ua := func(id, u, v int) changeplan.Op {
-		return changeplan.Op{Type: dataset.OpUpdateAddEdge, GraphID: id, U: u, V: v}
+	for id := range initial {
+		// One of the pair always applies, whichever way (0,1) starts.
+		srv.Update([]changeplan.Op{{Type: dataset.OpUpdateAddEdge, GraphID: id, U: 0, V: 1}})
+		srv.Update([]changeplan.Op{{Type: dataset.OpUpdateRemoveEdge, GraphID: id, U: 0, V: 1}})
 	}
-	ur := func(id, u, v int) changeplan.Op {
-		return changeplan.Op{Type: dataset.OpUpdateRemoveEdge, GraphID: id, U: u, V: v}
+
+	release := blockShard(srv)
+	defer release()
+	queried := make(chan error, 1)
+	go func() {
+		_, err := subQ(srv, queries[0])
+		queried <- err
+	}()
+	waitFor(t, func() bool { return srv.hosts[0].QueueLen() >= 1 })
+	type probe struct {
+		status int
+		body   string
+		err    error
 	}
-	var pending int
-	for try := 0; try < 40 && pending == 0; try++ {
-		for id := 0; id < len(initial); id++ {
-			// One of the pair always applies, whichever way (0,1) starts.
-			srv.Update([]changeplan.Op{ua(id, 0, 1)})
-			srv.Update([]changeplan.Op{ur(id, 0, 1)})
-		}
-		st, err := srv.Stats()
+	probed := make(chan probe, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/readyz")
 		if err != nil {
-			t.Fatal(err)
+			probed <- probe{err: err}
+			return
 		}
-		pending = st.PendingRepairs
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		probed <- probe{status: resp.StatusCode, body: string(b), err: err}
+	}()
+	waitFor(t, func() bool { return srv.hosts[0].QueueLen() >= 2 })
+	release()
+	if err := <-queried; err != nil {
+		t.Fatal(err)
 	}
-	if pending == 0 {
+	got := <-probed
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if strings.Contains(got.body, `"pending_repairs":0`) {
 		t.Skip("workload produced no repair backlog; nothing to assert")
 	}
-	if status, body := getBody(t, ts.URL+"/readyz"); status != http.StatusServiceUnavailable {
-		t.Fatalf("readyz with backlog %d: status %d, want 503 (%s)", pending, status, body)
+	if got.status != http.StatusServiceUnavailable {
+		t.Fatalf("readyz with backlog: status %d, want 503 (%s)", got.status, got.body)
 	}
 }
 
@@ -293,7 +315,7 @@ func TestQueryTraceAndSlowLog(t *testing.T) {
 
 	// Fill past the ring bound; retention is the newest SlowLogSize.
 	for i := 0; i < 6; i++ {
-		if _, err := srv.SubgraphQuery(queries[i%len(queries)]); err != nil {
+		if _, err := subQ(srv, queries[i%len(queries)]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,7 +390,7 @@ func TestObsUnderConcurrentLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perQuerier; i++ {
-				if _, err := srv.SubgraphQuery(queries[(w+i)%len(queries)]); err != nil {
+				if _, err := subQ(srv, queries[(w+i)%len(queries)]); err != nil {
 					t.Error(err)
 					return
 				}

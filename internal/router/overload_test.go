@@ -47,13 +47,13 @@ func TestAdmissionControlShedsQueries(t *testing.T) {
 	finished := make(chan error, 1)
 	go func() {
 		close(started)
-		_, err := srv.SubgraphQuery(q)
+		_, err := subQ(srv, q)
 		finished <- err
 	}()
 	<-started
 	waitFor(t, func() bool { return inFlight(srv.querySem) == 1 })
 
-	_, err = srv.SubgraphQuery(q)
+	_, err = subQ(srv, q)
 	var oe *OverloadError
 	if !errors.As(err, &oe) || !IsOverload(err) {
 		t.Fatalf("saturated query: %v, want OverloadError", err)
@@ -123,7 +123,7 @@ func TestQueryDeadlineWhileShardBlocked(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = srv.SubgraphQueryCtx(ctx, q)
+	_, err = srv.Query(ctx, cache.KindSub, q, 0)
 	var ce *core.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("deadline query: %v, want CancelError", err)
@@ -174,7 +174,7 @@ func TestQueryTimeoutOption(t *testing.T) {
 	release := blockShard(srv)
 	defer release()
 
-	_, err = srv.SubgraphQuery(testQueries(initial)[0])
+	_, err = subQ(srv, testQueries(initial)[0])
 	var ce *core.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("timed-out query: %v, want CancelError", err)
@@ -199,11 +199,8 @@ func TestPressureLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.press == nil {
-		t.Fatal("pressure controller missing")
-	}
 	q := testQueries(initial)[0]
-	want, err := srv.SubgraphQuery(q)
+	want, err := subQ(srv, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +226,7 @@ func TestPressureLadder(t *testing.T) {
 	<-fillDone
 
 	// Degraded serving stays exact and really bypasses the cache.
-	got, err := srv.SubgraphQuery(q)
+	got, err := subQ(srv, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,16 +268,6 @@ func TestPressureLadder(t *testing.T) {
 	}
 	if s := srv.press.degradedSeconds(base); s <= 0 {
 		t.Fatalf("degraded seconds %f, want > 0", s)
-	}
-
-	// A degradation-disabled server never builds the controller.
-	plain, err := New(initial, Options{Shards: 1, DisableDegradation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if plain.press != nil {
-		t.Fatal("DisableDegradation still built a pressure controller")
 	}
 }
 
@@ -412,7 +399,7 @@ func TestCancellationLeavesCacheConsistent(t *testing.T) {
 	defer srv.Close()
 	queries := testQueries(initial)
 	q := queries[0]
-	want, err := srv.SubgraphQuery(q)
+	want, err := subQ(srv, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +422,7 @@ func TestCancellationLeavesCacheConsistent(t *testing.T) {
 			if _, err := srv.Update([]changeplan.Op{changeplan.AddOp(g.Clone())}); err != nil {
 				t.Fatal(err)
 			}
-			want, err = srv.SubgraphQuery(q)
+			want, err = subQ(srv, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -449,7 +436,7 @@ func TestCancellationLeavesCacheConsistent(t *testing.T) {
 			timer := time.AfterFunc(d, cancel)
 			defer timer.Stop()
 		}
-		res, err := srv.SubgraphQueryCtx(ctx, q)
+		res, err := srv.Query(ctx, cache.KindSub, q, 0)
 		switch {
 		case err == nil:
 			if !equalIDs(res.IDs, want.IDs) {
@@ -470,7 +457,7 @@ func TestCancellationLeavesCacheConsistent(t *testing.T) {
 	}
 	checkCache()
 	// The server still serves exact answers after the abuse.
-	got, err := srv.SubgraphQuery(q)
+	got, err := subQ(srv, q)
 	if err != nil {
 		t.Fatal(err)
 	}

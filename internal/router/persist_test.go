@@ -56,11 +56,11 @@ func probeAnswers(t *testing.T, srv *Server, queries []*graph.Graph) [][]int {
 	t.Helper()
 	var out [][]int
 	for _, q := range queries {
-		sub, err := srv.SubgraphQuery(q)
+		sub, err := subQ(srv, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sup, err := srv.SupergraphQuery(q)
+		sup, err := superQ(srv, q)
 		if err != nil {
 			t.Fatal(err)
 		}

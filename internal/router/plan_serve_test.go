@@ -48,7 +48,7 @@ func TestQueryLimitExactPrefix(t *testing.T) {
 			if limit <= 0 {
 				continue
 			}
-			res, err := srv.SubgraphQueryLimitCtx(ctx, q, limit)
+			res, err := srv.Query(ctx, cache.KindSub, q, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestQueryLimitExactPrefix(t *testing.T) {
 			sawTruncated = sawTruncated || res.Truncated
 		}
 		// The unlimited path must be unaffected by interleaved streaming.
-		res, err := srv.SubgraphQueryCtx(ctx, q)
+		res, err := srv.Query(ctx, cache.KindSub, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,21 +106,11 @@ type Options struct {
 	// "GQL". Each shard gets its own verifier instance.
 	Method string
 	// Cache configures each shard's GC+ cache — capacity, window,
-	// model, policy, repair queue, and the query index backing
-	// sub-linear hit discovery (cache.Config.DisableHitIndex /
-	// HitIndexPathLen; the index is on by default and is what makes
-	// per-shard capacities in the thousands serve without hit discovery
-	// becoming the bottleneck). Nil means the default CON cache; use
+	// model, policy, repair queue. Nil means the default CON cache; use
 	// DisableCache for the raw Method M baseline.
 	Cache *cache.Config
 	// DisableCache turns GC+ caching off on every shard.
 	DisableCache bool
-	// EagerValidate runs cache reconciliation (CON validation or EVI
-	// purge) on each shard as part of applying an update, instead of
-	// lazily before the shard's next query. This moves the consistency
-	// cost from the query path to the update path — the serving-friendly
-	// trade — at the price of validating even if no query arrives.
-	EagerValidate bool
 	// VerifyParallelism bounds each shard runtime's intra-query
 	// verification worker pool (1 = sequential). 0 picks an
 	// oversubscription-free default: GOMAXPROCS divided by the shard
@@ -136,21 +126,15 @@ type Options struct {
 	// isomorphic repeats skip compilation. Answers are bit-identical
 	// either way.
 	EnablePlanner bool
-	// PlanCacheSize bounds each shard's compiled-plan cache; 0 means the
-	// core default, negative disables plan caching while keeping the
-	// planner's choices. Only meaningful with EnablePlanner.
+	// PlanCacheSize bounds each shard's compiled-plan cache; ≤ 0 means
+	// the core default. Only meaningful with EnablePlanner.
 	PlanCacheSize int
 	// RepairParallelism bounds each shard's background repair worker:
 	// validity bits cleared by CON validation are re-verified off the
 	// query path by up to this many goroutines and restored when the
 	// verified relation still holds. 0 picks the default of 1 worker per
-	// shard. Repair applies only to CON caches; see DisableRepair.
+	// shard. Repair applies only to CON caches (see repairEnabled).
 	RepairParallelism int
-	// DisableRepair turns the background repair pipeline off, leaving
-	// cleared validity bits dead until a future query re-verifies them
-	// on the hot path (the pre-repair behavior, and the baseline the
-	// gcbench update-heavy scenario compares against).
-	DisableRepair bool
 	// DataDir enables the durability subsystem (internal/persist): a
 	// per-shard write-ahead log of update batches plus periodic
 	// snapshots of dataset and cache state under this directory. A boot
@@ -230,10 +214,6 @@ type Options struct {
 	// in-place retries) means: WALPolicyFailUpdate (default) or
 	// WALPolicyDegradeToVolatile. See the constants for the contract.
 	WALPolicy string
-	// DisableDegradation turns the pressure controller off: the server
-	// never caps verification or bypasses the cache under load, only
-	// sheds at the admission bound.
-	DisableDegradation bool
 	// Transport selects how the router reaches its shard hosts:
 	// TransportLocal (default) or TransportLoopback. Answers, epochs and
 	// stats are bit-identical across transports; only the seam differs.
@@ -318,10 +298,9 @@ func (o Options) withDefaults() Options {
 
 // repairEnabled reports whether the configuration supports background
 // repair: a CON cache (EVI purges wholesale — there is nothing to
-// repair) with repair not explicitly disabled.
+// repair).
 func (o Options) repairEnabled() bool {
-	return !o.DisableRepair && !o.DisableCache &&
-		o.Cache != nil && o.Cache.Model == cache.ModelCON
+	return !o.DisableCache && o.Cache != nil && o.Cache.Model == cache.ModelCON
 }
 
 // DefaultRepairQueue is the per-shard bound on queued invalidated
@@ -437,7 +416,7 @@ type Server struct {
 	traceRate float64
 
 	// Resilience state. The semaphores are nil when the corresponding
-	// admission bound is disabled; press is nil when degradation is off.
+	// admission bound is disabled.
 	querySem                 chan struct{}
 	updateSem                chan struct{}
 	press                    *pressure
@@ -603,9 +582,7 @@ func New(initial []*graph.Graph, opts Options) (*Server, error) {
 	} else if err := s.buildCold(initial); err != nil {
 		return fail(err)
 	}
-	if !opts.DisableDegradation {
-		s.press = newPressure(s)
-	}
+	s.press = newPressure(s)
 	if err := s.buildClients(); err != nil {
 		return fail(fmt.Errorf("serve: %s transport: %w", s.transportKind, err))
 	}
@@ -618,7 +595,7 @@ func New(initial []*graph.Graph, opts Options) (*Server, error) {
 		}
 		h.Start(opts.RepairParallelism)
 	}
-	if s.press != nil && opts.pressureInterval >= 0 {
+	if opts.pressureInterval >= 0 {
 		iv := opts.pressureInterval
 		if iv == 0 {
 			iv = defaultPressureInterval
@@ -771,8 +748,8 @@ func (s *Server) Close() error { return s.closeImpl(true) }
 // CloseAbrupt shuts the server down without the final snapshot — the
 // crash-shaped shutdown: whatever the WAL and the last snapshot
 // generation already made durable is all a subsequent boot recovers.
-// Crash-recovery tests and the warm-restart benchmark use it to exercise
-// the WAL replay path deterministically.
+// Crash-recovery tests use it to exercise the WAL replay path
+// deterministically.
 func (s *Server) CloseAbrupt() { _ = s.closeImpl(false) }
 
 func (s *Server) closeImpl(flush bool) error {
@@ -802,9 +779,7 @@ func (s *Server) closeImpl(flush bool) error {
 	}
 	s.closed = true
 	s.seqMu.Unlock()
-	if s.press != nil {
-		s.press.stop()
-	}
+	s.press.stop()
 	var flushErr error
 	if snapDone != nil {
 		// On failure the previous generation plus the WAL chain remain
@@ -843,10 +818,6 @@ func (s *Server) closeImpl(flush bool) error {
 
 // Shards returns the number of runtime shards.
 func (s *Server) Shards() int { return len(s.hosts) }
-
-// Transport names the shard transport this server was built with
-// ("local" or "loopback").
-func (s *Server) Transport() string { return s.transportKind }
 
 // Epoch returns the current dataset version (the number of update batches
 // applied so far).
@@ -898,50 +869,23 @@ type QueryResult struct {
 	TraceID trace.ID `json:"-"`
 }
 
-// SubgraphQuery answers "which live dataset graphs contain q?" across all
-// shards.
-func (s *Server) SubgraphQuery(q *graph.Graph) (*QueryResult, error) {
-	return s.query(context.Background(), q, cache.KindSub, 0)
-}
-
-// SupergraphQuery answers "which live dataset graphs are contained in q?"
-// across all shards.
-func (s *Server) SupergraphQuery(q *graph.Graph) (*QueryResult, error) {
-	return s.query(context.Background(), q, cache.KindSuper, 0)
-}
-
-// SubgraphQueryCtx is SubgraphQuery under a caller deadline: when ctx
-// (or the server's QueryTimeout, whichever is sooner) expires, the
-// front-end returns a core.CancelError immediately and the per-shard
+// Query answers one graph-pattern query across all shards: kind
+// cache.KindSub asks "which live dataset graphs contain q?",
+// cache.KindSuper "which live dataset graphs are contained in q?".
+//
+// When ctx (or the server's QueryTimeout, whichever is sooner) expires,
+// the front-end returns a core.CancelError immediately and the per-shard
 // work aborts at its next cooperative checkpoint.
-func (s *Server) SubgraphQueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult, error) {
-	return s.query(ctx, q, cache.KindSub, 0)
-}
-
-// SupergraphQueryCtx is SupergraphQuery under a caller deadline.
-func (s *Server) SupergraphQueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult, error) {
-	return s.query(ctx, q, cache.KindSuper, 0)
-}
-
-// SubgraphQueryLimitCtx is SubgraphQueryCtx returning at most limit
-// answers — exactly the limit smallest global ids of the full answer
-// set. Each shard streams its verification in ascending id order and
-// stops after limit local answers; any global top-limit id has fewer
-// than limit predecessors overall, hence fewer than limit within its
-// own shard, so the per-shard prefixes always cover the global prefix
-// and the merged-and-cut result is exact. QueryResult.Truncated reports
-// whether anything was cut. limit <= 0 means unlimited.
-func (s *Server) SubgraphQueryLimitCtx(ctx context.Context, q *graph.Graph, limit int) (*QueryResult, error) {
-	return s.query(ctx, q, cache.KindSub, limit)
-}
-
-// SupergraphQueryLimitCtx is SupergraphQueryCtx with an answer limit;
-// see SubgraphQueryLimitCtx for the exactness argument.
-func (s *Server) SupergraphQueryLimitCtx(ctx context.Context, q *graph.Graph, limit int) (*QueryResult, error) {
-	return s.query(ctx, q, cache.KindSuper, limit)
-}
-
-func (s *Server) query(ctx context.Context, q *graph.Graph, kind cache.Kind, limit int) (*QueryResult, error) {
+//
+// limit > 0 returns at most limit answers — exactly the limit smallest
+// global ids of the full answer set. Each shard streams its verification
+// in ascending id order and stops after limit local answers; any global
+// top-limit id has fewer than limit predecessors overall, hence fewer
+// than limit within its own shard, so the per-shard prefixes always
+// cover the global prefix and the merged-and-cut result is exact.
+// QueryResult.Truncated reports whether anything was cut. limit <= 0
+// means unlimited.
+func (s *Server) Query(ctx context.Context, kind cache.Kind, q *graph.Graph, limit int) (*QueryResult, error) {
 	if q == nil {
 		return nil, errors.New("serve: nil query graph")
 	}
@@ -973,17 +917,14 @@ func (s *Server) query(ctx context.Context, q *graph.Graph, kind cache.Kind, lim
 	if limit > 0 {
 		qopt.Limit = limit
 	}
-	rung, rungName := 0, ""
-	if s.press != nil {
-		lvl := s.press.Level()
-		rung, rungName = int(lvl), lvl.String()
-		switch {
-		case lvl >= DegradeCacheBypass:
-			qopt.BypassCache = true
-			qopt.MaxVerifyParallelism = 1
-		case lvl >= DegradeCappedVerify:
-			qopt.MaxVerifyParallelism = 1
-		}
+	lvl := s.press.Level()
+	rung, rungName := int(lvl), lvl.String()
+	switch {
+	case lvl >= DegradeCacheBypass:
+		qopt.BypassCache = true
+		qopt.MaxVerifyParallelism = 1
+	case lvl >= DegradeCappedVerify:
+		qopt.MaxVerifyParallelism = 1
 	}
 	start := s.now()
 	qt.noteAdmitted(start, rung, rungName)
@@ -1000,6 +941,7 @@ func (s *Server) query(ctx context.Context, q *graph.Graph, kind cache.Kind, lim
 	s.seqMu.RLock()
 	if s.closed {
 		s.seqMu.RUnlock()
+		qt.finishEarly(s, ErrClosed)
 		return nil, ErrClosed
 	}
 	epoch := s.epoch
@@ -1192,6 +1134,7 @@ func (s *Server) UpdateCtx(ctx context.Context, ops []changeplan.Op) (*UpdateRes
 	s.seqMu.Lock()
 	if s.closed {
 		s.seqMu.Unlock()
+		ut.finishEarly(s, ErrClosed)
 		return nil, ErrClosed
 	}
 	utc := ut.wireContext()
@@ -1206,15 +1149,6 @@ func (s *Server) UpdateCtx(ctx context.Context, ops []changeplan.Op) (*UpdateRes
 	var walReplies []*shardhost.WALAppendReply
 	if s.walWanted() {
 		walAcks, walReplies = s.enqueueWALAppends(epoch)
-	}
-	if s.opts.EagerValidate {
-		// One reconciliation sweep per touched shard covers the whole
-		// batch: Sync processes the shard's log suffix in one pass, and
-		// FIFO order places it before any query enqueued after us.
-		for sid := range touched {
-			s.clients[sid].Sync(nil)
-		}
-		s.obs.noteTransport("sync", int64(len(touched)))
 	}
 	if s.store != nil && s.opts.SnapshotEvery > 0 &&
 		epoch >= s.lastSnapshotEpoch.Load()+uint64(s.opts.SnapshotEvery) {
@@ -1370,7 +1304,7 @@ type Stats struct {
 
 	// DegradationLevel is the pressure controller's active rung (0 =
 	// none, 1 = capped-verify, 2 = cache-bypass); DegradationMode is its
-	// name. Always 0/"none" when degradation is disabled.
+	// name.
 	DegradationLevel int    `json:"degradation_level"`
 	DegradationMode  string `json:"degradation_mode"`
 	// DegradedSeconds is the total wall time this process has spent at a
@@ -1488,7 +1422,6 @@ func (s *Server) Stats() (*Stats, error) {
 		PerShard:         per,
 		GoVersion:        runtime.Version(),
 		ModuleVersion:    buildVersion,
-		DegradationMode:  DegradeNone.String(),
 		ShedQueries:      s.shedQueries.Load(),
 		ShedUpdates:      s.shedUpdates.Load(),
 		DeadlineExceeded: s.deadlines.total(),
@@ -1505,12 +1438,10 @@ func (s *Server) Stats() (*Stats, error) {
 	if d := now.Sub(s.started); d > 0 { // clamp under clock-skew injection
 		out.UptimeSec = d.Seconds()
 	}
-	if s.press != nil {
-		lvl := s.press.Level()
-		out.DegradationLevel = int(lvl)
-		out.DegradationMode = lvl.String()
-		out.DegradedSeconds = s.press.degradedSeconds(now)
-	}
+	lvl := s.press.Level()
+	out.DegradationLevel = int(lvl)
+	out.DegradationMode = lvl.String()
+	out.DegradedSeconds = s.press.degradedSeconds(now)
 	if s.store != nil {
 		out.PersistEnabled = true
 		out.LastSnapshotEpoch = s.lastSnapshotEpoch.Load()

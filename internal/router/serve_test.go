@@ -1,7 +1,7 @@
 package router
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -44,6 +44,15 @@ func groundTruth(t testing.TB, ds *dataset.Dataset) *core.Runtime {
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// subQ and superQ run one unlimited query without a caller deadline.
+func subQ(s *Server, q *graph.Graph) (*QueryResult, error) {
+	return s.Query(context.Background(), cache.KindSub, q, 0)
+}
+
+func superQ(s *Server, q *graph.Graph) (*QueryResult, error) {
+	return s.Query(context.Background(), cache.KindSuper, q, 0)
 }
 
 // testQueries derives a mix of small pattern queries from dataset labels.
@@ -98,7 +107,7 @@ func TestQueryMatchesGroundTruthAcrossShardCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := srv.SubgraphQuery(q)
+			got, err := subQ(srv, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +122,7 @@ func TestQueryMatchesGroundTruthAcrossShardCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotSuper, err := srv.SupergraphQuery(q)
+			gotSuper, err := superQ(srv, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +182,7 @@ func TestUpdateRoutingMatchesMirror(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := srv.SubgraphQuery(q)
+			got, err := subQ(srv, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +229,7 @@ func TestUpdateErrors(t *testing.T) {
 	}
 
 	srv.Close()
-	if _, err := srv.SubgraphQuery(graph.Path(1, 2)); err != ErrClosed {
+	if _, err := subQ(srv, graph.Path(1, 2)); err != ErrClosed {
 		t.Fatalf("query after close: %v, want ErrClosed", err)
 	}
 	if _, err := srv.Update([]changeplan.Op{changeplan.DeleteOp(0)}); err != ErrClosed {
@@ -241,7 +250,7 @@ func TestStatsSnapshot(t *testing.T) {
 	defer srv.Close()
 	queries := testQueries(initial)
 	for _, q := range queries {
-		if _, err := srv.SubgraphQuery(q); err != nil {
+		if _, err := subQ(srv, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,14 +336,6 @@ func randomOps(rng *rand.Rand, mirror *dataset.Dataset, pool []*graph.Graph, n i
 // -race this also proves the shard workers, the epoch sequencer and the
 // id translation maps are data-race free.
 func TestStressConcurrentQueriesWithSerializedUpdates(t *testing.T) {
-	for _, eager := range []bool{false, true} {
-		t.Run(fmt.Sprintf("eager=%v", eager), func(t *testing.T) {
-			stressRound(t, eager)
-		})
-	}
-}
-
-func stressRound(t *testing.T, eager bool) {
 	const (
 		shards  = 5
 		readers = 8
@@ -342,7 +343,7 @@ func stressRound(t *testing.T, eager bool) {
 		opsPer  = 5
 	)
 	initial := genGraphs(t, 70, 31)
-	srv, err := New(initial, Options{Shards: shards, Method: "VF2", EagerValidate: eager,
+	srv, err := New(initial, Options{Shards: shards, Method: "VF2",
 		Cache: &cache.Config{Capacity: 40, WindowSize: 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -395,9 +396,9 @@ func stressRound(t *testing.T, eager bool) {
 				var res *QueryResult
 				var err error
 				if qi%2 == 0 {
-					res, err = srv.SubgraphQuery(queries[qi])
+					res, err = subQ(srv, queries[qi])
 				} else {
-					res, err = srv.SupergraphQuery(queries[qi])
+					res, err = superQ(srv, queries[qi])
 				}
 				if err != nil {
 					t.Error(err)
@@ -453,5 +454,5 @@ func stressRound(t *testing.T, eager bool) {
 	if total == 0 {
 		t.Fatal("no concurrent observations recorded")
 	}
-	t.Logf("verified %d concurrent answers against ground truth across %d epochs (eager=%v)", total, batches+1, eager)
+	t.Logf("verified %d concurrent answers against ground truth across %d epochs", total, batches+1)
 }

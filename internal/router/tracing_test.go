@@ -68,10 +68,10 @@ func TestTraceDifferentialTransports(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range queries {
-			if _, err := srv.SubgraphQuery(q); err != nil {
+			if _, err := subQ(srv, q); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := srv.SupergraphQuery(q); err != nil {
+			if _, err := superQ(srv, q); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -107,7 +107,7 @@ func TestTraceSampledQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	res, err := srv.SubgraphQuery(testQueries(initial)[0])
+	res, err := subQ(srv, testQueries(initial)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +173,10 @@ func TestTraceTailRetention(t *testing.T) {
 	}
 	defer srv.Close()
 	q := testQueries(initial)[0]
-	if _, err := srv.SubgraphQuery(q); err != nil { // warm-up: consumes the sampled slot
+	if _, err := subQ(srv, q); err != nil { // warm-up: consumes the sampled slot
 		t.Fatal(err)
 	}
-	res, err := srv.SubgraphQuery(q)
+	res, err := subQ(srv, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +202,24 @@ func TestTraceTailRetention(t *testing.T) {
 	if shards != 2 {
 		t.Fatalf("synthesized trace has %d shard subtrees, want 2", shards)
 	}
+
+	// A closed-server rejection is an error like any other: unsampled
+	// queries and updates turned away with ErrClosed must be retained.
+	srv.Close()
+	if _, err := subQ(srv, q); err != ErrClosed {
+		t.Fatalf("query on closed server: %v, want ErrClosed", err)
+	}
+	if _, err := srv.Update([]changeplan.Op{changeplan.DeleteOp(0)}); err != ErrClosed {
+		t.Fatalf("update on closed server: %v, want ErrClosed", err)
+	}
+	retained := srv.traces.Snapshot()
+	for i, op := range []string{"update", "query"} { // newest first
+		tr := retained[i]
+		if tr.Spans[0].Name != op || tr.Anomaly != trace.AnomalyError ||
+			tr.Spans[0].Attr("error") != ErrClosed.Error() {
+			t.Fatalf("closed-server %s rejection not retained as an error trace: %+v", op, tr.Spans[0])
+		}
+	}
 }
 
 // TestTraceDisabled checks the off switch: a negative sample rate must
@@ -218,7 +236,7 @@ func TestTraceDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	res, err := srv.SubgraphQuery(testQueries(initial)[0])
+	res, err := subQ(srv, testQueries(initial)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +269,7 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 	for _, q := range testQueries(initial)[:2] {
-		if _, err := srv.SubgraphQuery(q); err != nil {
+		if _, err := subQ(srv, q); err != nil {
 			t.Fatal(err)
 		}
 	}

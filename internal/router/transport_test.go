@@ -6,6 +6,7 @@ import (
 
 	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
+	"gcplus/internal/testutil"
 )
 
 // TestTransportDifferential runs the same query workload against two
@@ -37,17 +38,17 @@ func TestTransportDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	if local.Transport() != TransportLocal || remote.Transport() != TransportLoopback {
-		t.Fatalf("transports %q / %q", local.Transport(), remote.Transport())
+	if local.transportKind != TransportLocal || remote.transportKind != TransportLoopback {
+		t.Fatalf("transports %q / %q", local.transportKind, remote.transportKind)
 	}
 
 	ctx := context.Background()
 	for qi, q := range queries {
-		a, err := local.SubgraphQuery(q)
+		a, err := subQ(local, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := remote.SubgraphQuery(q)
+		b, err := subQ(remote, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +60,11 @@ func TestTransportDifferential(t *testing.T) {
 				qi, a.Candidates, a.SubIsoTests, b.Candidates, b.SubIsoTests)
 		}
 
-		as, err := local.SupergraphQuery(q)
+		as, err := superQ(local, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := remote.SupergraphQuery(q)
+		bs, err := superQ(remote, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +79,11 @@ func TestTransportDifferential(t *testing.T) {
 			if limit == 0 {
 				continue
 			}
-			la, err := local.SubgraphQueryLimitCtx(ctx, q, limit)
+			la, err := local.Query(ctx, cache.KindSub, q, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lb, err := remote.SubgraphQueryLimitCtx(ctx, q, limit)
+			lb, err := remote.Query(ctx, cache.KindSub, q, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,16 +116,53 @@ func TestTransportDifferential(t *testing.T) {
 		}
 	}
 	for qi, q := range queries {
-		a, err := local.SubgraphQuery(q)
+		a, err := subQ(local, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := remote.SubgraphQuery(q)
+		b, err := subQ(remote, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !equalIDs(a.IDs, b.IDs) {
 			t.Fatalf("post-update sub query %d: local %v loopback %v", qi, a.IDs, b.IDs)
+		}
+	}
+}
+
+// TestCloseLeavesNoGoroutines: after Close and after the crash-shaped
+// CloseAbrupt, on both transports, everything a durable server started —
+// shard owners, repair workers, the pressure ticker, the snapshot
+// collector, loopback listeners and connection pumps — must be gone.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	initial := genGraphs(t, 24, 13)
+	for _, transport := range []string{TransportLocal, TransportLoopback} {
+		for _, abrupt := range []bool{false, true} {
+			name := transport + "/Close"
+			if abrupt {
+				name = transport + "/CloseAbrupt"
+			}
+			t.Run(name, func(t *testing.T) {
+				check := testutil.GoroutineBaseline(t)
+				srv, err := New(initial, Options{Shards: 2, Transport: transport, DataDir: t.TempDir(), NoSync: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range testQueries(initial) {
+					if _, err := subQ(srv, q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := srv.Update([]changeplan.Op{changeplan.DeleteOp(0)}); err != nil {
+					t.Fatal(err)
+				}
+				if abrupt {
+					srv.CloseAbrupt()
+				} else if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				check()
+			})
 		}
 	}
 }

@@ -16,50 +16,3 @@ func (Brute) Name() string { return "BRUTE" }
 func (Brute) Contains(pattern, target *graph.Graph) bool {
 	return CompileSub(pattern, Brute{}).Contains(target)
 }
-
-// legacyBruteContains is the original per-call implementation, kept as an
-// independent oracle for the compiled engine's property tests.
-func legacyBruteContains(pattern, target *graph.Graph) bool {
-	np, nt := pattern.NumVertices(), target.NumVertices()
-	if np == 0 {
-		return true
-	}
-	if np > nt {
-		return false
-	}
-	core := make([]int, np)
-	for i := range core {
-		core[i] = -1
-	}
-	used := make([]bool, nt)
-	var rec func(u int) bool
-	rec = func(u int) bool {
-		if u == np {
-			return true
-		}
-		for v := 0; v < nt; v++ {
-			if used[v] || pattern.Label(u) != target.Label(v) {
-				continue
-			}
-			ok := true
-			for _, w := range pattern.Neighbors(u) {
-				if m := core[w]; m >= 0 && !target.HasEdge(m, v) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			core[u] = v
-			used[v] = true
-			if rec(u + 1) {
-				return true
-			}
-			core[u] = -1
-			used[v] = false
-		}
-		return false
-	}
-	return rec(0)
-}

@@ -37,171 +37,6 @@ func (a GraphQL) Contains(pattern, target *graph.Graph) bool {
 	return CompileSub(pattern, a).Contains(target)
 }
 
-// legacyGQLContains is the original per-call implementation, kept as an
-// independent reference for the compiled engine's property tests and as
-// the BenchmarkVerifyLegacy baseline.
-func legacyGQLContains(a GraphQL, pattern, target *graph.Graph) bool {
-	if pattern.NumVertices() == 0 {
-		return true
-	}
-	if quickReject(pattern, target) {
-		return false
-	}
-	np, nt := pattern.NumVertices(), target.NumVertices()
-
-	// Stage 1: local pruning.
-	cand := make([][]int32, np) // sorted candidate lists
-	inCand := make([][]bool, np)
-	profiles := make([][]graph.Label, nt)
-	for u := 0; u < np; u++ {
-		pu := neighborProfile(pattern, u)
-		inCand[u] = make([]bool, nt)
-		for v := 0; v < nt; v++ {
-			if pattern.Label(u) != target.Label(v) || pattern.Degree(u) > target.Degree(v) {
-				continue
-			}
-			if profiles[v] == nil {
-				profiles[v] = neighborProfile(target, v)
-			}
-			if !profileContains(pu, profiles[v]) {
-				continue
-			}
-			cand[u] = append(cand[u], int32(v))
-			inCand[u][v] = true
-		}
-		if len(cand[u]) == 0 {
-			return false
-		}
-	}
-
-	// Stage 2: global refinement via bipartite matching.
-	levels := a.RefineLevels
-	if levels <= 0 {
-		levels = DefaultRefineLevels
-	}
-	match := newBipartiteMatcher(nt)
-	for level := 0; level < levels; level++ {
-		changed := false
-		for u := 0; u < np; u++ {
-			pn := pattern.Neighbors(u)
-			if len(pn) == 0 {
-				continue
-			}
-			kept := cand[u][:0]
-			for _, v := range cand[u] {
-				if match.semiPerfect(pn, target.Neighbors(int(v)), inCand) {
-					kept = append(kept, v)
-				} else {
-					inCand[u][v] = false
-					changed = true
-				}
-			}
-			cand[u] = kept
-			if len(cand[u]) == 0 {
-				return false
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	// Stage 3: search-order optimization + DFS.
-	order := gqlOrder(pattern, cand)
-	s := &gqlState{
-		p:      pattern,
-		t:      target,
-		order:  order,
-		anchor: anchorFor(pattern, order),
-		cand:   cand,
-		inCand: inCand,
-		core:   make([]int, np),
-		used:   make([]bool, nt),
-	}
-	for i := range s.core {
-		s.core[i] = -1
-	}
-	return s.search(0)
-}
-
-// gqlOrder picks the next vertex (preferring ones adjacent to the already
-// ordered set) with the smallest candidate list.
-func gqlOrder(p *graph.Graph, cand [][]int32) []int {
-	n := p.NumVertices()
-	order := make([]int, 0, n)
-	done := make([]bool, n)
-	adjacent := make([]bool, n)
-	for len(order) < n {
-		best, bestAdj := -1, false
-		for v := 0; v < n; v++ {
-			if done[v] {
-				continue
-			}
-			switch {
-			case best == -1,
-				adjacent[v] && !bestAdj,
-				adjacent[v] == bestAdj && len(cand[v]) < len(cand[best]),
-				adjacent[v] == bestAdj && len(cand[v]) == len(cand[best]) && p.Degree(v) > p.Degree(best):
-				best, bestAdj = v, adjacent[v]
-			}
-		}
-		done[best] = true
-		order = append(order, best)
-		for _, w := range p.Neighbors(best) {
-			adjacent[w] = true
-		}
-	}
-	return order
-}
-
-type gqlState struct {
-	p, t   *graph.Graph
-	order  []int
-	anchor []int
-	cand   [][]int32
-	inCand [][]bool
-	core   []int
-	used   []bool
-}
-
-func (s *gqlState) search(d int) bool {
-	if d == len(s.order) {
-		return true
-	}
-	pv := s.order[d]
-	try := func(tv int) bool {
-		if s.used[tv] || !s.inCand[pv][tv] {
-			return false
-		}
-		for _, pn := range s.p.Neighbors(pv) {
-			if m := s.core[pn]; m >= 0 && !s.t.HasEdge(m, tv) {
-				return false
-			}
-		}
-		s.core[pv] = tv
-		s.used[tv] = true
-		ok := s.search(d + 1)
-		s.core[pv] = -1
-		s.used[tv] = false
-		return ok
-	}
-	if a := s.anchor[d]; a >= 0 {
-		tAnchor := s.core[s.order[a]]
-		for _, tv := range s.t.Neighbors(tAnchor) {
-			if try(int(tv)) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, tv := range s.cand[pv] {
-		if try(int(tv)) {
-			return true
-		}
-	}
-	return false
-}
-
 // bipartiteMatcher runs Kuhn's augmenting-path maximum matching between a
 // pattern vertex's neighbours and a target vertex's neighbours. Buffers
 // are reused across calls; stamp-based visited marks avoid clearing.
@@ -210,18 +45,6 @@ type bipartiteMatcher struct {
 	matchU  []int // target vertex -> pattern vertex occupying it
 	visited []int // stamp per target vertex
 	stamp   int
-}
-
-func newBipartiteMatcher(targetVertices int) *bipartiteMatcher {
-	m := &bipartiteMatcher{
-		matchR:  make([]int, targetVertices),
-		matchU:  make([]int, targetVertices),
-		visited: make([]int, targetVertices),
-	}
-	for i := range m.matchR {
-		m.matchR[i] = -1
-	}
-	return m
 }
 
 // grow extends the matcher's buffers to cover targetVertices vertices,

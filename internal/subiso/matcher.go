@@ -169,9 +169,8 @@ func (m *Matcher) Contains(other *graph.Graph) bool {
 	if m.super {
 		ps, ts = other.Summary(), m.fsum
 	}
-	// Summary quick-reject: the map-free replacement for the legacy
-	// LabelCounts/MaxDegree rescan, and strictly stronger (degree-sequence
-	// domination).
+	// Summary quick-reject: map-free, and strictly stronger than a
+	// LabelCounts/MaxDegree rescan (degree-sequence domination).
 	if !ps.SubsumedBy(ts) {
 		return false
 	}
@@ -560,8 +559,8 @@ func (m *Matcher) gqlTry(d, pv, tv int) bool {
 	return ok
 }
 
-// bruteMatch is the oracle's exhaustive backtracking on pooled scratch —
-// deliberately the same heuristic-free logic as the legacy Brute.
+// bruteMatch is Brute's exhaustive backtracking on pooled scratch:
+// deliberately heuristic-free.
 func (m *Matcher) bruteMatch(u int) bool {
 	if u == m.cp.NumVertices() {
 		return true

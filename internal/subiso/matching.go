@@ -19,7 +19,7 @@ func FindEmbedding(pattern, target *graph.Graph) []int {
 	if quickReject(pattern, target) {
 		return nil
 	}
-	s := newVF2State(pattern, target, connectedOrder(pattern, func(a, b int) bool { return a < b }), false)
+	s := newVF2State(pattern, target)
 	var m []int
 	s.capture = &m
 	s.match(0)
@@ -38,7 +38,7 @@ func CountEmbeddings(pattern, target *graph.Graph, limit int64) int64 {
 	if quickReject(pattern, target) {
 		return 0
 	}
-	s := newVF2State(pattern, target, connectedOrder(pattern, func(a, b int) bool { return a < b }), false)
+	s := newVF2State(pattern, target)
 	s.countAll = true
 	s.limit = limit
 	s.match(0)

@@ -19,7 +19,6 @@ package subiso
 
 import (
 	"fmt"
-	"sort"
 
 	"gcplus/internal/graph"
 )
@@ -57,24 +56,6 @@ func Names() []string { return []string{"VF2", "VF2+", "GQL"} }
 // it exists as a test oracle, never a production choice.
 func PlannerAlgorithms() []Algorithm {
 	return []Algorithm{VF2{}, VF2Plus{}, GraphQL{}}
-}
-
-// legacyContains dispatches to the pre-compilation per-call
-// implementations — the baseline the compiled Matcher engine is
-// property-tested and benchmarked against. Unknown algorithms fall back
-// to their own Contains.
-func legacyContains(algo Algorithm, pattern, target *graph.Graph) bool {
-	switch a := algo.(type) {
-	case VF2:
-		return legacyVF2Contains(pattern, target)
-	case VF2Plus:
-		return legacyVF2PlusContains(pattern, target)
-	case GraphQL:
-		return legacyGQLContains(a, pattern, target)
-	case Brute:
-		return legacyBruteContains(pattern, target)
-	}
-	return algo.Contains(pattern, target)
 }
 
 // quickReject applies the O(|V|+|E|) necessary conditions every algorithm
@@ -183,18 +164,6 @@ func anchorFor(p *graph.Graph, order []int) []int {
 		}
 	}
 	return anchor
-}
-
-// neighborLabelCounts returns, for vertex v of g, the multiset of its
-// neighbours' labels as a sorted slice (for profile containment checks).
-func neighborProfile(g *graph.Graph, v int) []graph.Label {
-	ns := g.Neighbors(v)
-	out := make([]graph.Label, len(ns))
-	for i, w := range ns {
-		out[i] = g.Label(int(w))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // profileContains reports whether sorted multiset a is contained in sorted

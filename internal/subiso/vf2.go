@@ -22,29 +22,14 @@ func (VF2) Contains(pattern, target *graph.Graph) bool {
 	return CompileSub(pattern, VF2{}).Contains(target)
 }
 
-// legacyVF2Contains is the original per-call implementation, kept as an
-// independent reference for the compiled engine's property tests and as
-// the BenchmarkVerifyLegacy baseline.
-func legacyVF2Contains(pattern, target *graph.Graph) bool {
-	if pattern.NumVertices() == 0 {
-		return true
-	}
-	if quickReject(pattern, target) {
-		return false
-	}
-	s := newVF2State(pattern, target, connectedOrder(pattern, func(a, b int) bool { return a < b }), false)
-	return s.match(0)
-}
-
-// vf2State is the shared search engine for VF2 and VF2+. The two differ in
-// visit order and in whether the neighbourhood look-ahead cuts are applied.
+// vf2State is the per-call VF2 search engine behind FindEmbedding and
+// CountEmbeddings (decisions go through the compiled Matcher instead).
 type vf2State struct {
-	p, t      *graph.Graph
-	order     []int
-	anchor    []int
-	core      []int  // pattern vertex -> target vertex or -1
-	used      []bool // target vertex already an image
-	lookahead bool   // VF2+ extra cutting rules
+	p, t   *graph.Graph
+	order  []int
+	anchor []int
+	core   []int  // pattern vertex -> target vertex or -1
+	used   []bool // target vertex already an image
 	// capture, when non-nil, receives a copy of the first full mapping.
 	capture *[]int
 	// countAll, when true, explores the full tree and tallies embeddings.
@@ -53,15 +38,15 @@ type vf2State struct {
 	limit    int64 // stop counting at limit when countAll (0 = no limit)
 }
 
-func newVF2State(p, t *graph.Graph, order []int, lookahead bool) *vf2State {
+func newVF2State(p, t *graph.Graph) *vf2State {
+	order := connectedOrder(p, func(a, b int) bool { return a < b })
 	s := &vf2State{
-		p:         p,
-		t:         t,
-		order:     order,
-		anchor:    anchorFor(p, order),
-		core:      make([]int, p.NumVertices()),
-		used:      make([]bool, t.NumVertices()),
-		lookahead: lookahead,
+		p:      p,
+		t:      t,
+		order:  order,
+		anchor: anchorFor(p, order),
+		core:   make([]int, p.NumVertices()),
+		used:   make([]bool, t.NumVertices()),
 	}
 	for i := range s.core {
 		s.core[i] = -1
@@ -127,26 +112,6 @@ func (s *vf2State) feasible(pv, tv int) bool {
 	// neighbour of tv. (Non-induced: the converse is not required.)
 	for _, pn := range s.p.Neighbors(pv) {
 		if m := s.core[pn]; m >= 0 && !s.t.HasEdge(m, tv) {
-			return false
-		}
-	}
-	if s.lookahead {
-		// 1-look-ahead, monomorphism-safe direction only: the unmapped
-		// neighbours of pv must fit injectively into the unused
-		// neighbours of tv.
-		pFree := 0
-		for _, pn := range s.p.Neighbors(pv) {
-			if s.core[pn] < 0 {
-				pFree++
-			}
-		}
-		tFree := 0
-		for _, tn := range s.t.Neighbors(tv) {
-			if !s.used[tn] {
-				tFree++
-			}
-		}
-		if pFree > tFree {
 			return false
 		}
 	}

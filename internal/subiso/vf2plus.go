@@ -26,89 +26,3 @@ func (VF2Plus) Name() string { return "VF2+" }
 func (VF2Plus) Contains(pattern, target *graph.Graph) bool {
 	return CompileSub(pattern, VF2Plus{}).Contains(target)
 }
-
-// legacyVF2PlusContains is the original per-call implementation, kept as
-// an independent reference for the compiled engine's property tests and
-// as the BenchmarkVerifyLegacy baseline.
-func legacyVF2PlusContains(pattern, target *graph.Graph) bool {
-	if pattern.NumVertices() == 0 {
-		return true
-	}
-	if quickReject(pattern, target) {
-		return false
-	}
-	labelFreq := target.LabelCounts()
-	better := func(a, b int) bool {
-		fa, fb := labelFreq[pattern.Label(a)], labelFreq[pattern.Label(b)]
-		if fa != fb {
-			return fa < fb // rarer label first
-		}
-		if pattern.Degree(a) != pattern.Degree(b) {
-			return pattern.Degree(a) > pattern.Degree(b) // higher degree first
-		}
-		return a < b
-	}
-	order := connectedOrder(pattern, better)
-	s := newVF2State(pattern, target, order, true)
-
-	// Precompute pattern-side neighbour label requirements and the
-	// target-side neighbour label counts once per call; feasible() then
-	// adds the O(labels) containment check through the nlcFeasible hook.
-	req := make([]map[graph.Label]int, pattern.NumVertices())
-	for v := range req {
-		m := make(map[graph.Label]int, 4)
-		for _, w := range pattern.Neighbors(v) {
-			m[pattern.Label(int(w))]++
-		}
-		req[v] = m
-	}
-	have := make([]map[graph.Label]int, target.NumVertices())
-	for v := range have {
-		m := make(map[graph.Label]int, 4)
-		for _, w := range target.Neighbors(v) {
-			m[target.Label(int(w))]++
-		}
-		have[v] = m
-	}
-	return s.matchWithNLC(0, req, have)
-}
-
-// matchWithNLC is vf2State.match with the neighbourhood-label-count check
-// layered onto feasibility. Kept separate so vanilla VF2 pays nothing.
-func (s *vf2State) matchWithNLC(d int, req, have []map[graph.Label]int) bool {
-	if d == len(s.order) {
-		return true
-	}
-	pv := s.order[d]
-	try := func(tv int) bool {
-		if !s.feasible(pv, tv) {
-			return false
-		}
-		for l, c := range req[pv] {
-			if have[tv][l] < c {
-				return false
-			}
-		}
-		s.core[pv] = tv
-		s.used[tv] = true
-		ok := s.matchWithNLC(d+1, req, have)
-		s.core[pv] = -1
-		s.used[tv] = false
-		return ok
-	}
-	if a := s.anchor[d]; a >= 0 {
-		tAnchor := s.core[s.order[a]]
-		for _, tv := range s.t.Neighbors(tAnchor) {
-			if try(int(tv)) {
-				return true
-			}
-		}
-		return false
-	}
-	for tv := 0; tv < s.t.NumVertices(); tv++ {
-		if try(tv) {
-			return true
-		}
-	}
-	return false
-}

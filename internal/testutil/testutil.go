@@ -1,12 +1,14 @@
 // Package testutil provides shared helpers for the test suites: random
-// graph generation, connected-subgraph extraction, and brute-force ground
-// truth for whole-dataset queries. It is imported only from _test files
-// and benchmark seeding code.
+// graph generation, connected-subgraph extraction, brute-force ground
+// truth for whole-dataset queries, and a goroutine-leak check. It is
+// imported only from _test files and benchmark seeding code.
 package testutil
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"gcplus/internal/bitset"
 	"gcplus/internal/dataset"
@@ -230,4 +232,27 @@ func RandomChange(rng *rand.Rand, ds *dataset.Dataset, pool []*graph.Graph) bool
 		}
 	}
 	return false
+}
+
+// GoroutineBaseline records the current goroutine count and returns a
+// check that fails t unless the count is back at or below it. An exiting
+// goroutine stays counted until the scheduler retires it, so the check
+// polls for a bounded time before failing with a dump of every stack.
+// Call it at the top of a test that does not run in parallel with others,
+// and run the check after the Stop/Close under test has returned.
+func GoroutineBaseline(t testing.TB) (check func()) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				buf = buf[:runtime.Stack(buf, true)]
+				t.Fatalf("goroutines leaked: %d running, baseline %d\n%s", runtime.NumGoroutine(), base, buf)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
