@@ -86,15 +86,13 @@ func main() {
 		datafile  = flag.String("dataset", "", "initial dataset file (text codec); mutually exclusive with -synthetic")
 		synthN    = flag.Int("synthetic", 0, "generate an AIDS-like synthetic dataset of this many graphs")
 		seed      = flag.Int64("seed", 42, "synthetic dataset seed")
-		method    = flag.String("method", "VF2", "Method M verifier: VF2, VF2+ or GQL")
+		method    = flag.String("method", "", "Method M verifier: empty = measured choice; VF2, VF2+ or GQL pins it")
 		modelName = flag.String("model", "CON", "cache consistency model: CON or EVI")
 		policy    = flag.String("policy", "HD", "cache replacement policy: HD, PIN, PINC, LRU or LFU")
 		cacheCap  = flag.Int("cache", 100, "per-shard cache capacity")
 		window    = flag.Int("window", 20, "per-shard admission window size")
 		nocache   = flag.Bool("nocache", false, "disable GC+ caching (raw Method M baseline)")
 		verifyPar = flag.Int("verify-parallelism", 0, "per-shard intra-query verification workers (0 = auto: GOMAXPROCS/shards, 1 = sequential)")
-		planner   = flag.Bool("planner", false, "enable the cost-based query planner + compiled-plan cache (per-query algorithm choice; answers unchanged)")
-		planCache = flag.Int("plan-cache", 0, "per-shard compiled-plan cache size (0 = default of 256; needs -planner)")
 		repairPar = flag.Int("repair-parallelism", 0, "per-shard background cache-repair workers (0 = default of 1)")
 		dataDir   = flag.String("data-dir", "", "durability directory: WAL + snapshots for crash-safe warm restarts (empty = no persistence)")
 		snapEvery = flag.Int("snapshot-every", 0, "update batches between automatic snapshots (0 = default; needs -data-dir)")
@@ -140,8 +138,6 @@ func main() {
 	opts.DisableCache = *nocache
 	opts.VerifyParallelism = *verifyPar
 	opts.RepairParallelism = *repairPar
-	opts.EnablePlanner = *planner
-	opts.PlanCacheSize = *planCache
 	opts.DataDir = *dataDir
 	opts.SnapshotEvery = *snapEvery
 	opts.DisableWAL = *nowal
@@ -178,11 +174,15 @@ func main() {
 	if err != nil {
 		fatal(logger, "stats failed", err)
 	}
+	methodName := *method
+	if methodName == "" {
+		methodName = "measured"
+	}
 	logger.Info("serving",
 		"addr", *addr, "graphs", st.LiveGraphs, "shards", srv.Shards(),
-		"method", *method, "model", *modelName, "policy", *policy,
+		"method", methodName, "model", *modelName, "policy", *policy,
 		"cache", *cacheCap, "repair", repairOn,
-		"planner", *planner, "durable", *dataDir != "",
+		"durable", *dataDir != "",
 		"wal_policy", *walPolicy, "transport", *transport,
 		"query_timeout", queryTimeout.String(),
 		"max_inflight_queries", *maxQueries,

@@ -125,27 +125,30 @@
 // selectivity. The index is what makes per-shard cache capacities in
 // the thousands serve without hit discovery becoming the bottleneck.
 //
-// # Cost-based query planner and streaming verification
+// # Compiled query plans and streaming verification
 //
-// With Options.EnablePlanner (serving: ServeOptions.EnablePlanner,
-// gcserve -planner), each query executes under a compiled plan: the
-// Method M algorithm is chosen per query kind from measured per-test
-// cost moments (all candidates are exact, so the choice affects cost,
-// never answers), verification is forced sequential when the measured
-// cost says a worker pool would only add fan-out latency, and the
-// compiled artifacts — matchers, feature fingerprint, hit-discovery
-// verdict memo, path signatures — are cached per shard under an O(V+E)
-// structural digest confirmed by an exact equality check, so repeated
-// queries skip compilation, planning and the per-query signature
-// extraction entirely (PlanCacheSize bounds the cache; the
-// gcplus_plan_cache_hits_total metric counts the reuse). Server
-// queries can additionally stream: SubgraphQueryLimit /
-// SupergraphQueryLimit (HTTP: ?limit=N) verify in ascending-id order
-// and return exactly the N smallest answer ids with a Truncated flag,
-// leaving exact-answer mode and cache contents untouched — a truncated
-// answer is never admitted to the cache. The differential oracle runs
-// planner-on, plan-cache-on and streaming runtimes against cache-
-// disabled ground truth to pin bit-identical answers.
+// Every query executes under a compiled plan — there is no unplanned
+// path. The plan holds the query's compiled artifacts (Method M
+// matcher, both hit-discovery matchers, feature fingerprint, verdict
+// memo, path signatures) and is cached per runtime under an O(V+E)
+// structural digest confirmed by an exact equality check, so a repeated
+// query skips compilation, planning and the per-query signature
+// extraction entirely (256 plans per runtime;
+// gcplus_plan_cache_hits_total counts the reuse). Options.Method names
+// Method M — "VF2", "VF2+" or "GQL" — and pins it, as the paper's
+// figures fix it per run. Left empty, the planner chooses: it measures
+// each algorithm's per-test cost per query kind, starting from VF2, and
+// runs the cheapest (all candidates are exact, so the choice affects
+// cost, never answers; QueryStats.PlanAlgorithm reports it). Either
+// way verification is forced sequential when the measured cost says a
+// worker pool would only add fan-out latency. Server queries can
+// additionally stream: SubgraphQueryLimit / SupergraphQueryLimit (HTTP:
+// ?limit=N) verify in ascending-id order and return exactly the N
+// smallest answer ids with a Truncated flag, leaving exact-answer mode
+// and cache contents untouched — a truncated answer is never admitted
+// to the cache. The differential oracle runs measured-choice, pinned
+// and streaming runtimes against cache-disabled ground truth to pin
+// bit-identical answers.
 //
 // # Durability and warm restart
 //

@@ -82,11 +82,16 @@ type QueryStats = core.QueryStats
 // Metrics aggregates per-query statistics over a System's lifetime.
 type Metrics = core.Metrics
 
-// Options configures a System. The zero value gives the paper's defaults:
-// VF2 as Method M, a CON cache of capacity 100 with a 20-query window and
-// the HD replacement policy.
+// Options configures a System. The zero value gives the paper's defaults
+// — a CON cache of capacity 100 with a 20-query window and the HD
+// replacement policy — with Method M chosen by measurement.
 type Options struct {
-	// Method names the sub-iso verifier: "VF2" (default), "VF2+", "GQL".
+	// Method pins the sub-iso verifier (Method M): "VF2", "VF2+" or "GQL",
+	// as the paper's figures fix it per run. Empty (the default) leaves
+	// the choice to the query planner: every query runs under a compiled
+	// plan, and the planner measures each algorithm's per-test cost per
+	// query kind (starting from VF2), then runs the cheapest. Every
+	// algorithm is exact, so answers are identical either way.
 	Method string
 	// Model is the consistency model (default CON).
 	Model Model
@@ -104,17 +109,6 @@ type Options struct {
 	// this many workers, each with its own compiled-matcher scratch.
 	// 0 means GOMAXPROCS; 1 keeps verification sequential.
 	VerifyParallelism int
-	// EnablePlanner turns on the cost-based query planner: each query's
-	// Method M algorithm and verification parallelism are chosen from
-	// measured per-algorithm cost moments, and compiled plans (matchers,
-	// fingerprints, containment memos) are cached keyed by a canonical
-	// form of the query so isomorphic repeats skip compilation. Answers
-	// are bit-identical with the planner off — every candidate algorithm
-	// is exact.
-	EnablePlanner bool
-	// PlanCacheSize bounds the compiled-plan cache per runtime (≤ 0 =
-	// the default of 256 plans). Only meaningful with EnablePlanner.
-	PlanCacheSize int
 }
 
 // System is a GC+ instance: an evolving dataset plus the semantic cache
@@ -128,20 +122,15 @@ type System struct {
 // 0..len(initial)-1. The slice is not copied; treat the graphs as owned
 // by the System afterwards.
 func Open(initial []*Graph, opts Options) (*System, error) {
-	if opts.Method == "" {
-		opts.Method = "VF2"
-	}
-	algo, err := subiso.New(opts.Method)
-	if err != nil {
-		return nil, err
+	coreOpts := core.Options{VerifyParallelism: opts.VerifyParallelism}
+	if opts.Method != "" {
+		algo, err := subiso.New(opts.Method)
+		if err != nil {
+			return nil, err
+		}
+		coreOpts.Algorithm = algo
 	}
 	ds := dataset.New(initial)
-	coreOpts := core.Options{
-		Algorithm:         algo,
-		VerifyParallelism: opts.VerifyParallelism,
-		EnablePlanner:     opts.EnablePlanner,
-		PlanCacheSize:     opts.PlanCacheSize,
-	}
 	if !opts.DisableCache {
 		coreOpts.Cache = &cache.Config{
 			Capacity:   opts.CacheSize,
@@ -425,8 +414,6 @@ func NewServer(initial []*Graph, opts ServeOptions) (*Server, error) {
 		SlowLogSize:       opts.SlowLogSize,
 		TraceSampleRate:   opts.TraceSampleRate,
 		TraceStoreSize:    opts.TraceStoreSize,
-		EnablePlanner:     opts.EnablePlanner,
-		PlanCacheSize:     opts.PlanCacheSize,
 
 		ReadyMaxPendingRepairs: opts.ReadyMaxPendingRepairs,
 		QueryTimeout:           opts.QueryTimeout,

@@ -23,8 +23,15 @@ func TestOpenDefaults(t *testing.T) {
 	if sys.GraphCount() != 4 {
 		t.Fatalf("GraphCount = %d", sys.GraphCount())
 	}
-	if !strings.Contains(sys.String(), "VF2") {
+	if !strings.Contains(sys.String(), "M=measured") {
 		t.Errorf("String() = %q", sys)
+	}
+	pinned, err := Open(testGraphs(), Options{Method: "GQL"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(pinned.String(), "M=GQL") {
+		t.Errorf("pinned String() = %q", pinned)
 	}
 }
 

@@ -54,9 +54,8 @@ import (
 // QueryPathLen is the maximum path length (in edges) of the query
 // index's path-signature postings. Short paths keep per-admission
 // extraction cheap while pruning far better than labels alone; length 2
-// is plenty for the small query graphs GC+ caches. Callers holding
-// signatures pre-extracted at this length can seed them with
-// PrimeQuerySigs.
+// is plenty for the small query graphs GC+ caches. The lookups take the
+// probe query's signatures, extracted at this length, from the caller.
 const QueryPathLen = 2
 
 // qindexMaxBucket saturates the size buckets: queries with ≥ this many
@@ -84,12 +83,6 @@ type queryIndex struct {
 	// queries (the cache is owned by one goroutine, like all its state)
 	// so candidate lookup allocates nothing per query.
 	containing, contained *bitset.Set
-	// sigMemo caches the last probe query's path signatures: the iso
-	// probe and the candidate lookup run back-to-back on the same
-	// query graph, and extraction (a DFS with string canonicalization)
-	// is the expensive part of a lookup.
-	sigMemoGraph *graph.Graph
-	sigMemo      []string
 
 	// sup/sub, indexed by slot, memoize the query-to-query containment
 	// relations among live same-kind entries: sup[s] holds the slots of
@@ -366,18 +359,6 @@ func (ki *kindIndex) couldBeContained(sum *graph.Summary, out *bitset.Set) {
 	cutBucketsAbove(out, ki.byMaxDeg, qindexBucket(sum.MaxDegree()))
 }
 
-// querySigs extracts q's path signatures, memoizing the last query so
-// the iso probe and the candidate lookup of one hit discovery share one
-// extraction. Graphs are immutable once published, so pointer identity
-// is a sound memo key.
-func (qi *queryIndex) querySigs(q *graph.Graph) []string {
-	if qi.sigMemoGraph != q {
-		qi.sigMemoGraph = q
-		qi.sigMemo = ftv.PathSignatures(q, QueryPathLen)
-	}
-	return qi.sigMemo
-}
-
 func cutBucketsBelow(out *bitset.Set, buckets []*bitset.Set, b int) {
 	if b > len(buckets) {
 		b = len(buckets)
@@ -397,32 +378,21 @@ func cutBucketsAbove(out *bitset.Set, buckets []*bitset.Set, b int) {
 	}
 }
 
-// PrimeQuerySigs seeds the query-index signature memo for q with
-// signatures previously extracted — at QueryPathLen — from q or any
-// structurally equal graph (path signatures are a pure function of
-// structure). Hit discovery for q then skips its extraction, the
-// dominant per-probe cost. A nil sigs is simply not seeded; correctness
-// never depends on priming.
-func (c *Cache) PrimeQuerySigs(q *graph.Graph, sigs []string) {
-	if sigs == nil {
-		return
-	}
-	c.qidx.sigMemoGraph = q
-	c.qidx.sigMemo = sigs
-}
-
 // ForEachIsoCandidate visits the entries of the given kind whose
 // indexed features exactly match query q's — equal size and max-degree
 // buckets, equal (capped) per-label counts, and containing all of q's
 // path signatures — the only entries that could be isomorphic to q.
 // Iteration order is unspecified (candidates are interchangeable for an
-// isomorphism probe); return false from fn to stop.
-func (c *Cache) ForEachIsoCandidate(kind Kind, q *graph.Graph, fn func(e *Entry) bool) {
+// isomorphism probe); return false from fn to stop. sigs are q's path
+// signatures at QueryPathLen: extraction (a DFS with string
+// canonicalization) is the expensive part of a lookup, so the caller —
+// whose query plan memoizes them across repeats — hands them in.
+func (c *Cache) ForEachIsoCandidate(kind Kind, q *graph.Graph, sigs []string, fn func(e *Entry) bool) {
 	qi := c.qidx
 	ki := &qi.kinds[kind]
 	sum := q.Summary()
 	out := qi.containing
-	ki.couldContain(sum, qi.querySigs(q), out)
+	ki.couldContain(sum, sigs, out)
 	if out.None() {
 		return
 	}
@@ -497,7 +467,8 @@ func (c *Cache) ForEachRelated(base *Entry, fn func(e *Entry, contains, containe
 // sub-iso test it gates, would fail — so index-backed hit discovery
 // classifies and credits identically to the linear scan it replaces.
 // Return false from fn to stop early. The number of entries visited is
-// returned. Lookup allocates nothing beyond the index's scratch sets.
+// returned. sigs are q's path signatures, as for ForEachIsoCandidate.
+// Lookup allocates nothing beyond the index's scratch sets.
 //
 // Order is produced by walking the window and entry stores and probing
 // the candidate bitsets per entry — one O(1) membership test each,
@@ -507,11 +478,11 @@ func (c *Cache) ForEachRelated(base *Entry, fn func(e *Entry, contains, containe
 // them into ForEach order (slots do not encode it); at the capacities
 // this index targets the probe walk is noise next to the per-candidate
 // classification it feeds.
-func (c *Cache) ForEachHitCandidate(kind Kind, q *graph.Graph, fn func(e *Entry, mayContain, mayBeContained bool) bool) int {
+func (c *Cache) ForEachHitCandidate(kind Kind, q *graph.Graph, sigs []string, fn func(e *Entry, mayContain, mayBeContained bool) bool) int {
 	qi := c.qidx
 	ki := &qi.kinds[kind]
 	sum := q.Summary()
-	ki.couldContain(sum, qi.querySigs(q), qi.containing)
+	ki.couldContain(sum, sigs, qi.containing)
 	ki.couldBeContained(sum, qi.contained)
 	visited := 0
 	visit := func(e *Entry) bool {

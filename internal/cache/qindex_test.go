@@ -6,6 +6,7 @@ import (
 
 	"gcplus/internal/bitset"
 	"gcplus/internal/feature"
+	"gcplus/internal/ftv"
 	"gcplus/internal/graph"
 	"gcplus/internal/subiso"
 )
@@ -87,7 +88,7 @@ func TestQueryIndexCandidateSoundness(t *testing.T) {
 		for _, kind := range []Kind{KindSub, KindSuper} {
 			got := make(map[*Entry][2]bool)
 			var order []*Entry
-			c.ForEachHitCandidate(kind, q, func(e *Entry, mayContain, mayBeContained bool) bool {
+			c.ForEachHitCandidate(kind, q, ftv.PathSignatures(q, QueryPathLen), func(e *Entry, mayContain, mayBeContained bool) bool {
 				got[e] = [2]bool{mayContain, mayBeContained}
 				order = append(order, e)
 				return true
@@ -147,7 +148,7 @@ func TestQueryIndexIsoCandidates(t *testing.T) {
 				return true
 			})
 			got := make(map[*Entry]bool)
-			c.ForEachIsoCandidate(kind, q, func(e *Entry) bool {
+			c.ForEachIsoCandidate(kind, q, ftv.PathSignatures(q, QueryPathLen), func(e *Entry) bool {
 				got[e] = true
 				return true
 			})

@@ -53,12 +53,15 @@ func hitQuery(rng *rand.Rand, ds *dataset.Dataset, history []*graph.Graph) *grap
 }
 
 // findHitsScan is the linear-scan reference for findHits: every window
-// and cache entry is visited, every same-kind one examined.
-func (r *Runtime) findHitsScan(g *graph.Graph, kind cache.Kind, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
-	h := r.newHitClassifier(g, kind, st)
+// and cache entry is visited, every same-kind one examined. Callers hand
+// it a freshly compiled plan (planner.compile, empty verdict memo) so
+// every verdict comes from a query-to-query test, never from what the
+// index-backed path memoized.
+func (r *Runtime) findHitsScan(pl *queryPlan, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
+	h := newHitClassifier(pl, st)
 	st.HitScanned = r.cache.Size() + r.cache.WindowLen()
 	r.cache.ForEach(func(e *cache.Entry) bool {
-		if e.Kind != kind {
+		if e.Kind != pl.kind {
 			return true
 		}
 		st.HitCandidates++
@@ -120,9 +123,12 @@ func TestFindHitsIndexedMatchesScan(t *testing.T) {
 					kind = cache.KindSuper
 				}
 
+				// The index runs under the plan a real query would get —
+				// cached across repeats, verdict memo and all — the scan
+				// under a fresh one, so the reference stays independent.
 				var stScan, stIdx QueryStats
-				dScan, rScan, isoScan := rt.findHitsScan(q, kind, &stScan)
-				dIdx, rIdx, isoIdx := rt.findHits(q, kind, &stIdx)
+				dScan, rScan, isoScan := rt.findHitsScan(rt.planner.compile(q, kind), &stScan)
+				dIdx, rIdx, isoIdx := rt.findHits(rt.planner.planFor(q, kind, &stIdx), &stIdx)
 				if !sameEntries(dScan, dIdx) {
 					t.Fatalf("step %d: direct hits diverge: scan %v, index %v", step, dScan, dIdx)
 				}
@@ -268,7 +274,7 @@ func benchmarkFindHits(b *testing.B, entries int, indexed bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st QueryStats
-		find(queries[i%len(queries)], cache.KindSub, &st)
+		find(rt.planner.planFor(queries[i%len(queries)], cache.KindSub, &st), &st)
 	}
 }
 

@@ -41,7 +41,7 @@ type Metrics struct {
 	// HitScanned aggregates the per-query cache+window size at hit
 	// discovery; HitCandidates/HitScanned is the index's selectivity.
 	HitScanned stats.Running
-	// PlanTime aggregates the planner's per-query share (zero when off).
+	// PlanTime aggregates the planner's per-query share.
 	PlanTime stats.Running
 
 	// Hit-type counters (§7.2 insight metrics).
@@ -60,9 +60,8 @@ type Metrics struct {
 	ContainedHits int64
 	// ZeroTestQueries counts queries answered without any sub-iso test.
 	ZeroTestQueries int64
-	// PlanCacheHits/PlanCacheMisses count compiled-plan cache outcomes
-	// for planner-enabled queries (both zero when the planner is off; a
-	// planner with plan caching disabled counts every query a miss).
+	// PlanCacheHits/PlanCacheMisses count compiled-plan cache outcomes;
+	// every query is one or the other.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	// TruncatedQueries counts streaming queries that stopped early
@@ -98,12 +97,10 @@ func (m *Metrics) fold(st *QueryStats) {
 	m.HitCandidates.Add(float64(st.HitCandidates))
 	m.HitScanned.Add(float64(st.HitScanned))
 	m.PlanTime.AddDuration(st.PlanTime)
-	if st.PlanAlgorithm != "" {
-		if st.PlanCached {
-			m.PlanCacheHits++
-		} else {
-			m.PlanCacheMisses++
-		}
+	if st.PlanCached {
+		m.PlanCacheHits++
+	} else {
+		m.PlanCacheMisses++
 	}
 	if st.Truncated {
 		m.TruncatedQueries++

@@ -44,20 +44,19 @@ type oracleSystem struct {
 }
 
 // newOracleSystems builds the ground-truth runtime plus every cache
-// configuration over identical private copies of the initial graphs.
+// configuration over identical private copies of the initial graphs. A
+// nil method is the shipped default — the planner's measured choice, so
+// which algorithm verifies a given query depends on timing and every
+// system may run a different one; the answers must not.
 func newOracleSystems(t *testing.T, initial []*graph.Graph) (gt *oracleSystem, systems []*oracleSystem) {
 	t.Helper()
-	build := func(name string, cfg *cache.Config, repair bool, custom func(*core.Options)) *oracleSystem {
+	build := func(name string, cfg *cache.Config, repair bool, method subiso.Algorithm) *oracleSystem {
 		cloned := make([]*graph.Graph, len(initial))
 		for i, g := range initial {
 			cloned[i] = g.Clone()
 		}
 		ds := dataset.New(cloned)
-		opts := core.Options{Algorithm: subiso.VF2{}, Cache: cfg}
-		if custom != nil {
-			custom(&opts)
-		}
-		rt, err := core.NewRuntime(ds, opts)
+		rt, err := core.NewRuntime(ds, core.Options{Algorithm: method, Cache: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +69,7 @@ func newOracleSystems(t *testing.T, initial []*graph.Graph) (gt *oracleSystem, s
 		}
 		return cfg
 	}
-	planner := func(o *core.Options) { o.EnablePlanner = true }
-	gt = build("ground-truth", nil, false, nil)
+	gt = build("ground-truth", nil, false, subiso.VF2{})
 	systems = []*oracleSystem{
 		build("CON", small(nil), false, nil),
 		build("CON+repair", small(func(c *cache.Config) { c.RepairQueue = 4096 }), true, nil),
@@ -81,18 +79,20 @@ func newOracleSystems(t *testing.T, initial []*graph.Graph) (gt *oracleSystem, s
 			c.StrictInvalidation = true
 			c.RepairQueue = 4096
 		}), true, nil),
-		// Cost-based algorithm choice and the compiled-plan cache must be
-		// answer-invisible.
-		build("CON+planner", small(nil), false, planner),
+	}
+	// Pinning Method M, as the paper's figures do, must be just as
+	// answer-invisible as measuring it.
+	for _, algo := range subiso.PlannerAlgorithms() {
+		systems = append(systems, build("CON+"+algo.Name(), small(nil), false, algo))
 	}
 	// Streaming variants answer every query through the OnAnswer path
 	// (full stream, never stopping): the emitted sequence must be the
 	// ascending answer set, bit-identical to the exact path.
 	stream := build("CON+stream", small(nil), false, nil)
 	stream.stream = true
-	streamPlan := build("CON+planner+stream", small(nil), false, planner)
-	streamPlan.stream = true
-	systems = append(systems, stream, streamPlan)
+	streamPinned := build("CON+VF2+stream", small(nil), false, subiso.VF2{})
+	streamPinned.stream = true
+	systems = append(systems, stream, streamPinned)
 	return gt, systems
 }
 
@@ -260,11 +260,11 @@ func TestDifferentialConsistencyOracle(t *testing.T) {
 			if repaired == 0 {
 				t.Fatal("repair pipeline never restored a bit; oracle exercised nothing")
 			}
-			// Same for the planner: the 40%-repeat query stream must have
-			// hit the compiled-plan cache, or the variant proved nothing.
+			// Same for plan reuse: the 40%-repeat query stream must have
+			// hit every system's compiled-plan cache.
 			for _, sys := range systems {
-				if sys.name == "CON+planner" && sys.rt.Metrics().PlanCacheHits == 0 {
-					t.Fatal("CON+planner never hit the plan cache; oracle exercised nothing")
+				if sys.rt.Metrics().PlanCacheHits == 0 {
+					t.Fatalf("%s never hit the plan cache; oracle exercised no plan reuse", sys.name)
 				}
 			}
 		})
@@ -276,12 +276,13 @@ func TestDifferentialConsistencyOracle(t *testing.T) {
 // queries from reader goroutines while the test goroutine applies
 // serialized churn-heavy update batches. Every observed answer must be
 // bit-identical to the cache-disabled ground truth at the epoch the
-// answer reports.
+// answer reports. Method M is pinned to VF2 here, so queries and
+// background repair verify with the same algorithm.
 func TestOracleConcurrentRepair(t *testing.T) {
 	for _, seed := range oracleSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			concurrentOracleRound(t, seed, false, router.TransportLocal)
+			concurrentOracleRound(t, seed, "VF2", router.TransportLocal)
 		})
 	}
 }
@@ -291,22 +292,23 @@ func TestOracleConcurrentRepair(t *testing.T) {
 // seam must not bend a single answer even under concurrent churn and
 // repair. One seed keeps the wall-clock cost of the wire path bounded.
 func TestOracleConcurrentLoopback(t *testing.T) {
-	concurrentOracleRound(t, 42, false, router.TransportLoopback)
+	concurrentOracleRound(t, 42, "VF2", router.TransportLoopback)
 }
 
-// TestOracleConcurrentPlanner is the same -race property with every
-// shard's planner and plan cache on: concurrent plan reuse across
-// repeated queries must never bend an answer.
+// TestOracleConcurrentPlanner is the same -race property at the shipped
+// default: every shard's planner measures and switches Method M while
+// repair keeps verifying with the base algorithm off the owner, and
+// concurrent plan reuse across repeated queries must never bend an answer.
 func TestOracleConcurrentPlanner(t *testing.T) {
 	for _, seed := range oracleSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			concurrentOracleRound(t, seed, true, router.TransportLocal)
+			concurrentOracleRound(t, seed, "", router.TransportLocal)
 		})
 	}
 }
 
-func concurrentOracleRound(t *testing.T, seed int64, planner bool, transport string) {
+func concurrentOracleRound(t *testing.T, seed int64, method, transport string) {
 	const (
 		shards  = 3
 		readers = 4
@@ -320,9 +322,8 @@ func concurrentOracleRound(t *testing.T, seed int64, planner bool, transport str
 	}
 	srv, err := router.New(initial, router.Options{
 		Shards:            shards,
-		Method:            "VF2",
+		Method:            method,
 		RepairParallelism: 2,
-		EnablePlanner:     planner,
 		Transport:         transport,
 		Cache:             &cache.Config{Capacity: 20, WindowSize: 4},
 	})
@@ -452,8 +453,8 @@ func concurrentOracleRound(t *testing.T, seed int64, planner bool, transport str
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planner && st.PlanCacheHits == 0 {
-		t.Fatal("planner round never hit the plan cache; property exercised nothing")
+	if st.PlanCacheHits == 0 {
+		t.Fatal("round never hit the plan cache; property exercised no plan reuse")
 	}
 	t.Logf("seed %d: verified %d concurrent answers across %d epochs; repaired_bits=%d pending=%d validity=%.3f plan_hits=%d",
 		seed, total, batches+1, st.RepairedBits, st.PendingRepairs, st.ValidityRatio, st.PlanCacheHits)

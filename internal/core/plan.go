@@ -9,12 +9,11 @@ import (
 	"gcplus/internal/subiso"
 )
 
-// DefaultPlanCacheSize is the compiled-plan cache capacity used when
-// Options.EnablePlanner is set and Options.PlanCacheSize is not
-// positive. Plans are small (a few compiled matchers plus a verdict
-// memo), so the default comfortably covers the repeat sets of the
-// paper's Zipf workloads.
-const DefaultPlanCacheSize = 256
+// planCacheSize is the compiled-plan cache capacity (plans, both query
+// kinds combined). Plans are small (a few compiled matchers plus a
+// verdict memo), so it comfortably covers the repeat sets of the paper's
+// Zipf workloads.
+const planCacheSize = 256
 
 // minCostSampleTests is the fewest Method M tests a query must execute
 // before its per-test cost is admitted as an estimator sample: below
@@ -39,37 +38,34 @@ const seqVerifyCost = 200e-6
 // required for correctness).
 const maxPlanMemo = 2048
 
-// planner chooses a per-query execution plan from measured per-kind,
-// per-algorithm cost moments, and caches compiled plans so isomorphic
-// repeats skip compilation and planning entirely. It is owned by a
-// Runtime and shares its single-threaded discipline.
+// hitAlgo decides containment between *query* graphs during hit
+// discovery: queries are small, and VF2+ is robustly fast on them. Its
+// invocations are GC+ overhead, never counted as Method M sub-iso tests.
+var hitAlgo subiso.Algorithm = subiso.VF2Plus{}
+
+// planner resolves every query's execution plan: it chooses the Method M
+// algorithm from measured per-kind, per-algorithm cost moments, and caches
+// compiled plans so structurally equal repeats skip compilation and
+// planning entirely. It is owned by a Runtime and shares its
+// single-threaded discipline.
 type planner struct {
-	hitAlgo subiso.Algorithm
-	// algos are the candidate Method M algorithms, the configured one
-	// first (so the planner degenerates to the configured behavior until
-	// cost samples justify a switch). All candidates are exact, which is
-	// why algorithm choice can never change an answer.
+	// algos are the candidate Method M algorithms: the single pinned one,
+	// or subiso.PlannerAlgorithms() when the choice is measured (the
+	// first runs until cost samples justify a switch). All candidates
+	// are exact, which is why algorithm choice can never change an answer.
 	algos []subiso.Algorithm
 	// cost holds per-test CPU-seconds moments indexed [kindIdx][algoIdx].
 	cost [2][]stats.Running
 
-	// cacheCap bounds byKey (≥ 1).
-	cacheCap int
-	// byKey caches plans under the canonical plan key; order is its
-	// FIFO eviction queue (plan compilation is cheap enough that smarter
-	// eviction buys nothing measurable).
+	// byKey caches at most planCacheSize plans under the canonical plan
+	// key; order is its FIFO eviction queue (plan compilation is cheap
+	// enough that smarter eviction buys nothing measurable).
 	byKey map[uint64]*queryPlan
 	order []uint64
-	// ptr short-circuits the canonical-key computation for repeated
-	// query *pointers*, per kind (the same graph value may be issued as
-	// both a sub- and a supergraph query). Graphs are immutable once
-	// published, so pointer identity is a sound memo key; the map is
-	// reset wholesale when it outgrows the plan cache.
-	ptr [2]map[*graph.Graph]*queryPlan
 }
 
-// queryPlan is one compiled plan: everything per-query compilation used
-// to produce, reusable across isomorphic repeats.
+// queryPlan is one compiled plan: every artifact a query compiles,
+// reusable across structurally equal repeats.
 type queryPlan struct {
 	query *graph.Graph
 	kind  cache.Kind
@@ -105,29 +101,20 @@ func (pl *queryPlan) sigs() []string {
 	return pl.qsigs
 }
 
-// ensureMemo returns the plan's verdict memo, allocating it lazily and
-// resetting it when it outgrows maxPlanMemo.
-func (pl *queryPlan) ensureMemo() map[*graph.Graph]uint8 {
-	if pl.memo == nil || len(pl.memo) > maxPlanMemo {
-		pl.memo = make(map[*graph.Graph]uint8, 32)
+// verdicts returns the plan's verdict memo, resetting it when it has
+// outgrown maxPlanMemo.
+func (pl *queryPlan) verdicts() map[*graph.Graph]uint8 {
+	if len(pl.memo) > maxPlanMemo {
+		pl.memo = make(map[*graph.Graph]uint8)
 	}
 	return pl.memo
 }
 
-func newPlanner(algo, hitAlgo subiso.Algorithm, cacheCap int) *planner {
-	p := &planner{hitAlgo: hitAlgo, cacheCap: cacheCap}
-	p.algos = append(p.algos, algo)
-	for _, cand := range subiso.PlannerAlgorithms() {
-		if cand.Name() != algo.Name() {
-			p.algos = append(p.algos, cand)
-		}
-	}
+func newPlanner(algos []subiso.Algorithm) *planner {
+	p := &planner{algos: algos, byKey: make(map[uint64]*queryPlan, planCacheSize)}
 	for k := range p.cost {
-		p.cost[k] = make([]stats.Running, len(p.algos))
+		p.cost[k] = make([]stats.Running, len(algos))
 	}
-	p.byKey = make(map[uint64]*queryPlan, cacheCap)
-	p.ptr[0] = make(map[*graph.Graph]*queryPlan)
-	p.ptr[1] = make(map[*graph.Graph]*queryPlan)
 	return p
 }
 
@@ -139,27 +126,19 @@ func kindIdx(k cache.Kind) int {
 }
 
 // planFor returns the plan for (g, kind), reusing a cached one when the
-// query is a pointer-identical or structurally equal repeat. The plan
-// key is a digest, not a proof, so a key hit is confirmed structurally;
-// a colliding non-equal graph is treated as a miss and replaces the
-// slot (its artifacts would test against the wrong vertex numbering).
+// query is a structurally equal repeat. The plan key is a digest, not a
+// proof, so a key hit is confirmed structurally; a colliding non-equal
+// graph is treated as a miss and replaces the slot (its artifacts would
+// test against the wrong vertex numbering).
 func (p *planner) planFor(g *graph.Graph, kind cache.Kind, st *QueryStats) *queryPlan {
-	ki := kindIdx(kind)
-	if pl, ok := p.ptr[ki][g]; ok {
-		st.PlanCached = true
-		p.retune(pl)
-		return pl
-	}
 	key := planKey(g, kind)
 	if pl, ok := p.byKey[key]; ok && graphsEqual(pl.query, g) {
 		st.PlanCached = true
-		p.memoizePtr(ki, g, pl)
 		p.retune(pl)
 		return pl
 	}
 	pl := p.compile(g, kind)
 	p.store(key, pl)
-	p.memoizePtr(ki, g, pl)
 	return pl
 }
 
@@ -169,16 +148,18 @@ func (p *planner) compile(g *graph.Graph, kind cache.Kind) *queryPlan {
 		query:      g,
 		kind:       kind,
 		qf:         feature.Of(g),
-		gAsPattern: subiso.CompileSub(g, p.hitAlgo),
-		gAsTarget:  subiso.CompileSuper(g, p.hitAlgo),
+		gAsPattern: subiso.CompileSub(g, hitAlgo),
+		gAsTarget:  subiso.CompileSuper(g, hitAlgo),
 		verify:     compileVerify(g, kind, p.algos[idx]),
 		algoIdx:    idx,
+		memo:       make(map[*graph.Graph]uint8),
 	}
 }
 
-// compileVerify compiles the Method M matcher in the direction the query
-// kind needs: for a subgraph query g is the pattern, for a supergraph
-// query g is the target.
+// compileVerify is the one place a Method M matcher is compiled, in the
+// direction the kind needs: for a subgraph query (or sub entry under
+// repair) "g ⊆ G" — g is the pattern, dataset graphs the targets; for a
+// supergraph query "G ⊆ g" — g is the target.
 func compileVerify(g *graph.Graph, kind cache.Kind, algo subiso.Algorithm) *subiso.Matcher {
 	if kind == cache.KindSub {
 		return subiso.CompileSub(g, algo)
@@ -247,24 +228,13 @@ func (p *planner) parallelCap(kind cache.Kind, algoIdx, count int) int {
 // original queue position (keys appear in order at most once).
 func (p *planner) store(key uint64, pl *queryPlan) {
 	if _, exists := p.byKey[key]; !exists {
-		for len(p.byKey) >= p.cacheCap && len(p.order) > 0 {
+		if len(p.byKey) >= planCacheSize {
 			delete(p.byKey, p.order[0])
 			p.order = p.order[1:]
 		}
 		p.order = append(p.order, key)
 	}
 	p.byKey[key] = pl
-}
-
-// memoizePtr records the pointer → plan shortcut, resetting the map
-// wholesale once it outgrows the plan cache (long-lived servers see
-// unbounded distinct query pointers; the canonical-key path backstops
-// any reset).
-func (p *planner) memoizePtr(ki int, g *graph.Graph, pl *queryPlan) {
-	if len(p.ptr[ki]) >= 4*p.cacheCap {
-		p.ptr[ki] = make(map[*graph.Graph]*queryPlan, p.cacheCap)
-	}
-	p.ptr[ki][g] = pl
 }
 
 // planKey derives the canonical plan-cache key: an FNV-1a digest of the

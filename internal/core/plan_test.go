@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gcplus/internal/cache"
 	"gcplus/internal/dataset"
@@ -94,7 +97,8 @@ func TestParallelVerifyCancelAccounting(t *testing.T) {
 	live := r.ds.LiveSnapshot()
 	csm := live.Clone()
 	st := QueryStats{Kind: cache.KindSub, CandidatesBefore: csm.Count()}
-	_, err = r.verify(ctx, q, cache.KindSub, csm, &st, 0)
+	pl := r.planner.compile(q, cache.KindSub)
+	_, err = r.verify(ctx, pl, csm, &st, 0)
 	var ce *CancelError
 	if !errors.As(err, &ce) || ce.Stage != "verify" {
 		t.Fatalf("want *CancelError at stage verify, got %v", err)
@@ -112,7 +116,7 @@ func TestParallelVerifyCancelAccounting(t *testing.T) {
 	// Sequential path: the busy time up to the checkpoint is booked too.
 	csm2 := live.Clone()
 	st2 := QueryStats{Kind: cache.KindSub, CandidatesBefore: csm2.Count()}
-	_, err = r.verify(ctx, q, cache.KindSub, csm2, &st2, 1)
+	_, err = r.verify(ctx, pl, csm2, &st2, 1)
 	if !errors.As(err, &ce) || ce.Stage != "verify" {
 		t.Fatalf("want *CancelError at stage verify, got %v", err)
 	}
@@ -124,45 +128,37 @@ func TestParallelVerifyCancelAccounting(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReuse exercises the compiled-plan cache's three reuse
-// tiers: pointer-identical repeat, structurally equal repeat (clone), and
-// the isomorphic-but-renumbered case, which must be a miss — its compiled
-// matchers would test against the wrong vertex numbering — while still
-// producing bit-identical answers to a planner-off runtime.
+// TestPlanCacheReuse exercises the compiled-plan cache's reuse tiers:
+// pointer-identical repeat and structurally equal repeat (clone) hit, and
+// the isomorphic-but-renumbered case must be a miss — its compiled
+// matchers would test against the wrong vertex numbering — while every
+// answer stays bit-identical to the brute-force ground truth.
 func TestPlanCacheReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pool := make([]*graph.Graph, 40)
 	for i := range pool {
 		pool[i] = testutil.RandomConnectedGraph(rng, 8+rng.Intn(10), 4, 0.15)
 	}
-	rPlan, err := NewRuntime(dataset.New(pool), Options{Algorithm: subiso.VF2{}, EnablePlanner: true})
+	ds := dataset.New(pool)
+	r, err := NewRuntime(ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rBase, err := NewRuntime(dataset.New(pool), Options{Algorithm: subiso.VF2{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(q *graph.Graph, wantCached bool, what string) *Result {
+	check := func(q *graph.Graph, wantCached bool, what string) {
 		t.Helper()
-		got, err := rPlan.SubgraphQuery(q)
+		got, err := r.SubgraphQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := rBase.SubgraphQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Answer.Equal(want.Answer) {
-			t.Fatalf("%s: planner answer %v != baseline %v", what, got.AnswerIDs(), want.AnswerIDs())
+		if want := testutil.GroundTruthSub(ds, q); !got.Answer.Equal(want) {
+			t.Fatalf("%s: answer %v != ground truth %v", what, got.AnswerIDs(), want.Indices())
 		}
 		if got.Stats.PlanAlgorithm == "" {
-			t.Fatalf("%s: PlanAlgorithm empty with planner on", what)
+			t.Fatalf("%s: PlanAlgorithm empty", what)
 		}
 		if got.Stats.PlanCached != wantCached {
 			t.Fatalf("%s: PlanCached = %v, want %v", what, got.Stats.PlanCached, wantCached)
 		}
-		return got
 	}
 
 	q := testutil.BFSExtract(rng, pool[0], 0, 4)
@@ -176,9 +172,136 @@ func TestPlanCacheReuse(t *testing.T) {
 	check(a, false, "path 1-2-3")
 	check(b, false, "renumbered isomorph 3-2-1")
 
-	if hits := rPlan.Metrics().PlanCacheHits; hits < 2 {
-		t.Fatalf("PlanCacheHits = %d, want >= 2", hits)
+	m := r.Metrics()
+	if m.PlanCacheHits != 2 || m.PlanCacheMisses != 3 {
+		t.Fatalf("plan cache hits/misses = %d/%d, want 2/3", m.PlanCacheHits, m.PlanCacheMisses)
 	}
+}
+
+// planStream is a query stream long enough for the planner to finish
+// exploring: every query runs against a dataset big enough to count as a
+// cost sample (>= minCostSampleTests tests on a cache-less runtime).
+func planStream(t *testing.T, seed int64) (*dataset.Dataset, []*graph.Graph) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pool := make([]*graph.Graph, 3*minCostSampleTests)
+	for i := range pool {
+		pool[i] = testutil.RandomConnectedGraph(rng, 8+rng.Intn(8), 4, 0.15)
+	}
+	queries := make([]*graph.Graph, 4*minPlanSamples*len(subiso.PlannerAlgorithms()))
+	for i := range queries {
+		queries[i] = testutil.BFSExtract(rng, pool[rng.Intn(len(pool))], 0, 2+rng.Intn(4))
+	}
+	return dataset.New(pool), queries
+}
+
+// TestPinnedMethodNeverSwitches pins the one decision that must stay
+// expressible: a named Method runs every query, however many cost samples
+// accumulate, while an unset one explores each candidate (starting from
+// VF2) and from then on runs whichever measures cheapest.
+func TestPinnedMethodNeverSwitches(t *testing.T) {
+	for _, algo := range subiso.PlannerAlgorithms() {
+		ds, queries := planStream(t, 5)
+		r, err := NewRuntime(ds, Options{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			res, err := r.SubgraphQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.PlanAlgorithm != algo.Name() {
+				t.Fatalf("pinned %s: query %d ran %s", algo.Name(), i, res.Stats.PlanAlgorithm)
+			}
+		}
+		if n := r.planner.cost[0][0].N(); n < minPlanSamples {
+			t.Fatalf("pinned %s: stream too short, %d cost samples < minPlanSamples", algo.Name(), n)
+		}
+	}
+
+	ds, queries := planStream(t, 5)
+	r, err := NewRuntime(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Exploration gives each candidate minPlanSamples samples (every
+	// query here is one); from then on the lowest measured mean runs.
+	explore := minPlanSamples * len(subiso.PlannerAlgorithms())
+	var ran []string
+	for i, q := range queries {
+		cheapest := ""
+		if i >= explore {
+			best := 0
+			for j := range r.planner.algos {
+				if r.planner.cost[0][j].Mean() < r.planner.cost[0][best].Mean() {
+					best = j
+				}
+			}
+			cheapest = r.planner.algos[best].Name()
+		}
+		res, err := r.SubgraphQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := testutil.GroundTruthSub(ds, q); !res.Answer.Equal(want) {
+			t.Fatalf("unpinned %s: answer %v != ground truth %v", res.Stats.PlanAlgorithm, res.AnswerIDs(), want.Indices())
+		}
+		if i >= explore && res.Stats.PlanAlgorithm != cheapest {
+			t.Fatalf("query %d ran %s, cheapest measured is %s", i, res.Stats.PlanAlgorithm, cheapest)
+		}
+		ran = append(ran, res.Stats.PlanAlgorithm)
+	}
+	if ran[0] != "VF2" {
+		t.Fatalf("unpinned runtime started from %s, want VF2", ran[0])
+	}
+	seen := map[string]int{}
+	for _, name := range ran[:explore] {
+		seen[name]++
+	}
+	for _, cand := range subiso.PlannerAlgorithms() {
+		if seen[cand.Name()] != minPlanSamples {
+			t.Fatalf("exploration ran %s %d times, want %d (sequence %v)", cand.Name(), seen[cand.Name()], minPlanSamples, ran[:explore])
+		}
+	}
+}
+
+// TestPlanCacheBounded pins the plan cache's memory bound by
+// reachability, not by counting map entries: after far more distinct
+// queries than the cache holds, at most planCacheSize of their graphs may
+// still be alive (a cache-less runtime keeps a query graph only through
+// its plan).
+func TestPlanCacheBounded(t *testing.T) {
+	r, err := NewRuntime(dataset.New([]*graph.Graph{graph.Path(1, 2)}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 3 * planCacheSize
+	var collected atomic.Int64
+	for i := 0; i < total; i++ {
+		// Distinct structures: a path of i+1 vertices.
+		labels := make([]graph.Label, i+1)
+		q := graph.Path(labels...)
+		runtime.SetFinalizer(q, func(*graph.Graph) { collected.Add(1) })
+		if _, err := r.SubgraphQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(r.planner.byKey); n != planCacheSize {
+		t.Fatalf("plan cache holds %d plans, want exactly %d", n, planCacheSize)
+	}
+	if n := len(r.planner.order); n != planCacheSize {
+		t.Fatalf("eviction queue holds %d keys, want %d", n, planCacheSize)
+	}
+	want := int64(total - planCacheSize)
+	for try := 0; try < 50 && collected.Load() < want; try++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got < want {
+		t.Fatalf("%d of %d query graphs still reachable after GC, plan cache holds %d", total-int(got), total, planCacheSize)
+	}
+	runtime.KeepAlive(r)
 }
 
 // TestStreamingVerify pins the streaming contract: with Limit k the
@@ -313,10 +436,10 @@ func TestStreamingVerify(t *testing.T) {
 	}
 }
 
-// TestPlannerStreamingEquivalence cross-checks the planner and streaming
-// paths against the default pipeline on a randomized workload: same
-// answers, in every combination, with the dataset evolving between
-// queries.
+// TestPlannerStreamingEquivalence cross-checks measured algorithm choice
+// and the streaming path against a runtime pinned to VF2 and the
+// brute-force ground truth on a randomized repeat-heavy workload: same
+// answers, in every combination.
 func TestPlannerStreamingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pool := make([]*graph.Graph, 80)
@@ -332,8 +455,8 @@ func TestPlannerStreamingEquivalence(t *testing.T) {
 		}
 		return r
 	}
-	base := newRT(Options{Algorithm: subiso.VF2{}, Cache: cfg()})
-	plan := newRT(Options{Algorithm: subiso.VF2{}, Cache: cfg(), EnablePlanner: true})
+	pinned := newRT(Options{Algorithm: subiso.VF2{}, Cache: cfg()})
+	measured := newRT(Options{Cache: cfg()})
 	ctx := context.Background()
 	var issued []*graph.Graph
 	for step := 0; step < 60; step++ {
@@ -365,21 +488,31 @@ func TestPlannerStreamingEquivalence(t *testing.T) {
 			}
 			return res
 		}
-		want := run(base, QueryOptions{})
-		if got := run(plan, QueryOptions{}); !got.Answer.Equal(want.Answer) {
-			t.Fatalf("step %d: planner answer %v != baseline %v", step, got.AnswerIDs(), want.AnswerIDs())
+		want := run(pinned, QueryOptions{})
+		truth := testutil.GroundTruthSub(pinned.ds, q)
+		if kind == cache.KindSuper {
+			truth = testutil.GroundTruthSuper(pinned.ds, q)
+		}
+		if !want.Answer.Equal(truth) {
+			t.Fatalf("step %d: pinned answer %v != ground truth %v", step, want.AnswerIDs(), truth.Indices())
+		}
+		if got := run(measured, QueryOptions{}); !got.Answer.Equal(truth) {
+			t.Fatalf("step %d: measured-choice (%s) answer %v != ground truth %v",
+				step, got.Stats.PlanAlgorithm, got.AnswerIDs(), truth.Indices())
 		}
 		// Streaming with a generous limit must reproduce the full answer
 		// on a *fresh* runtime (streaming against warm runtimes is pinned
 		// by the oracle; here the point is the stream/exact equivalence).
 		if step%10 == 0 {
-			fresh := newRT(Options{Algorithm: subiso.VF2{}, EnablePlanner: true})
-			if got := run(fresh, QueryOptions{Limit: len(pool) + 1}); !got.Answer.Equal(want.Answer) {
-				t.Fatalf("step %d: streamed answer %v != baseline %v", step, got.AnswerIDs(), want.AnswerIDs())
+			fresh := newRT(Options{})
+			if got := run(fresh, QueryOptions{Limit: len(pool) + 1}); !got.Answer.Equal(truth) {
+				t.Fatalf("step %d: streamed answer %v != ground truth %v", step, got.AnswerIDs(), truth.Indices())
 			}
 		}
 	}
-	if plan.Metrics().PlanCacheHits == 0 {
-		t.Fatal("randomized repeat workload produced zero plan-cache hits")
+	for _, r := range []*Runtime{pinned, measured} {
+		if r.Metrics().PlanCacheHits == 0 {
+			t.Fatalf("%s: randomized repeat workload produced zero plan-cache hits", r)
+		}
 	}
 }

@@ -139,12 +139,14 @@ func (r *Runtime) VerifyRepairsCtx(ctx context.Context, jobs []RepairJob, parall
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	// One base matcher per distinct entry, compiled once up front;
-	// workers fork for private scratch.
+	// One base matcher per distinct entry, compiled once up front to test
+	// the entry's recorded relation — the same shapes as the verification
+	// loop — with the runtime's immutable base algorithm; workers fork
+	// for private scratch.
 	bases := make(map[*cache.Entry]*subiso.Matcher, 8)
 	for _, j := range jobs {
 		if _, ok := bases[j.entry]; !ok {
-			bases[j.entry] = r.compileFor(j.entry)
+			bases[j.entry] = compileVerify(j.entry.Query, j.entry.Kind, r.algo)
 		}
 	}
 	results := make([]RepairResult, len(jobs))
@@ -176,16 +178,6 @@ func (r *Runtime) VerifyRepairsCtx(ctx context.Context, jobs []RepairJob, parall
 		out = append(out, results[sp.lo:sp.lo+sp.n]...)
 	}
 	return out
-}
-
-// compileFor compiles the matcher testing an entry's recorded relation:
-// for a sub entry "entry.Query ⊆ G", for a super entry "G ⊆ entry.Query"
-// — the same shapes as the verification loop.
-func (r *Runtime) compileFor(e *cache.Entry) *subiso.Matcher {
-	if e.Kind == cache.KindSub {
-		return subiso.CompileSub(e.Query, r.algo)
-	}
-	return subiso.CompileSuper(e.Query, r.algo)
 }
 
 // verifyRepairChunk runs one worker's share, forking a matcher per

@@ -26,7 +26,6 @@ import (
 	"gcplus/internal/bitset"
 	"gcplus/internal/cache"
 	"gcplus/internal/dataset"
-	"gcplus/internal/feature"
 	"gcplus/internal/graph"
 	"gcplus/internal/stats"
 	"gcplus/internal/subiso"
@@ -34,13 +33,13 @@ import (
 
 // Options configures a Runtime.
 type Options struct {
-	// Algorithm is Method M's sub-iso implementation (required).
+	// Algorithm pins Method M's sub-iso implementation: every query is
+	// verified with it, as the paper's figures fix Method M per run. Nil
+	// leaves the choice to the planner, which measures the per-test cost
+	// of each of subiso.PlannerAlgorithms() per query kind (starting from
+	// VF2) and then runs the cheapest. Every candidate is exact, so the
+	// choice can never change an answer.
 	Algorithm subiso.Algorithm
-	// HitAlgorithm decides containment between *query* graphs during hit
-	// discovery; defaults to VF2+ (queries are small, VF2+ is robustly
-	// fast on them). Its invocations are GC+ overhead, never counted as
-	// Method M sub-iso tests.
-	HitAlgorithm subiso.Algorithm
 	// Cache configures the graph cache. Nil disables caching entirely,
 	// yielding the pure Method M baseline of the evaluation.
 	Cache *cache.Config
@@ -50,18 +49,6 @@ type Options struct {
 	// scratch, and the per-worker answer bitsets are merged. 0 (the
 	// default) means GOMAXPROCS; 1 keeps verification sequential.
 	VerifyParallelism int
-	// EnablePlanner turns on the cost-based per-query planner: each query
-	// gets a plan choosing the Method M algorithm (VF2/VF2+/GQL) and the
-	// verification parallelism from measured per-kind cost moments, and
-	// compiled plans (matchers, fingerprint, hit-classification memo) are
-	// cached under the query's canonical key so isomorphic repeats skip
-	// compilation and planning entirely. Off by default; answers are
-	// bit-identical either way (every candidate algorithm is exact).
-	EnablePlanner bool
-	// PlanCacheSize bounds the compiled-plan cache (entries, per kind
-	// combined); ≤ 0 means DefaultPlanCacheSize. Only meaningful with
-	// EnablePlanner.
-	PlanCacheSize int
 }
 
 // Runtime executes subgraph/supergraph queries against a dataset,
@@ -72,9 +59,12 @@ type Options struct {
 // dataset snapshot and graph values are immutable, so the only shared
 // mutable state is the per-worker answer bitsets, merged after the join.
 type Runtime struct {
-	ds        *dataset.Dataset
+	ds *dataset.Dataset
+	// algo is the immutable base algorithm: the pinned Method M, or the
+	// planner's starting candidate when the choice is measured. Background
+	// repair compiles with it — VerifyRepairs runs off the owner goroutine
+	// and must never read the planner's cost moments.
 	algo      subiso.Algorithm
-	hitAlgo   subiso.Algorithm
 	cache     *cache.Cache // nil when caching is disabled
 	verifyPar int          // resolved VerifyParallelism (>= 1)
 
@@ -82,12 +72,9 @@ type Runtime struct {
 	// test; it seeds cost estimates for entries admitted with zero tests.
 	avgTestCost stats.Running
 
-	// planner is the cost-based per-query planner plus its compiled-plan
-	// cache (nil unless Options.EnablePlanner). plan is the current
-	// query's plan, set at the top of process; the runtime is
-	// single-threaded per query, so one field suffices.
+	// planner resolves every query's compiled plan: the plan cache plus
+	// the measured (or pinned) Method M choice.
 	planner *planner
-	plan    *queryPlan
 
 	m     Metrics
 	hists *StageHists
@@ -98,28 +85,19 @@ func NewRuntime(ds *dataset.Dataset, opts Options) (*Runtime, error) {
 	if ds == nil {
 		return nil, errors.New("core: nil dataset")
 	}
-	if opts.Algorithm == nil {
-		return nil, errors.New("core: Options.Algorithm is required")
+	algos := subiso.PlannerAlgorithms()
+	if opts.Algorithm != nil {
+		algos = []subiso.Algorithm{opts.Algorithm}
 	}
 	r := &Runtime{
 		ds:        ds,
-		algo:      opts.Algorithm,
-		hitAlgo:   opts.HitAlgorithm,
+		algo:      algos[0],
 		verifyPar: opts.VerifyParallelism,
+		planner:   newPlanner(algos),
 		hists:     newStageHists(),
-	}
-	if r.hitAlgo == nil {
-		r.hitAlgo = subiso.VF2Plus{}
 	}
 	if r.verifyPar <= 0 {
 		r.verifyPar = runtime.GOMAXPROCS(0)
-	}
-	if opts.EnablePlanner {
-		size := opts.PlanCacheSize
-		if size <= 0 {
-			size = DefaultPlanCacheSize
-		}
-		r.planner = newPlanner(r.algo, r.hitAlgo, size)
 	}
 	if opts.Cache != nil {
 		// Fail loudly and gracefully on a mistyped policy or model
@@ -145,9 +123,6 @@ func (r *Runtime) CacheSize() int {
 	}
 	return r.cache.Size()
 }
-
-// Algorithm returns Method M's algorithm.
-func (r *Runtime) Algorithm() subiso.Algorithm { return r.algo }
 
 // Result is the outcome of one query.
 type Result struct {
@@ -219,14 +194,13 @@ type QueryStats struct {
 	// admission (degraded-mode serving).
 	CacheBypassed bool
 	// PlanTime is the planner's share of QueryTime: plan-cache lookup
-	// plus, on a miss, compilation and algorithm choice. Zero when the
-	// planner is off.
+	// plus, on a miss, compilation and algorithm choice.
 	PlanTime time.Duration
-	// PlanAlgorithm names the Method M algorithm the planner chose for
-	// this query (empty when the planner is off).
+	// PlanAlgorithm names the Method M algorithm this query verified
+	// with: the pinned one, or the planner's measured choice.
 	PlanAlgorithm string
 	// PlanCached reports that the query reused a cached compiled plan
-	// (pointer-identical or structurally equal repeat).
+	// (a structurally equal repeat).
 	PlanCached bool
 	// Truncated reports a streaming query stopped early — by
 	// QueryOptions.Limit or an OnAnswer callback returning false — so
@@ -336,19 +310,10 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	// relation memo), so a plan-cache hit skips every per-query
 	// compilation below. Sound for bypassed queries too: plan artifacts
 	// are pure compile state, independent of cache contents.
-	r.plan = nil
-	if r.planner != nil {
-		pt0 := time.Now()
-		r.plan = r.planner.planFor(g, kind, &st)
-		st.PlanTime = time.Since(pt0)
-		st.PlanAlgorithm = r.plan.verify.Name()
-		if r.cache != nil {
-			// Seed the query index with the plan's memoized path
-			// signatures: on a plan hit, indexed hit discovery then skips
-			// the signature extraction — its dominant per-query cost.
-			r.cache.PrimeQuerySigs(g, r.plan.sigs())
-		}
-	}
+	pt0 := time.Now()
+	plan := r.planner.planFor(g, kind, &st)
+	st.PlanTime = time.Since(pt0)
+	st.PlanAlgorithm = plan.verify.Name()
 
 	// Consistency point: reconcile cache with the dataset log (§4: the
 	// Dataset Manager first identifies whether the dataset has changed;
@@ -371,7 +336,7 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	)
 	if useCache {
 		ht0 := time.Now()
-		direct, restrict, iso = r.findHits(g, kind, &st)
+		direct, restrict, iso = r.findHits(plan, &st)
 		st.HitTime = time.Since(ht0)
 
 		// §6.3 optimal case 1: isomorphic hit. Equal vertex and edge
@@ -447,10 +412,8 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	// measured per-test cost says the whole candidate set verifies in
 	// less than the fan-out/join overhead, parallelism only adds latency.
 	maxPar := opt.MaxVerifyParallelism
-	if r.plan != nil {
-		if c := r.planner.parallelCap(kind, r.plan.algoIdx, csm.Count()); c > 0 && (maxPar == 0 || c < maxPar) {
-			maxPar = c
-		}
+	if c := r.planner.parallelCap(kind, plan.algoIdx, csm.Count()); c > 0 && (maxPar == 0 || c < maxPar) {
+		maxPar = c
 	}
 	var (
 		verified *bitset.Set
@@ -459,10 +422,10 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	if opt.streaming() {
 		// Streaming folds formula (3) into the emission loop (sure
 		// positives interleave with verified candidates in id order).
-		verified, err = r.streamVerify(ctx, g, kind, answerSure, csm, &st, opt)
+		verified, err = r.streamVerify(ctx, plan, answerSure, csm, &st, opt)
 		answerSure = nil
 	} else {
-		verified, err = r.verify(ctx, g, kind, csm, &st, maxPar)
+		verified, err = r.verify(ctx, plan, csm, &st, maxPar)
 	}
 	if err != nil {
 		return nil, err
@@ -476,9 +439,7 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	if !st.CacheBypassed && st.SubIsoTests >= minCostSampleTests {
 		perTest := st.VerifyCPUTime.Seconds() / float64(st.SubIsoTests)
 		r.avgTestCost.Add(perTest)
-		if r.plan != nil {
-			r.planner.note(kind, r.plan.algoIdx, perTest)
-		}
+		r.planner.note(kind, plan.algoIdx, perTest)
 	}
 
 	// Formula (3): final answer = verified ∪ sure positives.
@@ -492,41 +453,27 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 // worker: below this, goroutine spawn and bitset merge outweigh the tests.
 const minVerifyChunk = 8
 
-// verify runs Method M over the pruned candidate set through a matcher
-// compiled once for the query, fanning contiguous candidate chunks out to
-// a bounded worker pool when r.verifyPar and the candidate count allow.
-// Each worker forks the compiled matcher (own scratch, shared compiled
-// artifacts) and fills a private bitset; the chunks partition the ids, so
-// the final union is exactly the sequential answer.
+// verify runs Method M over the pruned candidate set through the plan's
+// verify matcher (compiled once per query, cached across structurally
+// equal repeats), fanning contiguous candidate chunks out to a bounded
+// worker pool when r.verifyPar and the candidate count allow. Each worker
+// forks the compiled matcher (own scratch, shared compiled artifacts) and
+// fills a private bitset; the chunks partition the ids, so the final
+// union is exactly the sequential answer. Sequential use of the plan's
+// own matcher is fine: the runtime is single-threaded per query.
 //
 // Cancellation is cooperative: every cancelCheckInterval tests the loop
 // polls ctx's done channel (a non-blocking select against a channel
 // that is nil for context.Background, so the fault-free path pays one
 // predictable branch). A cancelled query returns *CancelError with
 // stage "verify"; partial worker bitsets are discarded.
-func (r *Runtime) verify(ctx context.Context, g *graph.Graph, kind cache.Kind, csm *bitset.Set, st *QueryStats, maxPar int) (*bitset.Set, error) {
+func (r *Runtime) verify(ctx context.Context, pl *queryPlan, csm *bitset.Set, st *QueryStats, maxPar int) (*bitset.Set, error) {
 	count := csm.Count()
 	st.SubIsoTests = count
 	st.TestsSaved = st.CandidatesBefore - count
 	verified := bitset.New(st.CandidatesBefore)
 	if count == 0 {
 		return verified, nil
-	}
-	compile := func() *subiso.Matcher {
-		if p := r.plan; p != nil {
-			// The plan already compiled the matcher for the chosen
-			// algorithm and direction (and caches it across isomorphic
-			// repeats). Sequential use and Fork() are both fine: the
-			// runtime is single-threaded per query.
-			return p.verify
-		}
-		if kind == cache.KindSub {
-			// "which graphs contain g": g is the pattern, candidates the targets.
-			return subiso.CompileSub(g, r.algo)
-		}
-		// "which graphs are contained in g": g is the target, candidates
-		// the patterns.
-		return subiso.CompileSuper(g, r.algo)
 	}
 	done := ctx.Done()
 	workers := r.verifyPar
@@ -540,7 +487,7 @@ func (r *Runtime) verify(ctx context.Context, g *graph.Graph, kind cache.Kind, c
 	if workers <= 1 {
 		// Sequential: iterate the bitset directly — no materialized id
 		// slice, keeping the verify path allocation-lean.
-		m := compile()
+		m := pl.verify
 		cancelled := false
 		n := 0
 		csm.ForEach(func(id int) bool {
@@ -566,7 +513,6 @@ func (r *Runtime) verify(ctx context.Context, g *graph.Graph, kind cache.Kind, c
 		return verified, nil
 	}
 	ids := csm.Indices()
-	base := compile()
 	parts := make([]*bitset.Set, workers)
 	busy := make([]time.Duration, workers)
 	cancelled := make([]bool, workers)
@@ -577,7 +523,7 @@ func (r *Runtime) verify(ctx context.Context, g *graph.Graph, kind cache.Kind, c
 		go func(w int, chunk []int) {
 			defer wg.Done()
 			t0 := time.Now()
-			m := base.Fork()
+			m := pl.verify.Fork()
 			out := bitset.New(st.CandidatesBefore)
 			for i, id := range chunk {
 				if i%cancelCheckInterval == cancelCheckInterval-1 {
@@ -629,20 +575,13 @@ func (r *Runtime) verify(ctx context.Context, g *graph.Graph, kind cache.Kind, c
 // so an early-stopped answer is exactly the smallest |answer| ids of the
 // full answer set. Streaming is sequential by construction (answers must
 // come out in order), so it ignores the worker pool.
-func (r *Runtime) streamVerify(ctx context.Context, g *graph.Graph, kind cache.Kind, sure, csm *bitset.Set, st *QueryStats, opt QueryOptions) (*bitset.Set, error) {
+func (r *Runtime) streamVerify(ctx context.Context, pl *queryPlan, sure, csm *bitset.Set, st *QueryStats, opt QueryOptions) (*bitset.Set, error) {
 	st.TestsSaved = st.CandidatesBefore - csm.Count()
 	union := csm.Clone()
 	if sure != nil {
 		union.Or(sure) // disjoint: the pruner removed sure ids from csm
 	}
-	var m *subiso.Matcher
-	if p := r.plan; p != nil {
-		m = p.verify
-	} else if kind == cache.KindSub {
-		m = subiso.CompileSub(g, r.algo)
-	} else {
-		m = subiso.CompileSuper(g, r.algo)
-	}
+	m := pl.verify
 	out := bitset.New(st.CandidatesBefore)
 	done := ctx.Done()
 	vt0 := time.Now()
@@ -857,12 +796,17 @@ func (r *Runtime) CacheStats() cache.Stats {
 // entry — replay the full hit classification with zero query-to-query
 // sub-iso tests. Under the Zipf workloads of the paper most queries are
 // repeats, so most hit discovery collapses to this path.
-func (r *Runtime) findHits(g *graph.Graph, kind cache.Kind, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
-	h := r.newHitClassifier(g, kind, st)
+func (r *Runtime) findHits(pl *queryPlan, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
+	// The plan's own graph stands in for the query: it is structurally
+	// equal by construction, and its memoized summary and path signatures
+	// spare a repeat the signature extraction — the dominant per-query
+	// cost of indexed hit discovery.
+	g, kind, sigs := pl.query, pl.kind, pl.sigs()
+	h := newHitClassifier(pl, st)
 	st.HitScanned = r.cache.Size() + r.cache.WindowLen()
 	probed := 0
 	var isoBase *cache.Entry
-	r.cache.ForEachIsoCandidate(kind, g, func(e *cache.Entry) bool {
+	r.cache.ForEachIsoCandidate(kind, g, sigs, func(e *cache.Entry) bool {
 		probed++
 		if h.isoProbe(e) {
 			isoBase = e
@@ -885,7 +829,7 @@ func (r *Runtime) findHits(g *graph.Graph, kind cache.Kind, st *QueryStats) (dir
 	// candidates (exact-feature equality is stricter than could-contain),
 	// so counting only the latter keeps HitCandidates a distinct-entry
 	// count on this path.
-	st.HitCandidates = r.cache.ForEachHitCandidate(kind, g,
+	st.HitCandidates = r.cache.ForEachHitCandidate(kind, g, sigs,
 		func(e *cache.Entry, mayContain, mayBeContained bool) bool {
 			h.visit(e, mayContain, mayBeContained)
 			return true
@@ -898,18 +842,14 @@ func (r *Runtime) findHits(g *graph.Graph, kind cache.Kind, st *QueryStats) (dir
 // are sound prefilter verdicts: false means the corresponding fingerprint
 // subsumption is guaranteed to fail, so the check is skipped entirely.
 type hitClassifier struct {
-	kind cache.Kind
-	qf   *feature.Fingerprint
-	// g is compiled once in each direction: the same query is tested
-	// against every candidate, so the compiled scratch amortizes over
-	// the whole pass exactly as in the verification loop.
-	gAsPattern *subiso.Matcher // g ⊆ cached query?
-	gAsTarget  *subiso.Matcher // cached query ⊆ g?
-	// memo, when a compiled plan carries one, caches query-to-query
-	// containment verdicts keyed by the cached query's graph pointer.
-	// Sound forever: graphs are immutable, and whether one contains
-	// another is a dataset-independent fact, so an isomorphic repeat
-	// replays hit classification with zero query-to-query tests.
+	// pl supplies the query's fingerprint and its two query-to-query
+	// matchers — the query compiled once in each direction, amortized
+	// over the whole pass (and over every repeat the plan serves).
+	pl *queryPlan
+	// memo is the plan's containment-verdict memo, keyed by the cached
+	// query's graph pointer. Sound forever: graphs are immutable, and
+	// whether one contains another is a dataset-independent fact, so a
+	// repeat replays hit classification with zero query-to-query tests.
 	memo map[*graph.Graph]uint8
 	st   *QueryStats
 
@@ -927,19 +867,8 @@ const (
 	memoContainedTrue
 )
 
-func (r *Runtime) newHitClassifier(g *graph.Graph, kind cache.Kind, st *QueryStats) *hitClassifier {
-	h := &hitClassifier{kind: kind, st: st}
-	if p := r.plan; p != nil {
-		h.qf = p.qf
-		h.gAsPattern = p.gAsPattern
-		h.gAsTarget = p.gAsTarget
-		h.memo = p.ensureMemo()
-		return h
-	}
-	h.qf = feature.Of(g)
-	h.gAsPattern = subiso.CompileSub(g, r.hitAlgo)
-	h.gAsTarget = subiso.CompileSuper(g, r.hitAlgo)
-	return h
+func newHitClassifier(pl *queryPlan, st *QueryStats) *hitClassifier {
+	return &hitClassifier{pl: pl, memo: pl.verdicts(), st: st}
 }
 
 func (h *hitClassifier) visit(e *cache.Entry, mayContain, mayBeContained bool) {
@@ -951,16 +880,14 @@ func (h *hitClassifier) visit(e *cache.Entry, mayContain, mayBeContained bool) {
 	// verdict is stored for the next repeat. A false prefilter verdict
 	// means the relation is guaranteed absent, so nothing needs to be
 	// computed or memoized on that side.
-	var bits uint8
-	if h.memo != nil {
-		bits = h.memo[e.Query]
-	}
+	qf := h.pl.qf
+	bits := h.memo[e.Query]
 	isContaining := false
 	if mayContain {
 		if bits&memoContainKnown != 0 {
 			isContaining = bits&memoContainTrue != 0
 		} else {
-			isContaining = h.qf.SubsumedBy(e.Fp) && h.gAsPattern.Contains(e.Query)
+			isContaining = qf.SubsumedBy(e.Fp) && h.pl.gAsPattern.Contains(e.Query)
 			bits |= memoContainKnown
 			if isContaining {
 				bits |= memoContainTrue
@@ -972,40 +899,36 @@ func (h *hitClassifier) visit(e *cache.Entry, mayContain, mayBeContained bool) {
 		if bits&memoContainedKnown != 0 {
 			isContained = bits&memoContainedTrue != 0
 		} else {
-			isContained = e.Fp.SubsumedBy(h.qf) &&
-				((isContaining && e.Fp.SameSize(h.qf)) || h.gAsTarget.Contains(e.Query))
+			isContained = e.Fp.SubsumedBy(qf) &&
+				((isContaining && e.Fp.SameSize(qf)) || h.pl.gAsTarget.Contains(e.Query))
 			bits |= memoContainedKnown
 			if isContained {
 				bits |= memoContainedTrue
 			}
 		}
 	}
-	if h.memo != nil {
-		h.memo[e.Query] = bits
-	}
+	h.memo[e.Query] = bits
 	h.record(e, isContaining, isContained)
 }
 
-// isoProbe reports whether e.Query is isomorphic to g: exact feature
-// match plus one-directional containment. The containment verdict is
-// read from (and recorded into) the plan memo when one is attached.
+// isoProbe reports whether e.Query is isomorphic to the query: exact
+// feature match plus one-directional containment. The containment
+// verdict is read from (and recorded into) the plan memo.
 func (h *hitClassifier) isoProbe(e *cache.Entry) bool {
-	if !h.qf.SubsumedBy(e.Fp) || !e.Fp.SubsumedBy(h.qf) {
+	qf := h.pl.qf
+	if !qf.SubsumedBy(e.Fp) || !e.Fp.SubsumedBy(qf) {
 		return false
 	}
-	if h.memo != nil {
-		if bits := h.memo[e.Query]; bits&memoContainKnown != 0 {
-			return bits&memoContainTrue != 0
-		}
+	bits := h.memo[e.Query]
+	if bits&memoContainKnown != 0 {
+		return bits&memoContainTrue != 0
 	}
-	v := h.gAsPattern.Contains(e.Query)
-	if h.memo != nil {
-		bits := h.memo[e.Query] | memoContainKnown
-		if v {
-			bits |= memoContainTrue
-		}
-		h.memo[e.Query] = bits
+	bits |= memoContainKnown
+	v := h.pl.gAsPattern.Contains(e.Query)
+	if v {
+		bits |= memoContainTrue
 	}
+	h.memo[e.Query] = bits
 	return v
 }
 
@@ -1020,7 +943,7 @@ func (h *hitClassifier) record(e *cache.Entry, isContaining, isContained bool) {
 	}
 	if isContaining {
 		h.st.ContainingHits++
-		if h.kind == cache.KindSub {
+		if h.pl.kind == cache.KindSub {
 			h.direct = append(h.direct, e)
 		} else {
 			h.restrict = append(h.restrict, e)
@@ -1028,7 +951,7 @@ func (h *hitClassifier) record(e *cache.Entry, isContaining, isContained bool) {
 	}
 	if isContained {
 		h.st.ContainedHits++
-		if h.kind == cache.KindSub {
+		if h.pl.kind == cache.KindSub {
 			h.restrict = append(h.restrict, e)
 		} else {
 			h.direct = append(h.direct, e)
@@ -1057,5 +980,9 @@ func (r *Runtime) String() string {
 		mode = fmt.Sprintf("%s/%s cap=%d win=%d",
 			r.cache.Model(), r.cache.Config().Policy, r.cache.Config().Capacity, r.cache.Config().WindowSize)
 	}
-	return fmt.Sprintf("Runtime(M=%s %s)", r.algo.Name(), mode)
+	method := "measured"
+	if len(r.planner.algos) == 1 {
+		method = r.algo.Name()
+	}
+	return fmt.Sprintf("Runtime(M=%s %s)", method, mode)
 }

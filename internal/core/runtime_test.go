@@ -41,8 +41,12 @@ func TestNewRuntimeValidation(t *testing.T) {
 	if _, err := NewRuntime(nil, Options{Algorithm: subiso.VF2{}}); err == nil {
 		t.Error("nil dataset accepted")
 	}
-	if _, err := NewRuntime(ds, Options{}); err == nil {
-		t.Error("nil algorithm accepted")
+	unpinned, err := NewRuntime(ds, Options{})
+	if err != nil {
+		t.Fatalf("nil algorithm (measured choice) rejected: %v", err)
+	}
+	if got := unpinned.String(); got != "Runtime(M=measured no-cache)" {
+		t.Errorf("unpinned String() = %q", got)
 	}
 	r, err := NewRuntime(ds, Options{Algorithm: subiso.VF2{}})
 	if err != nil {
@@ -54,8 +58,8 @@ func TestNewRuntimeValidation(t *testing.T) {
 	if _, err := r.SubgraphQuery(nil); err == nil {
 		t.Error("nil query accepted")
 	}
-	if r.Algorithm().Name() != "VF2" {
-		t.Error("Algorithm accessor wrong")
+	if got := r.String(); got != "Runtime(M=VF2 no-cache)" {
+		t.Errorf("pinned String() = %q", got)
 	}
 	if r.Dataset() != ds {
 		t.Error("Dataset accessor wrong")

@@ -25,11 +25,34 @@ import (
 // can evict different entries — a timing artifact, not a restore
 // defect, and exactly why the policy bookkeeping (R, hits, recency) is
 // persisted while measured timings are allowed to re-learn.
+//
+// Plans are re-learned too: a restored runtime starts with a cold plan
+// cache and empty cost moments, so PlanCached and the cost-gated
+// VerifyWorkers are excluded from the comparison, and with Method M
+// pinned everything else must agree. Unpinned, the restored runtime may
+// legitimately pick another algorithm; answers and every count — tests
+// run, tests saved, hit classification — must agree all the same.
 func TestRuntimeStateRoundTrip(t *testing.T) {
+	t.Run("pinned", func(t *testing.T) { runtimeStateRoundTrip(t, subiso.VF2{}) })
+	t.Run("unpinned", func(t *testing.T) { runtimeStateRoundTrip(t, nil) })
+}
+
+func runtimeStateRoundTrip(t *testing.T, method subiso.Algorithm) {
+	newRT := func(ds *dataset.Dataset) *Runtime {
+		t.Helper()
+		r, err := NewRuntime(ds, Options{
+			Algorithm: method,
+			Cache:     &cache.Config{Capacity: 8, WindowSize: 3, Model: cache.ModelCON, Policy: cache.PolicyPIN},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		ds, pool := newTestDataset(rng, 24)
-		rt := cachedRuntime(t, ds, cache.ModelCON, cache.PolicyPIN)
+		rt := newRT(ds)
 
 		queries := make([]*graph.Graph, 14)
 		for i := range queries {
@@ -73,7 +96,7 @@ func TestRuntimeStateRoundTrip(t *testing.T) {
 
 		st := rt.ExportState()
 		ds2 := dataset.Restore(ds.Export())
-		rt2 := cachedRuntime(t, ds2, cache.ModelCON, cache.PolicyPIN)
+		rt2 := newRT(ds2)
 		if err := rt2.RestoreState(st); err != nil {
 			t.Fatal(err)
 		}
@@ -120,6 +143,12 @@ func TestRuntimeStateRoundTrip(t *testing.T) {
 			sa.HitTime, sb.HitTime = 0, 0
 			sa.Overhead, sb.Overhead = 0, 0
 			sa.ConsistencyTime, sb.ConsistencyTime = 0, 0
+			sa.PlanTime, sb.PlanTime = 0, 0
+			sa.PlanCached, sb.PlanCached = false, false
+			sa.VerifyWorkers, sb.VerifyWorkers = 0, 0
+			if method == nil {
+				sa.PlanAlgorithm, sb.PlanAlgorithm = "", ""
+			}
 			if sa != sb {
 				t.Fatalf("seed %d, step %d: stats diverge:\n a: %+v\n b: %+v", seed, i, sa, sb)
 			}

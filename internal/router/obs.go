@@ -143,9 +143,9 @@ func (s *Server) initObs() {
 	o.lastSnapEpoch = r.Gauge("gcplus_last_snapshot_epoch",
 		"Epoch of the newest durable snapshot generation.", nil)
 	o.planCacheHits = r.Counter("gcplus_plan_cache_hits_total",
-		"Compiled-plan cache hits across shards (0 unless the planner is on).", nil)
+		"Queries that reused a cached compiled plan, across shards.", nil)
 	o.planCacheMisses = r.Counter("gcplus_plan_cache_misses_total",
-		"Compiled-plan cache misses across shards (0 unless the planner is on).", nil)
+		"Queries that compiled a fresh plan, across shards.", nil)
 
 	o.degradeLevel = r.Gauge("gcplus_degradation_level",
 		"Active degradation rung (0 none, 1 capped-verify, 2 cache-bypass).", nil)

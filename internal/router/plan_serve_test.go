@@ -16,14 +16,12 @@ import (
 // TestQueryLimitExactPrefix pins the serving layer's streaming contract:
 // for any limit, SubgraphQueryLimitCtx returns exactly the min(limit, n)
 // smallest ids of the full n-id answer, with Truncated set whenever ids
-// were withheld — across shard merge, planner on.
+// were withheld — across shard merge, Method M chosen by measurement.
 func TestQueryLimitExactPrefix(t *testing.T) {
 	initial := genGraphs(t, 60, 29)
 	srv, err := New(initial, Options{
-		Shards:        3,
-		Method:        "VF2",
-		EnablePlanner: true,
-		Cache:         &cache.Config{Capacity: 30, WindowSize: 5},
+		Shards: 3,
+		Cache:  &cache.Config{Capacity: 30, WindowSize: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +93,7 @@ func TestQueryLimitExactPrefix(t *testing.T) {
 // truncated field and the plan-cache counter in /metrics.
 func TestHTTPQueryLimit(t *testing.T) {
 	initial := genGraphs(t, 40, 31)
-	srv, err := New(initial, Options{Shards: 2, Method: "VF2", EnablePlanner: true})
+	srv, err := New(initial, Options{Shards: 2, Method: "VF2"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,12 +98,15 @@ func validTransport(t string) bool {
 }
 
 // Options configures a Server. The zero value gives 4 shards with the
-// paper-default CON cache (capacity 100, window 20, HD policy) and VF2.
+// paper-default CON cache (capacity 100, window 20, HD policy) and
+// Method M chosen by measurement.
 type Options struct {
 	// Shards is the number of runtime shards (default 4).
 	Shards int
-	// Method names Method M's sub-iso verifier: "VF2" (default), "VF2+",
-	// "GQL". Each shard gets its own verifier instance.
+	// Method pins Method M's sub-iso verifier on every shard: "VF2",
+	// "VF2+" or "GQL". Empty (the default) leaves the choice to each
+	// shard's planner, which measures the candidates' per-test cost per
+	// query kind and runs the cheapest; answers are identical either way.
 	Method string
 	// Cache configures each shard's GC+ cache — capacity, window,
 	// model, policy, repair queue. Nil means the default CON cache; use
@@ -119,16 +122,6 @@ type Options struct {
 	// latency-sensitive deployments where single queries face large
 	// candidate sets.
 	VerifyParallelism int
-	// EnablePlanner turns on each shard runtime's cost-based query
-	// planner and compiled-plan cache (core.Options.EnablePlanner):
-	// per-query algorithm and parallelism choice from measured cost
-	// moments, with plans cached under the canonical query key so
-	// isomorphic repeats skip compilation. Answers are bit-identical
-	// either way.
-	EnablePlanner bool
-	// PlanCacheSize bounds each shard's compiled-plan cache; ≤ 0 means
-	// the core default. Only meaningful with EnablePlanner.
-	PlanCacheSize int
 	// RepairParallelism bounds each shard's background repair worker:
 	// validity bits cleared by CON validation are re-verified off the
 	// query path by up to this many goroutines and restored when the
@@ -259,9 +252,6 @@ const DefaultSnapshotEvery = 256
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
-	}
-	if o.Method == "" {
-		o.Method = "VF2"
 	}
 	if o.Cache == nil && !o.DisableCache {
 		o.Cache = &cache.Config{}
@@ -705,17 +695,16 @@ func (s *Server) buildClients() error {
 }
 
 // shardCoreOptions builds one shard runtime's options (each shard gets
-// its own verifier instance and its own copy of the cache config).
+// its own copy of the cache config). An empty Method leaves Algorithm
+// nil: the shard's planner measures and chooses.
 func (s *Server) shardCoreOptions() (core.Options, error) {
-	algo, err := subiso.New(s.opts.Method)
-	if err != nil {
-		return core.Options{}, err
-	}
-	coreOpts := core.Options{
-		Algorithm:         algo,
-		VerifyParallelism: s.opts.VerifyParallelism,
-		EnablePlanner:     s.opts.EnablePlanner,
-		PlanCacheSize:     s.opts.PlanCacheSize,
+	coreOpts := core.Options{VerifyParallelism: s.opts.VerifyParallelism}
+	if s.opts.Method != "" {
+		algo, err := subiso.New(s.opts.Method)
+		if err != nil {
+			return core.Options{}, err
+		}
+		coreOpts.Algorithm = algo
 	}
 	if !s.opts.DisableCache {
 		cfg := *s.opts.Cache
@@ -1296,7 +1285,7 @@ type Stats struct {
 	// the bounded ring has since overwritten.
 	SlowQueries int64 `json:"slow_queries"`
 	// PlanCacheHits/PlanCacheMisses sum the shards' compiled-plan cache
-	// outcomes (both zero unless Options.EnablePlanner).
+	// outcomes: every shard execution of a query is one or the other.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
 

@@ -40,10 +40,9 @@ type ShardTrace struct {
 	HitCandidates int  `json:"hit_candidates"`
 	ExactHit      bool `json:"exact_hit,omitempty"`
 	EmptyShortcut bool `json:"empty_shortcut,omitempty"`
-	// Planner outcome for this shard's execution (planner-enabled
-	// servers only): the chosen Method M algorithm, whether the compiled
-	// plan came from the plan cache, and whether streaming stopped
-	// verification early.
+	// Plan this shard executed under: the Method M algorithm (pinned or
+	// the planner's measured choice), whether the compiled plan came from
+	// the plan cache, and whether streaming stopped verification early.
 	PlanAlgo   string `json:"plan_algo,omitempty"`
 	PlanCached bool   `json:"plan_cached,omitempty"`
 	Truncated  bool   `json:"truncated,omitempty"`

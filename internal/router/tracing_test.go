@@ -84,8 +84,15 @@ func TestTraceDifferentialTransports(t *testing.T) {
 		}
 		// Snapshot is newest-first and both servers ran the same
 		// sequence, so index i is the same request on both transports.
-		for _, tt := range snap {
-			shapes[tr] = append(shapes[tr], traceShape(tt))
+		// Every query runs under a plan, so every shard subtree of a
+		// query trace (all but the newest, the update) carries the plan
+		// span with its two attributes.
+		for i, tt := range snap {
+			shape := traceShape(tt)
+			if n := strings.Count(shape, "shard>plan(algorithm,cached)"); i > 0 && n != opts.Shards {
+				t.Fatalf("%s: query trace has %d plan spans, want %d:\n%s", tr, n, opts.Shards, shape)
+			}
+			shapes[tr] = append(shapes[tr], shape)
 		}
 		srv.Close()
 	}

@@ -15,10 +15,10 @@ import (
 // goroutine (the wire server builds it on its writer goroutine, the
 // router builds it during trace assembly), so the serial shard owner
 // never pays for span construction. Crucially, which spans exist
-// depends only on non-timing stats fields (plan algorithm, cache
-// bypass, error), never on measured durations, so the local and
-// loopback transports produce identically shaped trees by
-// construction: both run this exact function over the same stats.
+// depends only on non-timing stats fields (cache bypass, error), never
+// on measured durations, so the local and loopback transports produce
+// identically shaped trees by construction: both run this exact function
+// over the same stats.
 
 // BuildShardSpans synthesizes the span subtree for one shard's query:
 // a "shard" root parented under tc.Parent (the router's fan-out span)
@@ -26,7 +26,7 @@ import (
 //
 //	shard
 //	├── queue            (always; measured owner-queue wait)
-//	├── plan             (iff a plan was computed: st.PlanAlgorithm set)
+//	├── plan             (always on success: algorithm, cached)
 //	├── consistency      (iff the cache path ran)
 //	├── hit              (iff the cache path ran)
 //	└── verify           (always on success)
@@ -102,11 +102,9 @@ func AppendShardSpans(dst []trace.Span, tc trace.Context, shard int, startNanos 
 		return spans
 	}
 
-	if st.PlanAlgorithm != "" {
-		p := child("plan", st.PlanTime)
-		p.SetAttr("algorithm", st.PlanAlgorithm)
-		p.SetAttr("cached", strconv.FormatBool(st.PlanCached))
-	}
+	p := child("plan", st.PlanTime)
+	p.SetAttr("algorithm", st.PlanAlgorithm)
+	p.SetAttr("cached", strconv.FormatBool(st.PlanCached))
 	if cacheEnabled && !st.CacheBypassed {
 		child("consistency", st.ConsistencyTime)
 		hs := child("hit", st.HitTime)

@@ -208,7 +208,7 @@ func (m *Matcher) Contains(other *graph.Graph) bool {
 func (m *Matcher) prepare(np, nt int) {
 	sc := &m.sc
 	sc.growPattern(np)
-	sc.growTarget(nt)
+	sc.used = growBool(sc.used, nt)
 	core := sc.core[:np]
 	for i := range core {
 		core[i] = -1
@@ -229,7 +229,9 @@ type scratch struct {
 	gdone, gadj                             []bool
 	cand                                    [][]int32
 	inCand                                  [][]bool
-	// target-sized
+	// target-sized; bm is GraphQL's alone and grows only on its path, so
+	// a cached VF2/VF2+ matcher does not retain matching buffers it never
+	// touches
 	used []bool
 	bm   bipartiteMatcher
 }
@@ -264,11 +266,6 @@ func (sc *scratch) growPattern(np int) {
 	for len(sc.inCand) < np {
 		sc.inCand = append(sc.inCand, nil)
 	}
-}
-
-func (sc *scratch) growTarget(nt int) {
-	sc.used = growBool(sc.used, nt)
-	sc.bm.grow(nt)
 }
 
 // buildOrder is connectedOrder on scratch: each vertex after the first of
@@ -425,6 +422,7 @@ func (m *Matcher) gql() bool {
 	p, t := m.cp, m.ct
 	np, nt := p.NumVertices(), t.NumVertices()
 	sc := &m.sc
+	sc.bm.grow(nt)
 
 	// Stage 1: local pruning into pooled candidate rows.
 	for u := 0; u < np; u++ {

@@ -573,7 +573,7 @@ func TestContractTracing(t *testing.T) {
 				}
 			}
 			shape := spanShape(spans)
-			for _, stage := range []string{"queue", "consistency", "hit", "verify"} {
+			for _, stage := range []string{"queue", "plan", "consistency", "hit", "verify"} {
 				if !strings.Contains(shape, stage) {
 					t.Fatalf("span set %q missing stage %q", shape, stage)
 				}
