@@ -94,9 +94,9 @@
 // CON validation only ever clears validity bits, so update-heavy
 // traffic steadily erodes the cache's pruning power. Each Server shard
 // runs a background repair worker: validity bits cleared by validation
-// are queued (via an inverted invalidation index that also makes
-// validation touch only affected entries), re-verified off the query
-// path with forked compiled matchers, and atomically restored when the
+// (Algorithm 2's sweep, which queues them by graph id, then entry ID)
+// are re-verified off the query path with forked compiled matchers,
+// and atomically restored when the
 // relation still holds against the current graph version. Repair is
 // coordinated with the single-writer update sequence — the capture and
 // commit steps run on the shard's worker goroutine, and a commit is

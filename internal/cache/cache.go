@@ -100,14 +100,11 @@ type Cache struct {
 	clock      int64
 	appliedSeq uint64
 
-	// idx is the inverted invalidation index: graph id -> slots of
-	// entries whose Valid bit covers it (see index.go).
-	idx *invIndex
 	// qidx is the query index backing sub-linear hit discovery (see
 	// qindex.go).
 	qidx *queryIndex
 	// slots holds the live entries by slot; freeSlots recycles slots of
-	// evicted entries so index bitsets stay small.
+	// evicted entries so query-index bitsets stay small.
 	slots     []*Entry
 	freeSlots []int
 	// repairQ is the bounded FIFO of invalidated pairs awaiting repair.
@@ -130,7 +127,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Cache{cfg: cfg, idx: newInvIndex(), qidx: newQueryIndex()}
+	return &Cache{cfg: cfg, qidx: newQueryIndex()}
 }
 
 // Config returns the effective configuration.
@@ -204,7 +201,6 @@ func (c *Cache) AddWithRelations(e *Entry, containing, contained []*Entry) {
 		e.LastUsed = c.Tick()
 	}
 	c.assignSlot(e)
-	c.idx.addEntry(e)
 	c.qidx.addEntry(e, containing, contained)
 	c.window = append(c.window, e)
 	if len(c.window) >= c.cfg.WindowSize {
@@ -214,7 +210,7 @@ func (c *Cache) AddWithRelations(e *Entry, containing, contained []*Entry) {
 
 // flushWindow moves the window into the cache and evicts down to capacity
 // using the configured policy. Entries keep their slots across the move,
-// so neither index changes.
+// so the query index does not change.
 func (c *Cache) flushWindow() {
 	c.entries = append(c.entries, c.window...)
 	c.admitted += int64(len(c.window))

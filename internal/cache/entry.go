@@ -11,12 +11,13 @@
 //   - ModelCON refreshes each cached query's CGvalid bitset from the Log
 //     Analyzer's counters, preserving still-valid results (§5.2).
 //
-// Beyond the paper, the cache maintains two slot-addressed indexes over
-// its entries: the inverted invalidation index (index.go), which lets
-// the Validator and the background repair pipeline touch only affected
-// (entry, graph) pairs, and the query index (qindex.go), which makes
-// hit discovery sub-linear in the cache size and memoizes
-// query-to-query containment relations for repeated queries.
+// Beyond the paper, the cache queues every validity bit the Validator
+// clears for off-path repair (index.go), and keeps a slot-addressed
+// query index over its entries (qindex.go), which makes hit discovery
+// sub-linear in the cache size and memoizes query-to-query containment
+// relations for repeated queries. The Validator itself is Algorithm 2's
+// sweep over the entries, so admission, eviction and the iso-hit
+// refresh do no per-graph work.
 package cache
 
 import (
@@ -82,10 +83,9 @@ type Entry struct {
 	// contribution (LRU).
 	LastUsed int64
 
-	// slot is the entry's index in the cache's slot table; the inverted
-	// invalidation index and the query index both address entries by
-	// slot so their bitsets stay dense under eviction churn. Managed by
-	// Cache.assignSlot/releaseEntry.
+	// slot is the entry's index in the cache's slot table; the query
+	// index addresses entries by slot so its bitsets stay dense under
+	// eviction churn. Managed by Cache.assignSlot/releaseEntry.
 	slot int
 	// dead marks an evicted or purged entry so queued repair tasks that
 	// still reference it are skipped instead of resurrecting its bits.

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"gcplus/internal/bitset"
+	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
 	"gcplus/internal/subiso"
 )
@@ -115,6 +117,64 @@ func FuzzQueryIndex(f *testing.F) {
 				}
 				c.AddWithRelations(e, containing, contained)
 				check("add")
+			}
+		}
+	})
+}
+
+// FuzzValidateMatchesRefresh drives a random stream of admissions (and
+// with them window flushes and evictions), iso-hit refreshes, repair
+// drains and restores, purges and validations over random op logs.
+// After every step CheckIndex must pass; every validation must match the
+// per-entry Refresh/RefreshStrict reference bit for bit and append the
+// cleared pairs to the repair queue by graph id, then entry ID
+// (validateAgainstReference).
+func FuzzValidateMatchesRefresh(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 6, 6, 6, 6, 6, 6})
+	f.Add([]byte{2, 200, 63, 17, 99, 250, 1, 42, 42, 42, 13, 13, 13, 7, 7, 6, 6})
+	f.Add([]byte{3, 255, 254, 253, 3, 9, 27, 81, 243, 12, 34, 56, 78, 90, 5, 4, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		const maxID = 12
+		c := New(Config{
+			Capacity:           2 + int(data[0]>>1)%5,
+			WindowSize:         1 + int(data[0]>>4)%3,
+			StrictInvalidation: data[0]&1 == 1,
+			RepairQueue:        int(data[1] % 24), // 0 disables collection
+		})
+		rng := rand.New(rand.NewSource(int64(data[1])))
+		var live []*Entry
+		refreshLive := func() {
+			live = live[:0]
+			c.ForEach(func(e *Entry) bool {
+				live = append(live, e)
+				return true
+			})
+		}
+		for _, b := range data[2:] {
+			refreshLive()
+			switch op := b % 8; {
+			case op < 3: // admit
+				c.Add(randomEntry(rng, maxID))
+			case op < 5: // validate a random op log
+				recs, seq := randomLog(rng, c, 1+int(b>>3)%6, maxID)
+				validateAgainstReference(t, c, dataset.Analyze(recs), seq)
+			case op == 5 && len(live) > 0: // iso-hit refresh
+				e := live[rng.Intn(len(live))]
+				fresh := randomEntry(rng, maxID)
+				c.RefreshEntry(e, fresh.Answer, fresh.Valid)
+			case op == 6: // drain and restore some repairs
+				for _, task := range c.DrainRepairs(1 + int(b>>3)%4) {
+					c.RestoreBit(task.Entry, task.GraphID, rng.Intn(2) == 0)
+				}
+			case op == 7 && b&0x80 != 0: // purge (rarer)
+				c.Purge()
+			}
+			if err := c.CheckIndex(); err != nil {
+				t.Fatalf("after byte %d: %v", b, err)
 			}
 		}
 	})

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"gcplus/internal/bitset"
@@ -39,8 +41,9 @@ func randomEntry(rng *rand.Rand, maxID int) *Entry {
 }
 
 // TestIndexAcrossAdmitEvictPurge drives the full entry lifecycle —
-// admission, window flush, eviction, validation, repair restore, purge —
-// checking the invalidation-index invariant after every mutation.
+// admission, window flush, eviction, validation, iso-hit refresh, repair
+// restore, purge — checking the slot-table and sweep-order invariants
+// after every mutation and every validation against the reference.
 func TestIndexAcrossAdmitEvictPurge(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := New(Config{Capacity: 8, WindowSize: 3, Policy: PolicyPIN, RepairQueue: 64})
@@ -55,7 +58,16 @@ func TestIndexAcrossAdmitEvictPurge(t *testing.T) {
 				op = dataset.OpUpdateRemoveEdge
 			}
 			seq := c.AppliedSeq() + 1
-			c.Validate(dataset.Analyze([]dataset.Record{{Seq: seq, Op: op, GraphID: id}}), seq)
+			validateAgainstReference(t, c, dataset.Analyze([]dataset.Record{{Seq: seq, Op: op, GraphID: id}}), seq)
+			requireIndex(t, c)
+		}
+		if rng.Intn(6) == 0 {
+			var live []*Entry
+			c.ForEach(func(e *Entry) bool {
+				live = append(live, e)
+				return true
+			})
+			c.RefreshEntry(live[rng.Intn(len(live))], bitset.FromIndices(rng.Intn(maxID)), bitset.FromIndices(0, 1, 2, 3))
 			requireIndex(t, c)
 		}
 		if rng.Intn(5) == 0 {
@@ -78,58 +90,165 @@ func TestIndexAcrossAdmitEvictPurge(t *testing.T) {
 	requireIndex(t, c)
 }
 
+// repairPair is one repair-queue element as (entry ID, graph id).
+type repairPair struct{ entry, graph int }
+
+// validateAgainstReference runs c.Validate(ctrs, seq) and checks it
+// against the per-entry Algorithm 2 reference: every live entry's Valid
+// bitset must equal a clone refreshed with Refresh (RefreshStrict under
+// StrictInvalidation), every Seq must be seq, and the pairs appended to
+// the repair queue must be exactly the cleared bits in reference order —
+// touched graph ids ascending, entry IDs ascending within an id — cut at
+// the queue bound, with the overflow counted as dropped. It returns the
+// cleared pairs.
+func validateAgainstReference(t testing.TB, c *Cache, ctrs *dataset.Counters, seq uint64) []repairPair {
+	t.Helper()
+	var entries, refs []*Entry
+	c.ForEach(func(e *Entry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	sort.Slice(entries, func(a, b int) bool { return entries[a].ID < entries[b].ID })
+	for _, e := range entries {
+		ref := &Entry{ID: e.ID, Kind: e.Kind, Answer: e.Answer.Clone(), Valid: e.Valid.Clone()}
+		if c.cfg.StrictInvalidation {
+			ref.RefreshStrict(ctrs, seq)
+		} else {
+			ref.Refresh(ctrs, seq)
+		}
+		refs = append(refs, ref)
+	}
+	touched := ctrs.TouchedIDs()
+	sort.Ints(touched)
+	var cleared []repairPair
+	for _, id := range touched {
+		for i, e := range entries {
+			if e.Valid.Get(id) && !refs[i].Valid.Get(id) {
+				cleared = append(cleared, repairPair{e.ID, id})
+			}
+		}
+	}
+	queuedBefore := len(c.repairQ)
+	_, droppedBefore := c.RepairCounters()
+
+	c.Validate(ctrs, seq)
+
+	for i, e := range entries {
+		if !e.Valid.Equal(refs[i].Valid) {
+			t.Fatalf("strict=%v entry #%d: Validate got %v, reference %v",
+				c.cfg.StrictInvalidation, e.ID, e.Valid.Indices(), refs[i].Valid.Indices())
+		}
+		if e.Seq != seq {
+			t.Fatalf("entry #%d: Seq %d, want %d", e.ID, e.Seq, seq)
+		}
+	}
+	want := cleared
+	if c.cfg.RepairQueue <= 0 {
+		want = nil
+	} else if room := c.cfg.RepairQueue - queuedBefore; len(want) > room {
+		want = want[:room]
+	}
+	var got []repairPair
+	for _, task := range c.repairQ[queuedBefore:] {
+		got = append(got, repairPair{task.Entry.ID, task.GraphID})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("repair queue got %v, want %v", got, want)
+	}
+	_, dropped := c.RepairCounters()
+	if c.cfg.RepairQueue > 0 && int(dropped-droppedBefore) != len(cleared)-len(want) {
+		t.Fatalf("dropped %d pairs, want %d", dropped-droppedBefore, len(cleared)-len(want))
+	}
+	return cleared
+}
+
+// randomLog returns a log of n records over graph ids [0, maxID) with
+// uniformly drawn op types, numbered after c's applied sequence.
+func randomLog(rng *rand.Rand, c *Cache, n, maxID int) ([]dataset.Record, uint64) {
+	seq := c.AppliedSeq()
+	recs := make([]dataset.Record, n)
+	for i := range recs {
+		seq++
+		recs[i] = dataset.Record{Seq: seq, Op: dataset.OpType(rng.Intn(4)), GraphID: rng.Intn(maxID)}
+	}
+	return recs, seq
+}
+
 // TestValidateMatchesRefreshReference is the differential check of the
-// index-based Validator: its effect on every entry must be bit-identical
-// to the reference per-entry Refresh/RefreshStrict sweep.
+// sweeping Validator: on admitted and windowed entries with some bits
+// already dead, its effect on every entry must be bit-identical to the
+// reference per-entry Refresh/RefreshStrict sweep, and the repair queue
+// must list the cleared pairs by graph id, then entry ID.
 func TestValidateMatchesRefreshReference(t *testing.T) {
 	for _, strict := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(11))
-		c := New(Config{Capacity: 10, WindowSize: 4, StrictInvalidation: strict})
+		c := New(Config{Capacity: 10, WindowSize: 4, StrictInvalidation: strict, RepairQueue: 1 << 10})
 		const maxID = 10
-		var refs []*Entry // parallel clones refreshed with the reference code
-		for i := 0; i < 12; i++ {
-			e := randomEntry(rng, maxID)
-			ref := NewEntry(e.Query, e.Kind, e.Answer, e.Valid, e.Seq, e.CostEst)
-			c.Add(e)
-			refs = append(refs, ref)
+		for i := 0; i < 14; i++ {
+			c.Add(randomEntry(rng, maxID))
 		}
-		var recs []dataset.Record
-		seq := uint64(0)
-		for id := 0; id < maxID; id++ {
-			for n := rng.Intn(3); n > 0; n-- {
-				seq++
-				recs = append(recs, dataset.Record{
-					Seq: seq, Op: dataset.OpType(rng.Intn(4)), GraphID: id,
-				})
+		if c.WindowLen() == 0 || c.Size() == 0 {
+			t.Fatalf("want entries in both stores, have %d admitted, %d windowed", c.Size(), c.WindowLen())
+		}
+		windowed := map[int]bool{}
+		for _, e := range c.window {
+			windowed[e.ID] = true
+		}
+		dead, windowCleared := 0, 0
+		for round := 0; round < 3; round++ {
+			c.ForEach(func(e *Entry) bool {
+				dead += maxID - e.Valid.Count()
+				return true
+			})
+			recs, seq := randomLog(rng, c, 8, maxID)
+			for _, p := range validateAgainstReference(t, c, dataset.Analyze(recs), seq) {
+				if windowed[p.entry] {
+					windowCleared++
+				}
 			}
+			requireIndex(t, c)
 		}
-		ctrs := dataset.Analyze(recs)
-		c.Validate(ctrs, seq)
-		requireIndex(t, c)
+		if dead == 0 || windowCleared == 0 {
+			t.Fatalf("strict=%v: scenario too weak: %d dead bits, %d window bits cleared", strict, dead, windowCleared)
+		}
+	}
+}
 
-		byID := map[int]*Entry{}
-		c.ForEach(func(e *Entry) bool {
-			byID[e.ID] = e
-			return true
-		})
-		for i := 0; i < len(refs); i++ {
-			e, ok := byID[i]
-			if !ok {
-				continue // evicted; reference has nothing to compare against
+// BenchmarkValidate times one CON validation of a 4-op UA/UR batch over
+// a full cache at the paper's sizes (100 admitted + 19 windowed entries,
+// 600 live graphs), plus the repair restores that return the cleared
+// bits, so every iteration sees the same steady, nearly fully valid
+// cache a serving shard does.
+func BenchmarkValidate(b *testing.B) {
+	const live = 600
+	rng := rand.New(rand.NewSource(9))
+	c := New(Config{RepairQueue: 1 << 12})
+	valid := bitset.New(live)
+	for id := 0; id < live; id++ {
+		valid.Set(id)
+	}
+	for c.Size()+c.WindowLen() < 119 {
+		answer := bitset.New(live)
+		for id := 0; id < live; id++ {
+			answer.SetTo(id, rng.Intn(3) == 0)
+		}
+		c.Add(NewEntry(graph.Path(1, 2), Kind(rng.Intn(2)), answer, valid, 0, 1))
+	}
+	recs := make([]dataset.Record, 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq := c.AppliedSeq()
+		for j := range recs {
+			seq++
+			op := dataset.OpUpdateAddEdge
+			if rng.Intn(2) == 0 {
+				op = dataset.OpUpdateRemoveEdge
 			}
-			ref := refs[i]
-			if strict {
-				ref.RefreshStrict(ctrs, seq)
-			} else {
-				ref.Refresh(ctrs, seq)
-			}
-			if !e.Valid.Equal(ref.Valid) {
-				t.Fatalf("strict=%v entry %d: Validate got %v, Refresh reference %v",
-					strict, i, e.Valid.Indices(), ref.Valid.Indices())
-			}
-			if e.Seq != seq {
-				t.Fatalf("strict=%v entry %d: Seq %d, want %d", strict, i, e.Seq, seq)
-			}
+			recs[j] = dataset.Record{Seq: seq, Op: op, GraphID: rng.Intn(live)}
+		}
+		c.Validate(dataset.Analyze(recs), seq)
+		for _, task := range c.DrainRepairs(1 << 12) {
+			c.RestoreBit(task.Entry, task.GraphID, task.Entry.Answer.Get(task.GraphID))
 		}
 	}
 }
@@ -228,7 +347,7 @@ func TestRepairQueueBoundAndDrain(t *testing.T) {
 		t.Fatalf("drain not FIFO: %v then %v", tasks[0], tasks[1])
 	}
 
-	// Restore works and maintains the index; restoring on a dead entry
+	// Restore works and keeps the invariants; restoring on a dead entry
 	// is refused.
 	if !c.RestoreBit(tasks[0].Entry, tasks[0].GraphID, true) {
 		t.Fatal("RestoreBit refused a live entry")
@@ -252,18 +371,34 @@ func TestRepairQueueBoundAndDrain(t *testing.T) {
 	requireIndex(t, c)
 }
 
-// TestRefreshEntryReindexes: the iso-hit refresh path must rebuild the
-// index for the rewritten bitsets.
-func TestRefreshEntryReindexes(t *testing.T) {
-	c := New(Config{Capacity: 4, WindowSize: 2})
+// TestRefreshEntryRewritesBitsets: the iso-hit refresh path overwrites
+// the entry's Answer and Valid bitsets in place (copies, not aliases of
+// the caller's sets), and the next validation sweeps the rewritten bits.
+func TestRefreshEntryRewritesBitsets(t *testing.T) {
+	c := New(Config{Capacity: 4, WindowSize: 2, RepairQueue: 8})
 	e := testEntry(KindSub, []int{0}, []int{0, 1}, 0)
 	c.Add(e)
-	c.RefreshEntry(e, bitset.FromIndices(2), bitset.FromIndices(2, 3, 4))
+	answer, valid := bitset.FromIndices(2), bitset.FromIndices(2, 3, 4)
+	c.RefreshEntry(e, answer, valid)
 	requireIndex(t, c)
 	if got := e.Valid.String(); got != "{2, 3, 4}" {
 		t.Fatalf("Valid after refresh = %s", got)
 	}
 	if got := e.Answer.String(); got != "{2}" {
 		t.Fatalf("Answer after refresh = %s", got)
+	}
+	valid.Clear(3)
+	answer.Set(4)
+	if !e.Valid.Get(3) || e.Answer.Get(4) {
+		t.Fatal("RefreshEntry aliased the caller's bitsets")
+	}
+	// A DEL of graph 0 (no longer valid) clears nothing; one of graph 3
+	// clears the rewritten bit.
+	cleared := validateAgainstReference(t, c, dataset.Analyze([]dataset.Record{
+		{Seq: 1, Op: dataset.OpDelete, GraphID: 0},
+		{Seq: 2, Op: dataset.OpDelete, GraphID: 3},
+	}), 2)
+	if want := []repairPair{{e.ID, 3}}; !slices.Equal(cleared, want) {
+		t.Fatalf("validation cleared %v, want %v", cleared, want)
 	}
 }

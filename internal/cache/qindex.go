@@ -20,8 +20,8 @@ import (
 // scaling wall once caches grow past the paper's capacity of 100. The
 // query index replays the original GraphCache's query-index idea on the
 // cache side: per query kind it maintains postings over entry *slots*
-// (the same dense, recycled slot space the inverted invalidation index
-// uses) keyed by containment-monotone features of each entry's query:
+// (the cache's dense, recycled slot table; see index.go) keyed by
+// containment-monotone features of each entry's query:
 //
 //   - per-label postings: slots of entries whose query carries a label;
 //   - vertex- and edge-count buckets: slots grouped by query size;

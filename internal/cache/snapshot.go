@@ -15,13 +15,13 @@ import (
 // relation graph and the pending repair queue, so a restarted server
 // resumes with a warm cache instead of re-executing every query.
 //
-// Both slot-addressed indexes (the inverted invalidation index and the
-// query index's postings) are *rebuilt* from the restored entries rather
-// than persisted: they are pure functions of entry state, rebuilding is
-// linear in the snapshot size, and it keeps the on-disk format
-// independent of index internals. The relation graph is the exception —
-// its edges are the product of pairwise sub-iso tests at admission time
-// and cannot be recomputed cheaply, so Snapshot carries them explicitly.
+// The slot table and the query index's postings are *rebuilt* from the
+// restored entries rather than persisted: they are pure functions of
+// entry state, rebuilding is linear in the snapshot size, and it keeps
+// the on-disk format independent of index internals. The relation graph
+// is the exception — its edges are the product of pairwise sub-iso tests
+// at admission time and cannot be recomputed cheaply, so Snapshot
+// carries them explicitly.
 
 // EntrySnapshot is the exported state of one cached query. All fields
 // are plain values or owned copies; mutating the live cache after export
@@ -156,12 +156,14 @@ func (c *Cache) exportRelations(e *Entry, slotIdx map[int]int, s *Snapshot) {
 }
 
 // Restore rebuilds the cache from a snapshot. The receiver must be
-// freshly constructed (New, no entries admitted yet); both slot indexes
-// are rebuilt from the restored entries, and the relation graph is
-// replayed from the snapshot's adjacency. Restoring into a cache whose
-// configuration differs from the exporter's is allowed — capacity and
-// window bounds re-assert themselves at the next admission, and a
-// disabled query index simply drops the relation graph.
+// freshly constructed (New, no entries admitted yet); the slot table and
+// the query index are rebuilt from the restored entries, and the
+// relation graph is replayed from the snapshot's adjacency. Entry IDs
+// must ascend strictly across Entries and stay below NextID, as every
+// exported snapshot's do: Validate sweeps in that order. Restoring into
+// a cache whose configuration differs from the exporter's is allowed —
+// capacity and window bounds re-assert themselves at the next
+// admission, and a disabled query index simply drops the relation graph.
 func (c *Cache) Restore(s *Snapshot) error {
 	if len(c.entries) != 0 || len(c.window) != 0 || c.nextID != 0 {
 		return fmt.Errorf("cache: Restore requires a fresh cache (have %d entries, %d windowed, nextID %d)",
@@ -171,11 +173,16 @@ func (c *Cache) Restore(s *Snapshot) error {
 		return fmt.Errorf("cache: snapshot window start %d out of range [0,%d]", s.WindowStart, len(s.Entries))
 	}
 	restored := make([]*Entry, len(s.Entries))
+	prevID := -1
 	for i := range s.Entries {
 		es := &s.Entries[i]
 		if es.Query == nil {
 			return fmt.Errorf("cache: snapshot entry %d has no query graph", i)
 		}
+		if es.ID <= prevID || es.ID >= s.NextID {
+			return fmt.Errorf("cache: snapshot entry %d has ID %d, want above %d and below NextID %d", i, es.ID, prevID, s.NextID)
+		}
+		prevID = es.ID
 		e := &Entry{
 			ID:       es.ID,
 			Query:    es.Query,
@@ -191,7 +198,6 @@ func (c *Cache) Restore(s *Snapshot) error {
 		}
 		restored[i] = e
 		c.assignSlot(e)
-		c.idx.addEntry(e)
 		// Replay the relation graph: each unordered pair is recorded
 		// once, when its higher-indexed member is added — exactly how
 		// admission built it — so reciprocal writes in addEntry

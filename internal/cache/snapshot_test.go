@@ -166,6 +166,29 @@ func TestCacheRestoreRejects(t *testing.T) {
 	if err := New(Config{}).Restore(bad2); err == nil {
 		t.Fatal("out-of-range relation index accepted")
 	}
+
+	// Entry IDs must ascend below NextID: Validate sweeps in that order.
+	swapped := c.Export()
+	swapped.Entries[0].ID, swapped.Entries[1].ID = swapped.Entries[1].ID, swapped.Entries[0].ID
+	if err := New(Config{}).Restore(swapped); err == nil {
+		t.Fatal("descending entry IDs accepted")
+	}
+	stale := c.Export()
+	stale.NextID = stale.Entries[len(stale.Entries)-1].ID
+	if err := New(Config{}).Restore(stale); err == nil {
+		t.Fatal("NextID at or below a restored entry ID accepted")
+	}
+}
+
+// TestCheckIndexCatchesSweepOrder: CheckIndex rejects a cache whose
+// stores are out of ascending ID order, the order Validate relies on.
+func TestCheckIndexCatchesSweepOrder(t *testing.T) {
+	c := buildRelatedCache(t, Config{Capacity: 10, WindowSize: 4}, 6, 9)
+	requireIndex(t, c)
+	c.entries[0], c.entries[1] = c.entries[1], c.entries[0]
+	if err := c.CheckIndex(); err == nil {
+		t.Fatal("CheckIndex accepted entries out of ID order")
+	}
 }
 
 // TestCacheRestoreWithoutRelations pins the bare-Add degradation: a

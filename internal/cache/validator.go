@@ -72,43 +72,50 @@ func (e *Entry) refresh(c *dataset.Counters, seq uint64, strict bool) {
 	e.Seq = seq
 }
 
+// sweepOrder returns the admitted store and the window, in that order:
+// together they list every entry in strictly ascending ID order, because
+// IDs are assigned at admission, the window flushes onto the end of the
+// store, and eviction keeps the survivors' order. CheckIndex asserts it.
+func (c *Cache) sweepOrder() [2][]*Entry {
+	return [2][]*Entry{c.entries, c.window}
+}
+
 // Validate runs the Cache Validator over every cached and windowed entry
 // (the paper: "cached graphs/queries by default cover those previous
 // queries in both cache and window"). Counters must describe exactly the
 // log records in (AppliedSeq, seq]. When the cache was configured with
 // StrictInvalidation, the ablated rule is used.
 //
-// Unlike the per-entry Refresh sweep (kept above as the reference
-// semantics), Validate consults the inverted invalidation index: for
-// each touched graph id it visits only the entries whose Valid bit
-// actually covers that id — entries with a dead bit need no work, since
-// Algorithm 2 can only ever *clear* bits. Each bit it clears is queued
-// for background repair (when configured). The result is bit-identical
-// to running Refresh/RefreshStrict on every entry.
+// This is Algorithm 2's per-entry sweep with the two loops swapped: for
+// each touched graph id, ascending, it visits the entries in ascending
+// ID order and skips those whose bit is already dead (Algorithm 2 can
+// only ever *clear* bits). Each bit it clears is queued for background
+// repair (when configured), so the queue lists pairs by graph id, then
+// entry ID. The result is bit-identical to running Refresh/RefreshStrict
+// on every entry.
 func (c *Cache) Validate(ctrs *dataset.Counters, seq uint64) {
 	strict := c.cfg.StrictInvalidation
 	touched := ctrs.TouchedIDs()
 	sort.Ints(touched) // counters are a map; fix the order so the repair queue is deterministic
+	stores := c.sweepOrder()
 	for _, id := range touched {
-		slots := c.idx.byGraph[id]
-		if slots == nil {
-			continue // no entry holds a live bit for this graph
-		}
 		keepPositive := ctrs.UAExclusive(id)
 		keepNegative := ctrs.URExclusive(id)
-		// Materialize in deterministic order before clearing: clearing
-		// mutates the very slot set being iterated, and the repair queue
-		// must not depend on map or mutation order.
-		for _, e := range c.slotsAscending(slots) {
-			kp, kn := keepPositive, keepNegative
-			if e.Kind == KindSuper {
-				kp, kn = kn, kp
+		for _, store := range stores {
+			for _, e := range store {
+				if !e.Valid.Get(id) {
+					continue
+				}
+				kp, kn := keepPositive, keepNegative
+				if e.Kind == KindSuper {
+					kp, kn = kn, kp
+				}
+				positive := e.Answer.Get(id)
+				if !strict && ((kp && positive) || (kn && !positive)) {
+					continue // validity survives (Algorithm 2 lines 12–15)
+				}
+				c.invalidate(e, id) // Algorithm 2 line 17, repair-queued
 			}
-			positive := e.Answer.Get(id)
-			if !strict && ((kp && positive) || (kn && !positive)) {
-				continue // validity survives (Algorithm 2 lines 12–15)
-			}
-			c.invalidate(e, id) // Algorithm 2 line 17, repair-queued
 		}
 	}
 	for _, e := range c.entries {

@@ -325,16 +325,18 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	}
 
 	live := r.ds.LiveSnapshot()
-	csm := live.Clone() // CS_M(g): Method M would test the whole dataset
-	st.CandidatesBefore = csm.Count()
+	st.CandidatesBefore = live.Count()
 
 	var (
 		direct     []*cache.Entry // entries whose valid positives transfer to g
 		restrict   []*cache.Entry // entries bounding g's possible answers
 		iso        *cache.Entry   // an entry isomorphic to g, if discovered
 		answerSure *bitset.Set    // Answer_sub(g) of formula (1)
+		csm        *bitset.Set    // the candidate set, pruned from CS_M(g)
 	)
-	if useCache {
+	if !useCache {
+		csm = live.Clone() // CS_M(g): Method M tests the whole dataset
+	} else {
 		ht0 := time.Now()
 		direct, restrict, iso = r.findHits(plan, &st)
 		st.HitTime = time.Since(ht0)
@@ -366,6 +368,9 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 				return r.finish(g, kind, bitset.New(0), live, iso, direct, restrict, true, opt.TraceID, start, &st)
 			}
 		}
+
+		// CS_M(g), cloned only now: neither shortcut above needs it.
+		csm = live.Clone()
 
 		// Formulas (1)+(2): sure positives from direct hits — only
 		// dataset graphs that are both answered and still valid
@@ -677,8 +682,8 @@ func (r *Runtime) finish(g *graph.Graph, kind cache.Kind, answer, live *bitset.S
 	if admit && r.cache != nil && !st.Truncated {
 		at0 := time.Now()
 		if iso != nil {
-			// Through the cache so the invalidation index follows the
-			// rewritten Answer/Valid bitsets.
+			// Through the cache so the entry's Seq and recency follow
+			// the rewritten Answer/Valid bitsets.
 			r.cache.RefreshEntry(iso, answer, live)
 		} else {
 			costEst := r.avgTestCost.Mean()

@@ -460,9 +460,11 @@ func TestSnapshotAutoTriggerAndNoWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Epochs 2 and 4 trigger asynchronous generations. Wait each one
-	// out before the next batch — back-to-back batches would otherwise
-	// legitimately skip a trigger while the previous generation is
-	// still writing.
+	// out — the boot generation included — before the next batch:
+	// back-to-back batches would otherwise legitimately skip a trigger
+	// while the previous generation is still writing. A generation is
+	// out once its epoch is published and its collector has released
+	// snapMu, which it does only after publishing.
 	awaitSnapshot := func(epoch uint64) *Stats {
 		deadline := time.Now().Add(30 * time.Second)
 		for {
@@ -470,7 +472,8 @@ func TestSnapshotAutoTriggerAndNoWAL(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.LastSnapshotEpoch == epoch {
+			if st.LastSnapshotEpoch == epoch && srv.snapMu.TryLock() {
+				srv.snapMu.Unlock()
 				return st
 			}
 			if time.Now().After(deadline) {
@@ -480,6 +483,7 @@ func TestSnapshotAutoTriggerAndNoWAL(t *testing.T) {
 		}
 	}
 	batches := deterministicBatches(initial, 5)
+	awaitSnapshot(0)
 	for i, ops := range batches {
 		probeAnswers(t, srv, queries)
 		if _, err := srv.Update(ops); err != nil {

@@ -17,23 +17,26 @@ import (
 )
 
 // CacheIndexes is the slice of *cache.Cache these helpers exercise: its
-// two index invariants. Declaring the interface here (instead of
+// two bookkeeping invariants. Declaring the interface here (instead of
 // importing the cache package) keeps testutil importable from the test
 // suites of cache's own dependencies, e.g. internal/ftv.
 type CacheIndexes interface {
-	// CheckIndex verifies the inverted invalidation index invariant.
+	// CheckIndex verifies the slot table, dead flags, sweep order and
+	// repair queue.
 	CheckIndex() error
 	// CheckQueryIndex verifies the query-index invariant.
 	CheckQueryIndex() error
 }
 
-// RequireCacheIndex fails the test when either of the cache's indexes
-// violates its invariant: the inverted invalidation index (index pairs
-// must be exactly the live entries' set validity bits; cache.CheckIndex)
-// or the query index (postings must hold exactly the live entries'
-// query features; cache.CheckQueryIndex). Test suites call it after
-// every mutation sequence — admit, evict, purge, validate, repair — so
-// index maintenance bugs surface at the mutation that introduced them.
+// RequireCacheIndex fails the test when the cache's bookkeeping
+// violates an invariant: the slot table and sweep order
+// (cache.CheckIndex: every live entry maps back from its slot and is
+// not marked dead, entries run in ascending ID order as Validate sweeps
+// them, and the repair queue holds no nil entry) or the query index
+// (postings must hold exactly the live entries' query features;
+// cache.CheckQueryIndex). Test suites call it after every mutation
+// sequence — admit, evict, purge, validate, repair — so bookkeeping bugs
+// surface at the mutation that introduced them.
 func RequireCacheIndex(t testing.TB, c CacheIndexes) {
 	t.Helper()
 	if c == nil {
