@@ -1,6 +1,8 @@
 package changeplan
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"gcplus/internal/dataset"
@@ -68,5 +70,18 @@ func TestOpBinaryErrors(t *testing.T) {
 	}
 	if _, _, err := DecodeOp(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated ADD decoded")
+	}
+}
+
+// An ADD whose graph text names an endpoint beyond int32 must fail to
+// decode, not wrap onto a real vertex.
+func TestDecodeAddRejectsWrappingEndpoint(t *testing.T) {
+	for _, e := range []string{"e 4294967296 1", "e 0 -4294967295"} {
+		text := "t g\nv 0 1\nv 1 2\n" + e + "\n"
+		buf := append([]byte{byte(dataset.OpAdd)}, binary.AppendUvarint(nil, uint64(len(text)))...)
+		buf = append(buf, text...)
+		if _, _, err := DecodeOp(buf); err == nil || !strings.Contains(err.Error(), "endpoint out of range") {
+			t.Errorf("%q: err = %v, want endpoint out of range", e, err)
+		}
 	}
 }

@@ -17,8 +17,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -98,7 +101,10 @@ func (g *Graph) EdgeList() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. Each adjacency list gets its own
+// slice, so the copy-on-write updates below may mutate them in place; a
+// built graph's lists instead share one backing array (see Build) and are
+// never written after publication.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{name: g.name, m: g.m}
 	c.labels = append([]Label(nil), g.labels...)
@@ -154,6 +160,8 @@ func (g *Graph) checkEndpoints(u, v int) error {
 	return nil
 }
 
+// insertArc and removeArc mutate adjacency in place: only call them on a
+// fresh Clone.
 func (g *Graph) insertArc(u, v int) {
 	a := g.adj[u]
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= int32(v) })
@@ -255,6 +263,7 @@ type Builder struct {
 	labels []Label
 	edges  []Edge
 	name   string
+	err    error // first endpoint AddEdge could not narrow to int32
 }
 
 // NewBuilder returns an empty Builder.
@@ -272,47 +281,74 @@ func (b *Builder) AddVertex(l Label) int {
 // NumVertices returns the number of vertices added so far.
 func (b *Builder) NumVertices() int { return len(b.labels) }
 
-// AddEdge records the undirected edge {u, v}. Validation happens in Build.
+// AddEdge records the undirected edge {u, v}. Validation happens in Build;
+// an endpoint that does not even fit an int32 is remembered here, before
+// narrowing could wrap it onto a real vertex.
 func (b *Builder) AddEdge(u, v int) *Builder {
 	if u > v {
 		u, v = v, u
+	}
+	if u < 0 || v > math.MaxInt32 {
+		if b.err == nil {
+			b.err = fmt.Errorf("graph: edge {%d,%d} endpoint out of range", u, v)
+		}
+		return b
 	}
 	b.edges = append(b.edges, Edge{int32(u), int32(v)})
 	return b
 }
 
+// reset empties b for the next graph, keeping its buffers.
+func (b *Builder) reset(name string) {
+	*b = Builder{labels: b.labels[:0], edges: b.edges[:0], name: name}
+}
+
 // Build materializes the graph, validating endpoints, rejecting self loops
-// and duplicate edges.
+// and duplicate edges. All adjacency lists share one backing array, each
+// capped at its own length.
 func (b *Builder) Build() (*Graph, error) {
-	g := &Graph{
-		name:   b.name,
-		labels: append([]Label(nil), b.labels...),
-		adj:    make([][]int32, len(b.labels)),
+	if b.err != nil {
+		return nil, b.err
 	}
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
+	slices.SortFunc(b.edges, func(x, y Edge) int {
+		if c := cmp.Compare(x.U, y.U); c != 0 {
+			return c
 		}
-		return b.edges[i].V < b.edges[j].V
+		return cmp.Compare(x.V, y.V)
 	})
+	n := len(b.labels)
+	back := make([]int32, 2*len(b.edges))
+	adj := make([][]int32, n)
+	// First pass: validate and count degrees in the lists' lengths.
+	for v := range adj {
+		adj[v] = back[:0]
+	}
 	for i, e := range b.edges {
 		if i > 0 && e == b.edges[i-1] {
 			return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", e.U, e.V)
 		}
-		if int(e.U) < 0 || int(e.V) >= len(b.labels) {
+		if int(e.U) < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge {%d,%d} endpoint out of range", e.U, e.V)
 		}
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self loop at %d", e.U)
 		}
-		g.adj[e.U] = append(g.adj[e.U], e.V)
-		g.adj[e.V] = append(g.adj[e.V], e.U)
-		g.m++
+		adj[e.U] = adj[e.U][:len(adj[e.U])+1]
+		adj[e.V] = adj[e.V][:len(adj[e.V])+1]
 	}
-	for v := range g.adj {
-		ns := g.adj[v]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	off := 0
+	for v, ns := range adj {
+		adj[v] = back[off : off : off+len(ns)]
+		off += len(ns)
 	}
+	// Second pass: with edges sorted by (U, V), vertex x receives its
+	// smaller neighbours (edges {w,x}, ascending w) before its larger
+	// ones (edges {x,y}, ascending y), so every list is born sorted.
+	for _, e := range b.edges {
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	g := &Graph{name: b.name, labels: append([]Label(nil), b.labels...), adj: adj, m: len(b.edges)}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

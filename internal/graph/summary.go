@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -61,13 +62,13 @@ func summarize(g *Graph) *Summary {
 			s.maxDegree = d
 		}
 	}
-	sort.Slice(s.degrees, func(i, j int) bool { return s.degrees[i] > s.degrees[j] })
+	slices.Sort(s.degrees)
+	slices.Reverse(s.degrees)
 
 	// Label counts via sort + run-length encoding: no map, and the result
 	// is born in the sorted order SubsumedBy's merge walk needs.
-	sorted := make([]Label, nv)
-	copy(sorted, g.Labels())
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(g.Labels())
+	slices.Sort(sorted)
 	for i := 0; i < nv; {
 		j := i
 		for j < nv && sorted[j] == sorted[i] {
@@ -83,8 +84,7 @@ func summarize(g *Graph) *Summary {
 		for _, w := range g.Neighbors(v) {
 			s.profLab = append(s.profLab, g.Label(int(w)))
 		}
-		seg := s.profLab[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(s.profLab[start:])
 	}
 	s.profOff[nv] = int32(len(s.profLab))
 	return s

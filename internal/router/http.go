@@ -1,12 +1,13 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
+	"sync"
 
 	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
@@ -96,9 +97,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	graphs, err := graph.Parse(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
-	if err != nil {
+	buf := queryBufs.Get().(*bytes.Buffer)
+	defer recycleQueryBuf(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)); err != nil {
 		httpError(w, bodyErrorStatus(err), "bad query graph: %v", err)
+		return
+	}
+	graphs, err := graph.ParseBytes(buf.Bytes())
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad query graph: %v", err)
 		return
 	}
 	if len(graphs) != 1 {
@@ -129,7 +137,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if t := r.URL.Query().Get("trace"); t == "1" || t == "true" {
 		out.Trace = res.Trace()
 	}
-	writeJSON(w, http.StatusOK, out)
+	// The parsed graph holds no reference into buf, so it is free to
+	// carry the (compact) reply.
+	buf.Reset()
+	_ = json.NewEncoder(buf).Encode(out) // plain values cannot fail to encode
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// queryBufs recycles POST /query's body and reply buffers.
+var queryBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// recycleQueryBuf pools buf unless a large reply grew it past what a
+// maximal body needs.
+func recycleQueryBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= 2*maxQueryBodyBytes {
+		queryBufs.Put(buf)
+	}
 }
 
 // updateRequest is the wire form of an update batch.
@@ -157,7 +182,7 @@ func (wo wireOp) decode() (changeplan.Op, error) {
 	}
 	op := changeplan.Op{Type: t}
 	if t == dataset.OpAdd {
-		gs, err := graph.Parse(strings.NewReader(wo.Graph))
+		gs, err := graph.ParseBytes([]byte(wo.Graph))
 		if err != nil {
 			return changeplan.Op{}, fmt.Errorf("ADD graph: %w", err)
 		}

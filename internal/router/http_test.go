@@ -191,11 +191,14 @@ func TestHTTPErrors(t *testing.T) {
 		{"bad graph", "POST", "/query", "not a graph", http.StatusBadRequest},
 		{"no graph", "POST", "/query", "", http.StatusBadRequest},
 		{"two graphs", "POST", "/query", "t a\nv 0 1\nt b\nv 0 1\n", http.StatusBadRequest},
+		{"wrapping endpoint", "POST", "/query", "t q\nv 0 1\nv 1 2\ne 4294967296 1\n", http.StatusBadRequest},
+		{"negative wrapping endpoint", "POST", "/query", "t q\nv 0 1\nv 1 2\ne 0 -4294967295\n", http.StatusBadRequest},
 		{"get query", "GET", "/query", "", http.StatusMethodNotAllowed},
 		{"bad op", "POST", "/update", `{"ops":[{"op":"NOPE"}]}`, http.StatusBadRequest},
 		{"bad json", "POST", "/update", `{`, http.StatusBadRequest},
 		{"empty ops", "POST", "/update", `{"ops":[]}`, http.StatusBadRequest},
 		{"bad add graph", "POST", "/update", `{"ops":[{"op":"ADD","graph":"nope"}]}`, http.StatusBadRequest},
+		{"wrapping add endpoint", "POST", "/update", `{"ops":[{"op":"ADD","graph":"t g\nv 0 1\nv 1 2\ne 4294967296 1\n"}]}`, http.StatusBadRequest},
 		{"DEL without id", "POST", "/update", `{"ops":[{"op":"DEL"}]}`, http.StatusBadRequest},
 		{"UA without u/v", "POST", "/update", `{"ops":[{"op":"UA","id":2}]}`, http.StatusBadRequest},
 		{"UR without id", "POST", "/update", `{"ops":[{"op":"UR","u":0,"v":1}]}`, http.StatusBadRequest},

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -155,9 +154,7 @@ func newSlowLog(size int) *slowLog {
 // record captures one slow query. The query text is rendered here, on
 // the already-slow path — the fast path never pays for it.
 func (l *slowLog) record(q *graph.Graph, res *QueryResult) {
-	var b strings.Builder
-	_ = graph.Write(&b, []*graph.Graph{q})
-	text := b.String()
+	text := string(graph.AppendText(nil, q))
 	if len(text) > slowQueryTextLimit {
 		text = text[:slowQueryTextLimit] + "…(truncated)"
 	}

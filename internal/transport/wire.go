@@ -31,9 +31,10 @@ import (
 // Bodies use the persist codec conventions: uvarints, length-prefixed
 // byte strings, bounds-checked decode with an error latch and
 // allocation guards, so a malformed or truncated frame produces a
-// decode error — never a panic, never a silent truncation. Graphs ride
-// in the internal/graph binary codec; update operations in the
-// internal/changeplan binary codec.
+// decode error — never a panic, never a silent truncation. Query graphs
+// ride as length-prefixed internal/graph text (graph.Marshal); update
+// operations in the internal/changeplan binary op codec, whose ADD ops
+// embed the same graph text.
 
 // Message types.
 const (
