@@ -43,9 +43,13 @@
 //
 // The sub-iso tests that survive GC+ pruning run through a compiled
 // matcher engine: the query is compiled once per verification loop
-// (visit order, anchors, structural summary, neighbourhood profiles)
-// and each candidate test reuses pooled scratch, allocating nothing in
-// steady state. Every dataset graph carries a memoized structural
+// (structural summary, neighbourhood profiles, and VF2's visit order
+// and anchors) and each candidate test reuses pooled scratch, allocating
+// nothing in steady state. A visit order that depends on the candidate
+// (VF2+'s rarity order, and any order in a supergraph test) is built
+// lazily, one depth at a time as the search first reaches it, so a
+// test that rejects early never pays for the rest of the order. Every
+// dataset graph carries a memoized structural
 // summary (sorted label counts, degree sequence, per-vertex neighbour
 // profiles) computed at insert/update time, making the per-candidate
 // quick-reject a map-free slice comparison. The surviving candidates

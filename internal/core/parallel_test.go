@@ -107,6 +107,15 @@ func TestParallelVerifyMatchesSequential(t *testing.T) {
 					t.Fatalf("step %d: test counts diverge: %d vs %d",
 						step, seqRes.Stats.SubIsoTests, parRes.Stats.SubIsoTests)
 				}
+				// Each test's search is deterministic, so the workers'
+				// summed states equal the sequential loop's.
+				if seqRes.Stats.SearchStates != parRes.Stats.SearchStates {
+					t.Fatalf("step %d: search states diverge: %d vs %d",
+						step, seqRes.Stats.SearchStates, parRes.Stats.SearchStates)
+				}
+				if seqRes.Answer.Any() && seqRes.Stats.SearchStates == 0 {
+					t.Fatalf("step %d: %d answers found in 0 search states", step, seqRes.Answer.Count())
+				}
 				if parRes.Stats.SubIsoTests > 0 && parRes.Stats.VerifyWorkers < 1 {
 					t.Fatalf("step %d: VerifyWorkers = %d with %d tests",
 						step, parRes.Stats.VerifyWorkers, parRes.Stats.SubIsoTests)

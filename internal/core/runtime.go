@@ -144,6 +144,10 @@ type QueryStats struct {
 	// SubIsoTests is the number of Method M sub-iso tests executed after
 	// pruning (|CS_GC+|; the paper's headline count metric).
 	SubIsoTests int
+	// SearchStates counts the search states (partial-mapping extensions)
+	// those tests explored, summed over the verification workers like
+	// VerifyCPUTime: the same work counted exactly, with no clock noise.
+	SearchStates int
 	// TestsSaved = CandidatesBefore − SubIsoTests.
 	TestsSaved int
 	// ContainingHits counts cached queries found to contain g.
@@ -493,6 +497,7 @@ func (r *Runtime) verify(ctx context.Context, pl *queryPlan, csm *bitset.Set, st
 		// Sequential: iterate the bitset directly — no materialized id
 		// slice, keeping the verify path allocation-lean.
 		m := pl.verify
+		s0 := m.States()
 		cancelled := false
 		n := 0
 		csm.ForEach(func(id int) bool {
@@ -511,6 +516,7 @@ func (r *Runtime) verify(ctx context.Context, pl *queryPlan, csm *bitset.Set, st
 		})
 		st.VerifyTime = time.Since(vt0)
 		st.VerifyCPUTime = st.VerifyTime
+		st.SearchStates = m.States() - s0
 		st.VerifyWorkers = 1
 		if cancelled {
 			return nil, &CancelError{Stage: "verify", Err: ctx.Err()}
@@ -520,6 +526,7 @@ func (r *Runtime) verify(ctx context.Context, pl *queryPlan, csm *bitset.Set, st
 	ids := csm.Indices()
 	parts := make([]*bitset.Set, workers)
 	busy := make([]time.Duration, workers)
+	states := make([]int, workers)
 	cancelled := make([]bool, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -529,13 +536,16 @@ func (r *Runtime) verify(ctx context.Context, pl *queryPlan, csm *bitset.Set, st
 			defer wg.Done()
 			t0 := time.Now()
 			m := pl.verify.Fork()
+			defer func() {
+				busy[w] = time.Since(t0)
+				states[w] = m.States()
+			}()
 			out := bitset.New(st.CandidatesBefore)
 			for i, id := range chunk {
 				if i%cancelCheckInterval == cancelCheckInterval-1 {
 					select {
 					case <-done:
 						cancelled[w] = true
-						busy[w] = time.Since(t0)
 						return
 					default:
 					}
@@ -545,19 +555,19 @@ func (r *Runtime) verify(ctx context.Context, pl *queryPlan, csm *bitset.Set, st
 				}
 			}
 			parts[w] = out
-			busy[w] = time.Since(t0)
 		}(w, ids[lo:hi])
 	}
 	wg.Wait()
-	// Book every worker's busy time before deciding the outcome: a
-	// cancelled worker still burned CPU up to its checkpoint, and
-	// verify_cpu_sec must account for all of it — under deadline
+	// Book every worker's busy time and states before deciding the
+	// outcome: a cancelled worker still burned CPU up to its checkpoint,
+	// and verify_cpu_sec must account for all of it — under deadline
 	// pressure (exactly when operators read this gauge) returning at
 	// the first cancelled worker would silently drop the busy time of
 	// every worker after it.
 	anyCancelled := false
 	for w := 0; w < workers; w++ {
 		st.VerifyCPUTime += busy[w]
+		st.SearchStates += states[w]
 		anyCancelled = anyCancelled || cancelled[w]
 	}
 	st.VerifyTime = time.Since(vt0)
@@ -587,6 +597,7 @@ func (r *Runtime) streamVerify(ctx context.Context, pl *queryPlan, sure, csm *bi
 		union.Or(sure) // disjoint: the pruner removed sure ids from csm
 	}
 	m := pl.verify
+	s0 := m.States()
 	out := bitset.New(st.CandidatesBefore)
 	done := ctx.Done()
 	vt0 := time.Now()
@@ -623,6 +634,7 @@ func (r *Runtime) streamVerify(ctx context.Context, pl *queryPlan, sure, csm *bi
 	// CandidatesBefore = SubIsoTests + TestsSaved of the full
 	// verification path does not hold for truncated queries.
 	st.SubIsoTests = tests
+	st.SearchStates = m.States() - s0
 	st.VerifyTime = time.Since(vt0)
 	st.VerifyCPUTime = st.VerifyTime
 	st.VerifyWorkers = 1

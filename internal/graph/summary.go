@@ -2,7 +2,6 @@ package graph
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -23,6 +22,8 @@ type Summary struct {
 	degrees []int32
 	// labels holds per-label vertex counts sorted ascending by label.
 	labels []LabelCount
+	// byLabel lists the vertices grouped into labels' runs (ByLabel).
+	byLabel []int32
 	// profOff/profLab hold, per vertex, the sorted multiset of its
 	// neighbours' labels: vertex v's profile is profLab[profOff[v]:profOff[v+1]].
 	profOff []int32
@@ -48,27 +49,49 @@ func (g *Graph) Summary() *Summary {
 
 func summarize(g *Graph) *Summary {
 	nv := g.NumVertices()
+	// degrees, profOff and byLabel share one allocation: summaries are
+	// rebuilt on every UA/UR/ADD, so they sit on the update path.
+	back := make([]int32, 3*nv+1)
 	s := &Summary{
 		vertices: nv,
 		edges:    g.NumEdges(),
-		degrees:  make([]int32, nv),
-		profOff:  make([]int32, nv+1),
+		degrees:  back[:nv:nv],
+		profOff:  back[nv : 2*nv+1 : 2*nv+1],
+		byLabel:  back[2*nv+1:],
 		profLab:  make([]Label, 0, 2*g.NumEdges()),
 	}
 	for v := 0; v < nv; v++ {
-		d := g.Degree(v)
-		s.degrees[v] = int32(d)
-		if d > s.maxDegree {
-			s.maxDegree = d
+		s.maxDegree = max(s.maxDegree, g.Degree(v))
+	}
+	// The degree sequence by counting sort: degrees are bounded by
+	// maxDegree, small in the sparse graphs GC+ stores.
+	var small [16]int32
+	perDegree := small[:]
+	if s.maxDegree >= len(small) {
+		perDegree = make([]int32, s.maxDegree+1)
+	}
+	for v := 0; v < nv; v++ {
+		perDegree[g.Degree(v)]++
+	}
+	i := 0
+	for d := s.maxDegree; d >= 0; d-- {
+		for ; perDegree[d] > 0; perDegree[d]-- {
+			s.degrees[i] = int32(d)
+			i++
 		}
 	}
-	slices.Sort(s.degrees)
-	slices.Reverse(s.degrees)
 
 	// Label counts via sort + run-length encoding: no map, and the result
 	// is born in the sorted order SubsumedBy's merge walk needs.
-	sorted := slices.Clone(g.Labels())
+	sorted := slices.Clone(g.labels)
 	slices.Sort(sorted)
+	kinds := 0
+	for i := range sorted {
+		if i == 0 || sorted[i] != sorted[i-1] {
+			kinds++
+		}
+	}
+	s.labels = make([]LabelCount, 0, kinds)
 	for i := 0; i < nv; {
 		j := i
 		for j < nv && sorted[j] == sorted[i] {
@@ -76,6 +99,23 @@ func summarize(g *Graph) *Summary {
 		}
 		s.labels = append(s.labels, LabelCount{Label: sorted[i], Count: int32(j - i)})
 		i = j
+	}
+	// byLabel by counting sort: each run's next free slot lives in the
+	// now-unused head of sorted. Skewed label distributions make runs of
+	// one label common, so the previous vertex's run is tried first.
+	next := sorted[:kinds]
+	off := Label(0)
+	for k, lc := range s.labels {
+		next[k] = off
+		off += Label(lc.Count)
+	}
+	k := 0
+	for v, l := range g.labels {
+		if s.labels[k].Label != l {
+			k = s.labelIndex(l)
+		}
+		s.byLabel[next[k]] = int32(v)
+		next[k]++
 	}
 
 	for v := 0; v < nv; v++ {
@@ -107,6 +147,12 @@ func (s *Summary) Degrees() []int32 { return s.degrees }
 // label. The caller must not modify it.
 func (s *Summary) LabelCounts() []LabelCount { return s.labels }
 
+// ByLabel returns the vertices grouped by label: the k-th LabelCounts
+// entry's vertices come k-th, ascending, so a walk over LabelCounts can
+// hand each vertex a per-label value without a search. The caller must
+// not modify it.
+func (s *Summary) ByLabel() []int32 { return s.byLabel }
+
 // Profile returns the sorted multiset of vertex v's neighbours' labels.
 // The caller must not modify it.
 func (s *Summary) Profile(v int) []Label {
@@ -115,11 +161,24 @@ func (s *Summary) Profile(v int) []Label {
 
 // LabelFreq returns the number of vertices carrying label l.
 func (s *Summary) LabelFreq(l Label) int32 {
-	i := sort.Search(len(s.labels), func(i int) bool { return s.labels[i].Label >= l })
-	if i < len(s.labels) && s.labels[i].Label == l {
+	if i := s.labelIndex(l); i < len(s.labels) && s.labels[i].Label == l {
 		return s.labels[i].Count
 	}
 	return 0
+}
+
+// labelIndex returns the index of the first labels entry not below l.
+func (s *Summary) labelIndex(l Label) int {
+	lo, hi := 0, len(s.labels)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if s.labels[h].Label < l {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }
 
 // SubsumedBy reports whether every summary component of s is dominated by

@@ -28,6 +28,10 @@ func TestSummaryMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
 		g := randomTestGraph(rng, 20, 4, 0.3)
+		if i%5 == 4 {
+			// dense: degrees beyond the degree sort's stack buffer
+			g = randomTestGraph(rng, 40, 4, 0.9)
+		}
 		s := g.Summary()
 		if s.Vertices() != g.NumVertices() || s.Edges() != g.NumEdges() || s.MaxDegree() != g.MaxDegree() {
 			t.Fatalf("summary size fields disagree with graph: %v", g)
@@ -50,6 +54,21 @@ func TestSummaryMatchesGraph(t *testing.T) {
 		}
 		if s.LabelFreq(graph.Label(999)) != 0 {
 			t.Fatal("absent label should have frequency 0")
+		}
+		// ByLabel: every vertex once, in LabelCounts' runs, ascending
+		// within a run
+		byLabel := s.ByLabel()
+		if len(byLabel) != g.NumVertices() {
+			t.Fatalf("ByLabel has %d vertices, graph %d", len(byLabel), g.NumVertices())
+		}
+		k := 0
+		for _, c := range s.LabelCounts() {
+			for i, v := range byLabel[k : k+int(c.Count)] {
+				if g.Label(int(v)) != c.Label || i > 0 && byLabel[k+i-1] >= v {
+					t.Fatalf("ByLabel run of label %d out of order: %v", c.Label, byLabel)
+				}
+			}
+			k += int(c.Count)
 		}
 		// degree sequence: descending, and a permutation of the degrees
 		degs := make([]int, g.NumVertices())

@@ -8,9 +8,10 @@ import (
 // is fixed at compile time and the other varies per Contains call. It is
 // the verification engine behind the runtime's Method M loop, built so
 // that testing one query pattern against thousands of dataset candidates
-// pays the per-pattern work (visit order, anchors, summaries) once and
-// runs each test on pooled, reusable scratch — zero allocations in steady
-// state once the scratch has grown to the largest candidate seen.
+// pays the per-pattern work (summaries, and VF2's visit order and
+// anchors) once and runs each test on pooled, reusable scratch — zero
+// allocations in steady state once the scratch has grown to the largest
+// candidate seen.
 //
 // A Matcher is NOT safe for concurrent use: the scratch is shared across
 // calls. Fork returns an independent Matcher sharing only the immutable
@@ -29,13 +30,19 @@ type Matcher struct {
 
 	// subOrder/subAnchor are VF2's precompiled visit order and anchors:
 	// vanilla VF2 orders by vertex index, which is target-independent, so
-	// a sub-mode compile pins them once for every candidate. (VF2+ orders
-	// by target label rarity and GQL by candidate-set size, so their
-	// orders are rebuilt per call — on scratch, without allocating.)
+	// a sub-mode compile pins them once for every candidate. Every other
+	// VF2/VF2+ order depends on the pattern of the call (super mode) or
+	// on target label rarity (VF2+), so it is built lazily per call, one
+	// depth at a time as the search first reaches it (nextInOrder); GQL
+	// orders by candidate-set size, built in full per call. All on
+	// scratch, without allocating.
 	subOrder  []int32
 	subAnchor []int32
 
 	sc scratch
+
+	// states counts search-state extensions over all calls (States).
+	states int
 
 	// Per-call engine state (set by Contains, read by the recursive
 	// search methods; kept on the Matcher so recursion allocates nothing).
@@ -43,7 +50,9 @@ type Matcher struct {
 	cps, cts *graph.Summary
 	order    []int32
 	anchor   []int32
-	plus     bool // VF2+ pruning rules active
+	built    int     // order[:built] and anchor[:built] are decided
+	freq     []int32 // VF2+ rarity keys per pattern vertex; nil for VF2
+	plus     bool    // VF2+ pruning rules active
 }
 
 // engineKind selects the compiled code path for one Algorithm.
@@ -78,16 +87,7 @@ func kindOf(algo Algorithm) engineKind {
 func CompileSub(pattern *graph.Graph, algo Algorithm) *Matcher {
 	m := newMatcher(pattern, algo, false)
 	if m.kind == kindVF2 && pattern.NumVertices() > 0 {
-		ord := connectedOrder(pattern, func(a, b int) bool { return a < b })
-		anc := anchorFor(pattern, ord)
-		m.subOrder = make([]int32, len(ord))
-		m.subAnchor = make([]int32, len(anc))
-		for i, v := range ord {
-			m.subOrder[i] = int32(v)
-		}
-		for i, a := range anc {
-			m.subAnchor[i] = int32(a)
-		}
+		m.subOrder, m.subAnchor = fullOrder(pattern)
 	}
 	return m
 }
@@ -96,8 +96,10 @@ func CompileSub(pattern *graph.Graph, algo Algorithm) *Matcher {
 // returned Matcher's Contains(candidate) reports candidate ⊆ target. This
 // is the shape of a supergraph query's verification loop (many dataset
 // patterns, one query target); the target-side artifacts (summary, label
-// frequencies, neighbourhood profiles) are fixed, the pattern-side ones
-// are rebuilt per call on pooled scratch.
+// frequencies, neighbourhood profiles) are fixed. The pattern-side ones
+// are per call, on pooled scratch: VF2/VF2+ build the candidate's visit
+// order lazily, so a test that rejects after a few placements never pays
+// for the rest of the order.
 func CompileSuper(target *graph.Graph, algo Algorithm) *Matcher {
 	return newMatcher(target, algo, true)
 }
@@ -134,6 +136,11 @@ func (m *Matcher) Fork() *Matcher {
 		subAnchor:    m.subAnchor,
 	}
 }
+
+// States returns the number of search states (partial-mapping
+// extensions) this Matcher has explored over all its Contains calls: an
+// exact, clock-free measure of verification work. A Fork starts at zero.
+func (m *Matcher) States() int { return m.states }
 
 // Name returns the compiled algorithm's name.
 func (m *Matcher) Name() string { return m.algo.Name() }
@@ -179,28 +186,41 @@ func (m *Matcher) Contains(other *graph.Graph) bool {
 	m.prepare(np, nt)
 	sc := &m.sc
 
-	switch m.kind {
-	case kindVF2:
-		m.plus = false
-		if m.subOrder != nil {
-			m.order, m.anchor = m.subOrder, m.subAnchor
-		} else {
-			m.order = sc.buildOrder(p, nil)
-			m.anchor = sc.buildAnchors(p, m.order)
-		}
-		return m.vf2Match(0)
-	case kindVF2Plus:
-		m.plus = true
-		freq := sc.freq[:np]
-		for v := 0; v < np; v++ {
-			freq[v] = ts.LabelFreq(p.Label(v))
-		}
-		m.order = sc.buildOrder(p, freq)
-		m.anchor = sc.buildAnchors(p, m.order)
-		return m.vf2Match(0)
-	default: // kindGQL
+	if m.kind == kindGQL {
 		return m.gql()
 	}
+	m.plus = m.kind == kindVF2Plus
+	if m.subOrder != nil {
+		m.order, m.anchor, m.built = m.subOrder, m.subAnchor, np
+		return m.vf2Match(0)
+	}
+	m.freq = nil
+	if m.plus {
+		m.freq = sc.rarityKeys(ps, ts)
+	}
+	m.order, m.anchor, m.built = sc.order[:np], sc.anchor[:np], 0
+	sc.startOrder(np)
+	return m.vf2Match(0)
+}
+
+// rarityKeys returns VF2+'s rarity key per pattern vertex: the target's
+// count of the vertex's label. One merge walk over the two sorted label
+// counts prices each pattern label (SubsumedBy has proved every one
+// present in the target), and each label's run of vertices takes it.
+func (sc *scratch) rarityKeys(ps, ts *graph.Summary) []int32 {
+	freq := sc.freq[:ps.Vertices()]
+	tl, byLabel := ts.LabelCounts(), ps.ByLabel()
+	j := 0
+	for _, lc := range ps.LabelCounts() {
+		for tl[j].Label != lc.Label {
+			j++
+		}
+		for _, v := range byLabel[:lc.Count] {
+			freq[v] = tl[j].Count
+		}
+		byLabel = byLabel[lc.Count:]
+	}
+	return freq
 }
 
 // prepare sizes the scratch for an (np, nt) test and resets the search
@@ -225,6 +245,7 @@ func (m *Matcher) prepare(np, nt int) {
 type scratch struct {
 	// pattern-sized
 	order, anchor, pos, ordered, freq, core []int32
+	frontier                                []int32
 	inOrder                                 []bool
 	gdone, gadj                             []bool
 	cand                                    [][]int32
@@ -257,6 +278,7 @@ func (sc *scratch) growPattern(np int) {
 	sc.ordered = grow32(sc.ordered, np)
 	sc.freq = grow32(sc.freq, np)
 	sc.core = grow32(sc.core, np)
+	sc.frontier = grow32(sc.frontier, np)
 	sc.inOrder = growBool(sc.inOrder, np)
 	sc.gdone = growBool(sc.gdone, np)
 	sc.gadj = growBool(sc.gadj, np)
@@ -268,43 +290,77 @@ func (sc *scratch) growPattern(np int) {
 	}
 }
 
-// buildOrder is connectedOrder on scratch: each vertex after the first of
-// its component has an earlier neighbour, most-constrained first. A nil
-// freq gives VF2's index tie-break; otherwise VF2+'s rarity order (lower
-// target label frequency first, then higher degree, then index).
-func (sc *scratch) buildOrder(p *graph.Graph, freq []int32) []int32 {
-	n := p.NumVertices()
-	order := sc.order[:n]
-	inOrder := sc.inOrder[:n]
-	ordered := sc.ordered[:n]
-	for i := range inOrder {
-		inOrder[i] = false
-		ordered[i] = 0
-	}
-	for k := 0; k < n; k++ {
-		best := -1
-		for v := 0; v < n; v++ {
-			if inOrder[v] {
-				continue
-			}
-			switch {
-			case best == -1:
-				best = v
-			case ordered[v] > ordered[best]:
-				best = v
-			case ordered[v] == ordered[best] && betterRoot(p, freq, v, best):
-				best = v
-			}
-		}
-		inOrder[best] = true
-		order[k] = int32(best)
-		for _, w := range p.Neighbors(best) {
-			ordered[w]++
-		}
-	}
-	return order
+// startOrder resets the visit-order builder for an np-vertex pattern.
+func (sc *scratch) startOrder(np int) {
+	clear(sc.inOrder[:np])
+	clear(sc.ordered[:np])
+	sc.frontier = sc.frontier[:0]
 }
 
+// nextInOrder decides order[d] and anchor[d] of VF2/VF2+'s connected
+// visit order, in which each vertex after the first of its component has
+// an earlier neighbour. The pick is the unplaced vertex with the most
+// placed neighbours; ties, and component roots, go to betterRoot. Only
+// frontier vertices (unplaced, with a placed neighbour, counted in
+// ordered) can have any, so it scans all unplaced vertices only to root a
+// new component. A frontier vertex's anchor — the earliest position of a
+// placed neighbour — is where it joined the frontier (kept in pos).
+func (sc *scratch) nextInOrder(p *graph.Graph, freq []int32, d int) {
+	best, at := -1, -1
+	for i, v := range sc.frontier {
+		switch {
+		case best == -1, sc.ordered[v] > sc.ordered[best],
+			sc.ordered[v] == sc.ordered[best] && betterRoot(p, freq, int(v), best):
+			best, at = int(v), i
+		}
+	}
+	anchor := int32(-1)
+	if at >= 0 {
+		anchor = sc.pos[best]
+		last := len(sc.frontier) - 1
+		sc.frontier[at] = sc.frontier[last]
+		sc.frontier = sc.frontier[:last]
+	} else {
+		for v := 0; v < p.NumVertices(); v++ {
+			if !sc.inOrder[v] && (best == -1 || betterRoot(p, freq, v, best)) {
+				best = v
+			}
+		}
+	}
+	sc.inOrder[best] = true
+	sc.order[d], sc.anchor[d] = int32(best), anchor
+	for _, w := range p.Neighbors(best) {
+		if sc.inOrder[w] {
+			continue
+		}
+		if sc.ordered[w] == 0 {
+			sc.pos[w] = int32(d)
+			sc.frontier = append(sc.frontier, w)
+		}
+		sc.ordered[w]++
+	}
+}
+
+// fullOrder runs the builder to completion with VF2's index tie-break,
+// for the orders fixed per pattern (CompileSub, FindEmbedding), on fresh
+// buffers holding only what the builder touches.
+func fullOrder(p *graph.Graph) (order, anchor []int32) {
+	n := p.NumVertices()
+	out, tmp := make([]int32, 2*n), make([]int32, 3*n)
+	sc := scratch{
+		order: out[:n:n], anchor: out[n:],
+		pos: tmp[:n], ordered: tmp[n : 2*n], frontier: tmp[2*n : 2*n : 3*n],
+		inOrder: make([]bool, n),
+	}
+	for d := 0; d < n; d++ {
+		sc.nextInOrder(p, nil, d)
+	}
+	return sc.order, sc.anchor
+}
+
+// betterRoot orders candidate vertices for nextInOrder: a nil freq gives
+// VF2's index order; otherwise VF2+'s rarity order (lower target label
+// frequency first, then higher degree, then index).
 func betterRoot(p *graph.Graph, freq []int32, a, b int) bool {
 	if freq == nil {
 		return a < b
@@ -318,9 +374,10 @@ func betterRoot(p *graph.Graph, freq []int32, a, b int) bool {
 	return a < b
 }
 
-// buildAnchors is anchorFor on scratch: for each order position, the
-// earliest position of an already-ordered neighbour (-1 for component
-// roots).
+// buildAnchors gives GQL's order its anchors on scratch: for each order
+// position, the earliest position of an already-ordered neighbour (-1
+// for component roots). During search the candidates of order[i] are the
+// target neighbours of the image of order[anchor[i]].
 func (sc *scratch) buildAnchors(p *graph.Graph, order []int32) []int32 {
 	n := len(order)
 	pos := sc.pos
@@ -348,6 +405,10 @@ func (m *Matcher) vf2Match(d int) bool {
 	if d == len(m.order) {
 		return true
 	}
+	if d == m.built {
+		m.sc.nextInOrder(m.cp, m.freq, d)
+		m.built++
+	}
 	pv := int(m.order[d])
 	if a := m.anchor[d]; a >= 0 {
 		tAnchor := int(m.sc.core[m.order[a]])
@@ -368,6 +429,7 @@ func (m *Matcher) vf2Match(d int) bool {
 }
 
 func (m *Matcher) vf2Extend(d, pv, tv int) bool {
+	m.states++
 	m.sc.core[pv] = int32(tv)
 	m.sc.used[tv] = true
 	ok := m.vf2Match(d + 1)
@@ -549,6 +611,7 @@ func (m *Matcher) gqlTry(d, pv, tv int) bool {
 			return false
 		}
 	}
+	m.states++
 	sc.core[pv] = int32(tv)
 	sc.used[tv] = true
 	ok := m.gqlSearch(d + 1)
@@ -579,6 +642,7 @@ func (m *Matcher) bruteMatch(u int) bool {
 		if !ok {
 			continue
 		}
+		m.states++
 		sc.core[u] = int32(v)
 		sc.used[v] = true
 		if m.bruteMatch(u + 1) {

@@ -2,11 +2,13 @@ package subiso
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"gcplus/internal/graph"
+	"gcplus/internal/synthetic"
 )
 
 // bruteContains is the package's one independent oracle: exhaustive
@@ -208,6 +210,157 @@ func TestMatcherEmptyAndTrivial(t *testing.T) {
 	}
 }
 
+// refOrder is the eager visit-order builder the lazy one replaced, kept
+// as its reference: every step rescans all unplaced vertices for the one
+// with the most placed neighbours (ties to betterRoot), and the anchors
+// are derived from the finished order by buildAnchors.
+func refOrder(p *graph.Graph, freq []int32) (order, anchor []int32) {
+	n := p.NumVertices()
+	order = make([]int32, n)
+	inOrder := make([]bool, n)
+	ordered := make([]int32, n)
+	for k := 0; k < n; k++ {
+		best := -1
+		for v := 0; v < n; v++ {
+			if inOrder[v] {
+				continue
+			}
+			switch {
+			case best == -1:
+				best = v
+			case ordered[v] > ordered[best]:
+				best = v
+			case ordered[v] == ordered[best] && betterRoot(p, freq, v, best):
+				best = v
+			}
+		}
+		inOrder[best] = true
+		order[k] = int32(best)
+		for _, w := range p.Neighbors(best) {
+			ordered[w]++
+		}
+	}
+	var sc scratch
+	sc.growPattern(n)
+	return order, slices.Clone(sc.buildAnchors(p, order))
+}
+
+// containsEager is Contains for a VF2/VF2+ Matcher with the whole visit
+// order prebuilt by refOrder and the rarity keys looked up per vertex
+// with LabelFreq: only how the order is built differs from Contains, so
+// verdicts and States() must agree exactly.
+func containsEager(m *Matcher, other *graph.Graph) bool {
+	p, t, ps, ts := m.fixed, other, m.fsum, other.Summary()
+	if m.super {
+		p, t, ps, ts = other, m.fixed, other.Summary(), m.fsum
+	}
+	if !ps.SubsumedBy(ts) {
+		return false
+	}
+	m.cp, m.ct, m.cps, m.cts = p, t, ps, ts
+	m.prepare(p.NumVertices(), t.NumVertices())
+	m.plus = m.kind == kindVF2Plus
+	var freq []int32
+	if m.plus {
+		freq = make([]int32, p.NumVertices())
+		for v := range freq {
+			freq[v] = ts.LabelFreq(p.Label(v))
+		}
+	}
+	m.order, m.anchor = refOrder(p, freq)
+	m.built = len(m.order)
+	return m.vf2Match(0)
+}
+
+// fuzzPattern decodes a pattern of 1–24 vertices from data: the first
+// byte sizes it, byte pairs after it are edges (self loops and repeats
+// skipped, so isolated vertices and several components are common). With
+// rarity the same bytes also give each vertex a key from a 4-value
+// alphabet, so key ties are the rule; without, keys are nil (VF2).
+func fuzzPattern(data []byte, rarity bool) (*graph.Graph, []int32) {
+	n := 1
+	if len(data) > 0 {
+		n += int(data[0]) % 24
+		data = data[1:]
+	}
+	b := graph.NewBuilder()
+	var freq []int32
+	if rarity {
+		freq = make([]int32, n)
+	}
+	for v := 0; v < n; v++ {
+		b.AddVertex(0)
+		if rarity && v < len(data) {
+			freq[v] = int32(data[v] % 4)
+		}
+	}
+	seen := map[[2]int]bool{}
+	for i := 0; i+1 < len(data); i += 2 {
+		u, v := int(data[i])%n, int(data[i+1])%n
+		if u > v {
+			u, v = v, u
+		}
+		if u != v && !seen[[2]int{u, v}] {
+			seen[[2]int{u, v}] = true
+			b.AddEdge(u, v)
+		}
+	}
+	return b.MustBuild(), freq
+}
+
+// FuzzVisitOrder checks the lazy visit-order builder against refOrder:
+// built one depth at a time from the frontier, on scratch that already
+// built another order, it must produce the same order and anchors.
+func FuzzVisitOrder(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 1, 2, 3, 4}, false)
+	f.Add([]byte{5, 0, 1, 1, 2, 3, 4}, true)
+	f.Add([]byte{9}, true)                                  // no edges: all roots
+	f.Add([]byte{7, 3, 3, 3, 1, 1, 1, 0, 2, 4, 6, 5}, true) // key ties
+	f.Add([]byte{23, 0, 1, 1, 2, 2, 0, 5, 6, 6, 7, 7, 5, 9, 12}, false)
+	f.Fuzz(func(t *testing.T, data []byte, rarity bool) {
+		p, freq := fuzzPattern(data, rarity)
+		want, wantAnchor := refOrder(p, freq)
+		n := p.NumVertices()
+		var sc scratch
+		// start dirty: scratch that already built a 24-vertex path's order
+		dirty := graph.Path(make([]graph.Label, 24)...)
+		sc.growPattern(24)
+		sc.startOrder(24)
+		for d := 0; d < 24; d++ {
+			sc.nextInOrder(dirty, nil, d)
+		}
+		sc.growPattern(n)
+		sc.startOrder(n)
+		for d := 0; d < n; d++ {
+			sc.nextInOrder(p, freq, d)
+		}
+		if !slices.Equal(sc.order[:n], want) || !slices.Equal(sc.anchor[:n], wantAnchor) {
+			t.Fatalf("lazy order %v anchors %v, eager %v anchors %v (keys %v)",
+				sc.order[:n], sc.anchor[:n], want, wantAnchor, freq)
+		}
+	})
+}
+
+// TestMatcherStates pins the search-state counter: it grows with the
+// search, stays put on a quick-reject, and a Fork starts at zero.
+func TestMatcherStates(t *testing.T) {
+	pattern := graph.Path(0, 0, 0)
+	target := graph.Clique(0, 0, 0, 0)
+	for _, algo := range allAlgorithms {
+		m := CompileSub(pattern, algo)
+		if !m.Contains(target) || m.States() < pattern.NumVertices() {
+			t.Fatalf("%s: %d states for a 3-vertex embedding", algo.Name(), m.States())
+		}
+		before := m.States()
+		if m.Contains(graph.Path(1, 1)) || m.States() != before {
+			t.Fatalf("%s: rejected test counted %d states", algo.Name(), m.States()-before)
+		}
+		if f := m.Fork(); f.States() != 0 {
+			t.Fatalf("%s: fork starts at %d states", algo.Name(), f.States())
+		}
+	}
+}
+
 // verifyBenchCase builds the verify benchmark's fixture: one
 // query-sized pattern and a batch of AIDS-sized targets, mimicking the
 // runtime's verification loop over a pruned candidate set.
@@ -225,10 +378,35 @@ func verifyBenchCase() (*graph.Graph, []*graph.Graph) {
 	return pattern, targets
 }
 
+// superQueryOf is a supergraph query drawn the way the perf ledger's
+// cold_scan workload draws them: g plus three vertices, each carrying
+// one of g's labels and hung off a random vertex.
+func superQueryOf(rng *rand.Rand, g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder()
+	for v := 0; v < g.NumVertices(); v++ {
+		b.AddVertex(g.Label(v))
+	}
+	for _, e := range g.EdgeList() {
+		b.AddEdge(int(e.U), int(e.V))
+	}
+	for x := 0; x < 3; x++ {
+		anchor := rng.Intn(b.NumVertices())
+		b.AddEdge(anchor, b.AddVertex(g.Label(rng.Intn(g.NumVertices()))))
+	}
+	return b.MustBuild()
+}
+
 // BenchmarkVerifyCompiled measures the compiled-matcher verification loop
-// (compile once, pooled scratch).
+// (compile once, pooled scratch): a query-sized pattern against AIDS-sized
+// targets, and (super/) a supergraph query against AIDS-like dataset
+// graphs as the candidate patterns.
 func BenchmarkVerifyCompiled(b *testing.B) {
 	pattern, targets := verifyBenchCase()
+	ds := synthetic.MustGenerate(synthetic.Default().WithGraphs(64))
+	for _, g := range ds {
+		g.Summary()
+	}
+	super := superQueryOf(rand.New(rand.NewSource(7)), ds[0])
 	for _, algo := range allAlgorithms[:3] {
 		b.Run(algo.Name(), func(b *testing.B) {
 			m := CompileSub(pattern, algo)
@@ -236,6 +414,14 @@ func BenchmarkVerifyCompiled(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Contains(targets[i%len(targets)])
+			}
+		})
+		b.Run("super/"+algo.Name(), func(b *testing.B) {
+			m := CompileSuper(super, algo)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Contains(ds[i%len(ds)])
 			}
 		})
 	}

@@ -16,7 +16,7 @@ func FindEmbedding(pattern, target *graph.Graph) []int {
 	if pattern.NumVertices() == 0 {
 		return []int{}
 	}
-	if quickReject(pattern, target) {
+	if !pattern.Summary().SubsumedBy(target.Summary()) {
 		return nil
 	}
 	s := newVF2State(pattern, target)
@@ -35,7 +35,7 @@ func CountEmbeddings(pattern, target *graph.Graph, limit int64) int64 {
 	if pattern.NumVertices() == 0 {
 		return 1
 	}
-	if quickReject(pattern, target) {
+	if !pattern.Summary().SubsumedBy(target.Summary()) {
 		return 0
 	}
 	s := newVF2State(pattern, target)

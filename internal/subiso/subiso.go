@@ -58,24 +58,6 @@ func PlannerAlgorithms() []Algorithm {
 	return []Algorithm{VF2{}, VF2Plus{}, GraphQL{}}
 }
 
-// quickReject applies the O(|V|+|E|) necessary conditions every algorithm
-// shares: size bounds and label-multiset containment.
-func quickReject(p, t *graph.Graph) bool {
-	if p.NumVertices() > t.NumVertices() || p.NumEdges() > t.NumEdges() {
-		return true
-	}
-	if p.MaxDegree() > t.MaxDegree() {
-		return true
-	}
-	tc := t.LabelCounts()
-	for l, c := range p.LabelCounts() {
-		if tc[l] < c {
-			return true
-		}
-	}
-	return false
-}
-
 // CheckEmbedding verifies that m is a valid monomorphism from pattern to
 // target: m must have one entry per pattern vertex, be injective, preserve
 // labels, and map every pattern edge to a target edge. Used by tests.
@@ -102,68 +84,6 @@ func CheckEmbedding(pattern, target *graph.Graph, m []int) error {
 		}
 	}
 	return nil
-}
-
-// connectedOrder returns a visit order for the pattern where each vertex
-// after the first of its component has at least one earlier neighbour.
-// rootRank breaks ties for component roots and first expansion; it lets
-// VF2 use plain index order and VF2+ use rarity order.
-func connectedOrder(p *graph.Graph, better func(a, b int) bool) []int {
-	n := p.NumVertices()
-	order := make([]int, 0, n)
-	inOrder := make([]bool, n)
-	// orderedNeighbors[v] counts already-ordered neighbours of v, used to
-	// prefer vertices most constrained by the partial mapping.
-	orderedNeighbors := make([]int, n)
-	for len(order) < n {
-		best := -1
-		for v := 0; v < n; v++ {
-			if inOrder[v] {
-				continue
-			}
-			if best == -1 {
-				best = v
-				continue
-			}
-			switch {
-			case orderedNeighbors[v] > orderedNeighbors[best]:
-				best = v
-			case orderedNeighbors[v] == orderedNeighbors[best] && better(v, best):
-				best = v
-			}
-		}
-		inOrder[best] = true
-		order = append(order, best)
-		for _, w := range p.Neighbors(best) {
-			orderedNeighbors[w]++
-		}
-	}
-	return order
-}
-
-// anchorFor returns, for each position in order, the earliest position of
-// an already-ordered neighbour (-1 if the vertex starts a new component).
-// During search the candidate set of order[i] is the target-neighbourhood
-// of the image of order[anchor[i]].
-func anchorFor(p *graph.Graph, order []int) []int {
-	pos := make([]int, p.NumVertices())
-	for i, v := range order {
-		pos[v] = i
-	}
-	anchor := make([]int, len(order))
-	for i, v := range order {
-		anchor[i] = -1
-		best := len(order)
-		for _, w := range p.Neighbors(v) {
-			if pw := pos[w]; pw < i && pw < best {
-				best = pw
-			}
-		}
-		if best < len(order) {
-			anchor[i] = best
-		}
-	}
-	return anchor
 }
 
 // profileContains reports whether sorted multiset a is contained in sorted

@@ -26,8 +26,8 @@ func (VF2) Contains(pattern, target *graph.Graph) bool {
 // CountEmbeddings (decisions go through the compiled Matcher instead).
 type vf2State struct {
 	p, t   *graph.Graph
-	order  []int
-	anchor []int
+	order  []int32
+	anchor []int32
 	core   []int  // pattern vertex -> target vertex or -1
 	used   []bool // target vertex already an image
 	// capture, when non-nil, receives a copy of the first full mapping.
@@ -39,12 +39,12 @@ type vf2State struct {
 }
 
 func newVF2State(p, t *graph.Graph) *vf2State {
-	order := connectedOrder(p, func(a, b int) bool { return a < b })
+	order, anchor := fullOrder(p)
 	s := &vf2State{
 		p:      p,
 		t:      t,
 		order:  order,
-		anchor: anchorFor(p, order),
+		anchor: anchor,
 		core:   make([]int, p.NumVertices()),
 		used:   make([]bool, t.NumVertices()),
 	}
@@ -70,7 +70,7 @@ func (s *vf2State) match(d int) bool {
 		}
 		return true
 	}
-	pv := s.order[d]
+	pv := int(s.order[d])
 	if a := s.anchor[d]; a >= 0 {
 		// Candidates are neighbours of the image of the anchor vertex.
 		tAnchor := s.core[s.order[a]]

@@ -332,8 +332,10 @@ func DecodeOpRequest(data []byte) (*shardhost.OpRequest, error) {
 
 // AppendQueryReply encodes a QueryReply body: host nanos, the taxonomy-
 // classified error, and on success the ascending answer ids
-// (delta-coded) plus the full per-shard QueryStats — every field, so
-// aggregate stats and traces are bit-identical across transports. When
+// (delta-coded) plus the full per-shard QueryStats — every field the
+// router aggregates or traces, so those are bit-identical across
+// transports (SearchStates, which nothing above the core reads yet, is
+// not carried). When
 // ver ≥ 2 a trailing extension carries the queue wait and the shard's
 // piggybacked span block — on error replies too, so a cancelled query
 // keeps its partial trace.
