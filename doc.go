@@ -112,32 +112,30 @@
 // have nothing to repair and run no repair worker. Stats report
 // validity_ratio, repaired_bits and pending_repairs per shard.
 //
-// # Query index
+// # Hit discovery
 //
 // Hit discovery — finding the cached queries that contain a new query
-// and those it contains — used to scan every cache entry, which caps
-// usable cache capacity. Each cache maintains a query index instead:
-// per-label count postings, size and degree buckets and short-path
-// signature postings over entry slots select the few candidates a
-// query could relate to, and a memoized query-to-query relation graph
-// lets a repeated (isomorphic) query replay a cached entry's hit
-// classification with zero pairwise sub-iso tests. The index is always
-// built; a differential property test pins its classification to a
-// linear-scan reference kept in the test suite, so answers are
-// bit-identical to scanning. QueryStats.HitCandidates and HitScanned —
-// and the hit_candidates metric on serving stats — report the realized
-// selectivity. The index is what makes per-shard cache capacities in
-// the thousands serve without hit discovery becoming the bottleneck.
+// and those it contains — walks the cache's entries, as the paper's
+// GC+sub/GC+super processors do over a 100-entry cache (§6, §7.1). Each
+// same-kind entry is screened with the containment-monotone fingerprint
+// of internal/feature, and only a passing direction gets a
+// query-to-query sub-iso test, whose verdict the query's plan memoizes.
+// A memoized relation graph lets a repeated (isomorphic) query replay a
+// cached entry's hit classification with zero pairwise tests. A
+// differential property test pins the classification to a
+// prefilter-free reference kept in the test suite, so answers are
+// bit-identical to testing every entry. QueryStats.HitCandidates and
+// HitScanned — and the hit_candidates metric on serving stats — report
+// the prefilter's selectivity.
 //
 // # Compiled query plans and streaming verification
 //
 // Every query executes under a compiled plan — there is no unplanned
 // path. The plan holds the query's compiled artifacts (Method M
 // matcher, both hit-discovery matchers, feature fingerprint, verdict
-// memo, path signatures) and is cached per runtime under an O(V+E)
-// structural digest confirmed by an exact equality check, so a repeated
-// query skips compilation, planning and the per-query signature
-// extraction entirely (256 plans per runtime;
+// memo) and is cached per runtime under an O(V+E) structural digest
+// confirmed by an exact equality check, so a repeated query skips
+// compilation and planning entirely (256 plans per runtime;
 // gcplus_plan_cache_hits_total counts the reuse). Options.Method names
 // Method M — "VF2", "VF2+" or "GQL" — and pins it, as the paper's
 // figures fix it per run. Left empty, the planner chooses: it measures

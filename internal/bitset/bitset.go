@@ -117,8 +117,8 @@ func (s *Set) Any() bool { return !s.None() }
 // used by Algorithm 2's length check.
 func (s *Set) Len() int { return len(s.words) * wordBits }
 
-// Max returns the highest set bit, or -1 if the set is empty.
-func (s *Set) Max() int {
+// max returns the highest set bit, or -1 if the set is empty.
+func (s *Set) max() int {
 	for w := len(s.words) - 1; w >= 0; w-- {
 		if s.words[w] != 0 {
 			return w*wordBits + 63 - bits.LeadingZeros64(s.words[w])
@@ -186,16 +186,6 @@ func (s *Set) AndNot(o *Set) {
 	}
 	for i := 0; i < n; i++ {
 		s.words[i] &^= o.words[i]
-	}
-}
-
-// Xor symmetric-differences o into s.
-func (s *Set) Xor(o *Set) {
-	if len(o.words) > len(s.words) {
-		s.grow(len(o.words) - 1)
-	}
-	for i, w := range o.words {
-		s.words[i] ^= w
 	}
 }
 
@@ -285,8 +275,8 @@ func (s *Set) Indices() []int {
 	return out
 }
 
-// NextSet returns the smallest set bit >= i, or -1 if none exists.
-func (s *Set) NextSet(i int) int {
+// nextSet returns the smallest set bit >= i, or -1 if none exists.
+func (s *Set) nextSet(i int) int {
 	if i < 0 {
 		i = 0
 	}

@@ -83,20 +83,20 @@ func TestCountNoneAny(t *testing.T) {
 
 func TestMax(t *testing.T) {
 	s := New(0)
-	if s.Max() != -1 {
-		t.Fatalf("empty Max = %d, want -1", s.Max())
+	if s.max() != -1 {
+		t.Fatalf("empty Max = %d, want -1", s.max())
 	}
 	s.Set(0)
-	if s.Max() != 0 {
-		t.Fatalf("Max = %d, want 0", s.Max())
+	if s.max() != 0 {
+		t.Fatalf("Max = %d, want 0", s.max())
 	}
 	s.Set(511)
-	if s.Max() != 511 {
-		t.Fatalf("Max = %d, want 511", s.Max())
+	if s.max() != 511 {
+		t.Fatalf("Max = %d, want 511", s.max())
 	}
 	s.Clear(511)
-	if s.Max() != 0 {
-		t.Fatalf("Max after clear = %d, want 0", s.Max())
+	if s.max() != 0 {
+		t.Fatalf("Max after clear = %d, want 0", s.max())
 	}
 }
 
@@ -145,12 +145,6 @@ func TestBooleanOps(t *testing.T) {
 	diff.AndNot(b)
 	if got, want := diff.String(), "{1, 100}"; got != want {
 		t.Errorf("AndNot = %s, want %s", got, want)
-	}
-
-	xor := a.Clone()
-	xor.Xor(b)
-	if got, want := xor.String(), "{1, 4, 100, 200}"; got != want {
-		t.Errorf("Xor = %s, want %s", got, want)
 	}
 }
 
@@ -248,11 +242,11 @@ func TestNextSet(t *testing.T) {
 		{0, 3}, {3, 3}, {4, 64}, {64, 64}, {65, 130}, {131, -1}, {-5, 3},
 	}
 	for _, c := range cases {
-		if got := s.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
+		if got := s.nextSet(c.from); got != c.want {
+			t.Errorf("nextSet(%d) = %d, want %d", c.from, got, c.want)
 		}
 	}
-	if got := New(0).NextSet(0); got != -1 {
+	if got := New(0).nextSet(0); got != -1 {
 		t.Errorf("empty NextSet = %d, want -1", got)
 	}
 }

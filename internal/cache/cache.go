@@ -100,11 +100,11 @@ type Cache struct {
 	clock      int64
 	appliedSeq uint64
 
-	// qidx is the query index backing sub-linear hit discovery (see
-	// qindex.go).
-	qidx *queryIndex
+	// rel is the query-to-query relation graph that lets a repeated
+	// query replay its hits (see relations.go).
+	rel relationGraph
 	// slots holds the live entries by slot; freeSlots recycles slots of
-	// evicted entries so query-index bitsets stay small.
+	// evicted entries so relation bitsets stay small.
 	slots     []*Entry
 	freeSlots []int
 	// repairQ is the bounded FIFO of invalidated pairs awaiting repair.
@@ -127,7 +127,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Cache{cfg: cfg, qidx: newQueryIndex()}
+	return &Cache{cfg: cfg}
 }
 
 // Config returns the effective configuration.
@@ -181,7 +181,7 @@ func (c *Cache) ForEach(fn func(*Entry) bool) {
 // validity and seq per NewEntry.
 //
 // Add records no query-to-query relations, which permanently disables
-// the query index's repeated-query fast path for this cache — it exists
+// the repeated-query replay path for this cache — it exists
 // for cache-level tests. The runtime admits via AddWithRelations.
 func (c *Cache) Add(e *Entry) { c.AddWithRelations(e, nil, nil) }
 
@@ -189,7 +189,7 @@ func (c *Cache) Add(e *Entry) { c.AddWithRelations(e, nil, nil) }
 // against the current cache contents: containing holds the live
 // same-kind entries whose queries contain e.Query, contained those it
 // contains (an isomorphic entry would belong to both, but the runtime
-// never admits alongside one — it refreshes instead). The query index
+// never admits alongside one — it refreshes instead). The relation graph
 // memoizes the relations so a later query isomorphic to e.Query reads
 // its hits instead of re-deriving them (ForEachRelated). Passing nil
 // slices means the relations are unknown; pass empty non-nil slices for
@@ -201,7 +201,7 @@ func (c *Cache) AddWithRelations(e *Entry, containing, contained []*Entry) {
 		e.LastUsed = c.Tick()
 	}
 	c.assignSlot(e)
-	c.qidx.addEntry(e, containing, contained)
+	c.rel.addEntry(e, containing, contained)
 	c.window = append(c.window, e)
 	if len(c.window) >= c.cfg.WindowSize {
 		c.flushWindow()
@@ -210,7 +210,7 @@ func (c *Cache) AddWithRelations(e *Entry, containing, contained []*Entry) {
 
 // flushWindow moves the window into the cache and evicts down to capacity
 // using the configured policy. Entries keep their slots across the move,
-// so the query index does not change.
+// so the relation graph does not change.
 func (c *Cache) flushWindow() {
 	c.entries = append(c.entries, c.window...)
 	c.admitted += int64(len(c.window))

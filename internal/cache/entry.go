@@ -12,10 +12,10 @@
 //     Analyzer's counters, preserving still-valid results (§5.2).
 //
 // Beyond the paper, the cache queues every validity bit the Validator
-// clears for off-path repair (index.go), and keeps a slot-addressed
-// query index over its entries (qindex.go), which makes hit discovery
-// sub-linear in the cache size and memoizes query-to-query containment
-// relations for repeated queries. The Validator itself is Algorithm 2's
+// clears for off-path repair (index.go), and memoizes the
+// query-to-query containment relations among its entries (relations.go),
+// so a repeated query replays its hits without sub-iso tests. The
+// Validator itself is Algorithm 2's
 // sweep over the entries, so admission, eviction and the iso-hit
 // refresh do no per-graph work.
 package cache

@@ -7,14 +7,14 @@ import (
 )
 
 // This file implements the entry slot table and the repair queue — the
-// bookkeeping behind the query index and the background cache-repair
+// bookkeeping behind the relation graph and the background cache-repair
 // pipeline.
 //
 // # Slot table
 //
 // Every live entry occupies a slot: a small dense index recycled as
-// entries are admitted and evicted. The query index (qindex.go)
-// addresses entries by slot so its postings stay compact no matter how
+// entries are admitted and evicted. The relation graph (relations.go)
+// addresses entries by slot so its bitsets stay compact no matter how
 // many cache generations the server has seen.
 //
 // # Repair queue
@@ -51,11 +51,11 @@ func (c *Cache) assignSlot(e *Entry) {
 	c.slots = append(c.slots, e)
 }
 
-// releaseEntry removes an evicted or purged entry from the query index
+// releaseEntry removes an evicted or purged entry from the relation graph
 // and returns its slot to the free list. The entry is marked dead so
 // queued repair tasks referring to it are skipped.
 func (c *Cache) releaseEntry(e *Entry) {
-	c.qidx.removeEntry(e)
+	c.rel.removeEntry(e)
 	c.slots[e.slot] = nil
 	c.freeSlots = append(c.freeSlots, e.slot)
 	e.dead = true
@@ -128,12 +128,6 @@ func (c *Cache) RefreshEntry(e *Entry, answer, valid *bitset.Set) {
 	e.LastUsed = c.Tick()
 }
 
-// RepairCounters reports the lifetime repair counters: bits restored by
-// RestoreBit and pairs dropped on a full queue.
-func (c *Cache) RepairCounters() (restored, dropped int64) {
-	return c.repairedBits, c.repairDropped
-}
-
 // ValidityRatio returns the fraction of (entry, live graph) validity
 // bits currently set across cache and window — the health metric the
 // repair pipeline recovers after update churn. An empty cache (or an
@@ -152,15 +146,17 @@ func (c *Cache) ValidityRatio(live *bitset.Set) float64 {
 	return float64(valid) / float64(entries*liveCount)
 }
 
-// CheckIndex verifies the bookkeeping invariants Validate and the
-// repair pipeline rely on: every live entry occupies its slot and is
-// not marked dead, the admitted store followed by the window is in
-// strictly ascending entry-ID order (the order Validate sweeps, and so
-// the repair queue's order within a graph id), and the repair queue
-// holds no nil entry. Tests call it (via testutil.RequireCacheIndex)
-// after every mutation sequence. A nil receiver (cache disabled)
-// trivially passes, so helpers can check a runtime's cache without
-// caring whether one exists.
+// CheckIndex verifies the bookkeeping invariants Validate, the repair
+// pipeline and hit replay rely on: every live entry occupies its slot
+// and is not marked dead, the admitted store followed by the window is
+// in strictly ascending entry-ID order (the order Validate sweeps, and
+// so the repair queue's order within a graph id), the repair queue
+// holds no nil entry, and the relation graph is symmetric
+// (a ∈ sup[b] ⟺ b ∈ sub[a]), references only live same-kind slots, and
+// is present for exactly the live entries. Tests call it (via
+// testutil.RequireCacheIndex) after every mutation sequence. A nil
+// receiver (cache disabled) trivially passes, so helpers can check a
+// runtime's cache without caring whether one exists.
 func (c *Cache) CheckIndex() error {
 	if c == nil {
 		return nil
@@ -184,5 +180,5 @@ func (c *Cache) CheckIndex() error {
 			return fmt.Errorf("cache: nil entry in repair queue")
 		}
 	}
-	return nil
+	return c.checkRelationGraph()
 }

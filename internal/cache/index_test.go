@@ -13,7 +13,7 @@ import (
 
 // requireIndex is the in-package form of testutil.RequireCacheIndex
 // (testutil imports cache, so cache's own tests cannot import it back).
-func requireIndex(t *testing.T, c *Cache) {
+func requireIndex(t testing.TB, c *Cache) {
 	t.Helper()
 	if err := c.CheckIndex(); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func validateAgainstReference(t testing.TB, c *Cache, ctrs *dataset.Counters, se
 		}
 	}
 	queuedBefore := len(c.repairQ)
-	_, droppedBefore := c.RepairCounters()
+	droppedBefore := c.repairDropped
 
 	c.Validate(ctrs, seq)
 
@@ -155,7 +155,7 @@ func validateAgainstReference(t testing.TB, c *Cache, ctrs *dataset.Counters, se
 	if !slices.Equal(got, want) {
 		t.Fatalf("repair queue got %v, want %v", got, want)
 	}
-	_, dropped := c.RepairCounters()
+	dropped := c.repairDropped
 	if c.cfg.RepairQueue > 0 && int(dropped-droppedBefore) != len(cleared)-len(want) {
 		t.Fatalf("dropped %d pairs, want %d", dropped-droppedBefore, len(cleared)-len(want))
 	}
@@ -332,7 +332,7 @@ func TestRepairQueueBoundAndDrain(t *testing.T) {
 	if c.PendingRepairs() != 3 {
 		t.Fatalf("pending %d, want 3 (bounded)", c.PendingRepairs())
 	}
-	_, dropped := c.RepairCounters()
+	dropped := c.repairDropped
 	if dropped != 5 {
 		t.Fatalf("dropped %d, want 5", dropped)
 	}
@@ -356,7 +356,7 @@ func TestRepairQueueBoundAndDrain(t *testing.T) {
 	if !tasks[0].Entry.Valid.Get(tasks[0].GraphID) || !tasks[0].Entry.Answer.Get(tasks[0].GraphID) {
 		t.Fatal("RestoreBit did not set the bits")
 	}
-	restored, _ := c.RepairCounters()
+	restored := c.repairedBits
 	if restored != 1 {
 		t.Fatalf("restored counter %d, want 1", restored)
 	}

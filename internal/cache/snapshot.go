@@ -15,10 +15,9 @@ import (
 // relation graph and the pending repair queue, so a restarted server
 // resumes with a warm cache instead of re-executing every query.
 //
-// The slot table and the query index's postings are *rebuilt* from the
-// restored entries rather than persisted: they are pure functions of
-// entry state, rebuilding is linear in the snapshot size, and it keeps
-// the on-disk format independent of index internals. The relation graph
+// The slot table is *rebuilt* from the restored entries rather than
+// persisted: it is a pure function of entry state, and rebuilding keeps
+// the on-disk format independent of slot numbering. The relation graph
 // is the exception — its edges are the product of pairwise sub-iso tests
 // at admission time and cannot be recomputed cheaply, so Snapshot
 // carries them explicitly.
@@ -125,7 +124,7 @@ func (c *Cache) Export() *Snapshot {
 	for _, e := range c.window {
 		export(e)
 	}
-	s.RelIncomplete = c.qidx.relIncomplete
+	s.RelIncomplete = c.rel.relIncomplete
 	for _, e := range c.entries {
 		c.exportRelations(e, slotIdx, s)
 	}
@@ -144,26 +143,25 @@ func (c *Cache) Export() *Snapshot {
 func (c *Cache) exportRelations(e *Entry, slotIdx map[int]int, s *Snapshot) {
 	i := slotIdx[e.slot]
 	es := &s.Entries[i]
-	es.RelKnown = c.qidx.relKnown[e.slot]
-	c.qidx.sup[e.slot].ForEach(func(slot int) bool {
+	es.RelKnown = c.rel.relKnown[e.slot]
+	c.rel.sup[e.slot].ForEach(func(slot int) bool {
 		es.Sup = append(es.Sup, slotIdx[slot])
 		return true
 	})
-	c.qidx.sub[e.slot].ForEach(func(slot int) bool {
+	c.rel.sub[e.slot].ForEach(func(slot int) bool {
 		es.Sub = append(es.Sub, slotIdx[slot])
 		return true
 	})
 }
 
 // Restore rebuilds the cache from a snapshot. The receiver must be
-// freshly constructed (New, no entries admitted yet); the slot table and
-// the query index are rebuilt from the restored entries, and the
-// relation graph is replayed from the snapshot's adjacency. Entry IDs
-// must ascend strictly across Entries and stay below NextID, as every
-// exported snapshot's do: Validate sweeps in that order. Restoring into
-// a cache whose configuration differs from the exporter's is allowed —
-// capacity and window bounds re-assert themselves at the next
-// admission, and a disabled query index simply drops the relation graph.
+// freshly constructed (New, no entries admitted yet); the slot table is
+// rebuilt from the restored entries, and the relation graph is replayed
+// from the snapshot's adjacency. Entry IDs must ascend strictly across
+// Entries and stay below NextID, as every exported snapshot's do:
+// Validate sweeps in that order. Restoring into a cache whose
+// configuration differs from the exporter's is allowed — capacity and
+// window bounds re-assert themselves at the next admission.
 func (c *Cache) Restore(s *Snapshot) error {
 	if len(c.entries) != 0 || len(c.window) != 0 || c.nextID != 0 {
 		return fmt.Errorf("cache: Restore requires a fresh cache (have %d entries, %d windowed, nextID %d)",
@@ -222,7 +220,7 @@ func (c *Cache) Restore(s *Snapshot) error {
 				}
 			}
 		}
-		c.qidx.addEntry(e, containing, contained)
+		c.rel.addEntry(e, containing, contained)
 	}
 	c.entries = append(c.entries, restored[:s.WindowStart]...)
 	c.window = append(c.window, restored[s.WindowStart:]...)
@@ -236,7 +234,7 @@ func (c *Cache) Restore(s *Snapshot) error {
 	c.repairedBits = s.RepairedBits
 	c.repairDropped = s.RepairDropped
 	if s.RelIncomplete {
-		c.qidx.relIncomplete = true
+		c.rel.relIncomplete = true
 	}
 	for _, ref := range s.RepairQueue {
 		if ref.EntryIdx < 0 || ref.EntryIdx >= len(restored) {

@@ -67,7 +67,7 @@ func requireSameCacheState(t *testing.T, a, b *Cache) {
 func TestCacheExportRestoreRoundTrip(t *testing.T) {
 	cfg := Config{Capacity: 30, WindowSize: 7, RepairQueue: 64}
 	c := buildRelatedCache(t, cfg, 80, 11)
-	requireQueryIndex(t, c)
+	requireIndex(t, c)
 
 	// Invalidate some bits so the export carries a repair queue and a
 	// non-trivial validity pattern.
@@ -77,7 +77,7 @@ func TestCacheExportRestoreRoundTrip(t *testing.T) {
 	})
 	c.Validate(ctrs, 2)
 	c.NoteValidation()
-	requireQueryIndex(t, c)
+	requireIndex(t, c)
 	if c.PendingRepairs() == 0 {
 		t.Fatal("test needs a non-empty repair queue")
 	}
@@ -87,7 +87,7 @@ func TestCacheExportRestoreRoundTrip(t *testing.T) {
 	if err := r.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	requireQueryIndex(t, r)
+	requireIndex(t, r)
 	requireSameCacheState(t, c, r)
 
 	// The memoized relation graph must replay identically: for every
@@ -138,9 +138,9 @@ func TestCacheExportRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		r.Add(randomQueryEntry(rng))
 	}
-	requireQueryIndex(t, r)
+	requireIndex(t, r)
 	r.Purge()
-	requireQueryIndex(t, r)
+	requireIndex(t, r)
 }
 
 func TestCacheRestoreRejects(t *testing.T) {
@@ -208,7 +208,7 @@ func TestCacheRestoreWithoutRelations(t *testing.T) {
 	if err := r.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	requireQueryIndex(t, r)
+	requireIndex(t, r)
 	var base *Entry
 	r.ForEach(func(e *Entry) bool { base = e; return false })
 	if _, ok := r.ForEachRelated(base, func(*Entry, bool, bool) bool { return true }); ok {

@@ -71,15 +71,6 @@ type Plan struct {
 	Queries int
 }
 
-// TotalOps returns the number of operations across all batches.
-func (p *Plan) TotalOps() int {
-	n := 0
-	for _, b := range p.Batches {
-		n += len(b.Ops)
-	}
-	return n
-}
-
 // Generate creates a plan: batch times uniform over query ids, operation
 // types uniform over {ADD, DEL, UA, UR}.
 func Generate(cfg Config) (*Plan, error) {

@@ -172,3 +172,12 @@ func TestExecutorDeterminism(t *testing.T) {
 		t.Fatal("executor not deterministic")
 	}
 }
+
+// TotalOps returns the number of operations across all batches.
+func (p *Plan) TotalOps() int {
+	n := 0
+	for _, b := range p.Batches {
+		n += len(b.Ops)
+	}
+	return n
+}

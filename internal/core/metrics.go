@@ -35,11 +35,11 @@ type Metrics struct {
 	SubIsoTests stats.Running
 	// TestsSaved aggregates per-query spared tests.
 	TestsSaved stats.Running
-	// HitCandidates aggregates the per-query number of entries hit
-	// discovery examined (the query index's candidates).
+	// HitCandidates aggregates the per-query number of entries that
+	// passed hit discovery's fingerprint prefilter.
 	HitCandidates stats.Running
 	// HitScanned aggregates the per-query cache+window size at hit
-	// discovery; HitCandidates/HitScanned is the index's selectivity.
+	// discovery; HitCandidates/HitScanned is the prefilter's selectivity.
 	HitScanned stats.Running
 	// PlanTime aggregates the planner's per-query share.
 	PlanTime stats.Running
@@ -130,22 +130,6 @@ func (r *Runtime) Metrics() Metrics { return r.m }
 func (r *Runtime) ResetMeasurements() {
 	queries := r.m.Queries
 	r.m = Metrics{Queries: queries}
-}
-
-// MeanQueryTime returns the mean per-query processing time.
-func (m *Metrics) MeanQueryTime() time.Duration {
-	return time.Duration(m.QueryTime.Mean() * float64(time.Second))
-}
-
-// MeanOverhead returns the mean per-query cache-maintenance time.
-func (m *Metrics) MeanOverhead() time.Duration {
-	return time.Duration(m.Overhead.Mean() * float64(time.Second))
-}
-
-// MeanConsistency returns the mean per-query consistency share of the
-// overhead (CON's Algorithms 1+2, EVI's purge).
-func (m *Metrics) MeanConsistency() time.Duration {
-	return time.Duration(m.ConsistencyTime.Mean() * float64(time.Second))
 }
 
 // MeanSubIsoTests returns the mean number of sub-iso tests per query.

@@ -3,7 +3,6 @@ package core
 import (
 	"gcplus/internal/cache"
 	"gcplus/internal/feature"
-	"gcplus/internal/ftv"
 	"gcplus/internal/graph"
 	"gcplus/internal/stats"
 	"gcplus/internal/subiso"
@@ -83,22 +82,6 @@ type queryPlan struct {
 	// memo caches query-to-query containment verdicts (see the
 	// hitClassifier memo bits), keyed by cached-query graph pointer.
 	memo map[*graph.Graph]uint8
-
-	// qsigs memoizes the query's ftv path signatures at the cache query
-	// index's path length (cache.QueryPathLen). Signatures are a pure
-	// function of graph structure, so they hold for every structurally
-	// equal repeat the plan serves — extracting them is the single most
-	// expensive per-query step of indexed hit discovery, which a plan
-	// hit thereby skips.
-	qsigs []string
-}
-
-// sigs returns the query's path signatures, extracting them on first use.
-func (pl *queryPlan) sigs() []string {
-	if pl.qsigs == nil {
-		pl.qsigs = ftv.PathSignatures(pl.query, cache.QueryPathLen)
-	}
-	return pl.qsigs
 }
 
 // verdicts returns the plan's verdict memo, resetting it when it has
@@ -246,13 +229,12 @@ func (p *planner) store(key uint64, pl *queryPlan) {
 //
 // The key is a digest, not a proof: graphsEqual arbitrates every key hit
 // before a plan is reused, so an FNV collision degrades to a miss, never
-// to a wrong plan. The full isomorphism-invariant ftv.CanonicalKey was
-// deliberately rejected here — enumerating path signatures costs ~100µs
-// per 22-vertex query (measured), which is the same order as serving the
-// query, while an isomorphic-but-renumbered repeat would fail the
-// graphsEqual arbitration anyway (its compiled matchers index the wrong
-// vertices). The O(V+E) digest keeps the lookup three orders of
-// magnitude cheaper and hits the exact same reusable set.
+// to a wrong plan. An isomorphism-invariant key would buy nothing: an
+// isomorphic-but-renumbered repeat would fail the graphsEqual
+// arbitration anyway (its compiled matchers index the wrong vertices),
+// and a canonical form built from path signatures was measured at
+// ~100µs per 22-vertex query, the order of serving the query. The
+// O(V+E) digest hits the exact same reusable set.
 func planKey(g *graph.Graph, kind cache.Kind) uint64 {
 	const (
 		offset64 = 14695981039346656037

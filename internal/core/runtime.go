@@ -179,12 +179,12 @@ type QueryStats struct {
 	// HitTime is the hit-discovery portion of QueryTime.
 	HitTime time.Duration
 	// HitScanned is the number of cache+window entries present at hit
-	// discovery — the work a linear scan would do.
+	// discovery, the entries its fingerprint scan walks.
 	HitScanned int
-	// HitCandidates is the number of entries hit discovery actually
-	// examined with fingerprint (and possibly sub-iso) checks: the
-	// query index's candidate set. HitCandidates/HitScanned is the
-	// index's realized selectivity.
+	// HitCandidates is the number of entries that passed the fingerprint
+	// prefilter and so reached a containment verdict (memoized or
+	// tested); on the replay path, the probed entries plus the related
+	// ones. HitCandidates/HitScanned is the prefilter's selectivity.
 	HitCandidates int
 	// Overhead is cache-maintenance time: consistency (log analysis +
 	// validation or purge) plus window/cache updates. Figure 6's
@@ -708,7 +708,7 @@ func (r *Runtime) finish(g *graph.Graph, kind cache.Kind, answer, live *bitset.S
 				costEst = 1e-6 // neutral placeholder before first measurement
 			}
 			e := cache.NewEntry(g, kind, answer, live, r.cache.AppliedSeq(), costEst)
-			// Hand the hit classification over for the query index's
+			// Hand the hit classification over for the cache's
 			// relation graph: which cached queries contain g, and which
 			// g contains. For a subgraph query those are the direct and
 			// restrict hits respectively; for a supergraph query the
@@ -798,32 +798,28 @@ func (r *Runtime) CacheStats() cache.Stats {
 // validly failed). For a supergraph query the roles are exactly inverted,
 // as §6's "supergraph queries follow the exact inverse logic".
 //
-// Discovery is index-backed: the cache's query index hands over the two
-// candidate sets — entries whose fingerprints could subsume g and entries
-// g could subsume — and only those are examined, in the order a linear
-// scan over the cache would reach them, making hit discovery sub-linear
-// in the cache size. The differential property test pins classification,
-// credit order and iso selection to the linear-scan reference in
-// findhits_test.go.
-//
-// Repeated queries take a second shortcut: the index's isomorphism
-// probe narrows the cache to entries whose features exactly match g's;
-// if one proves isomorphic, its memoized relation sets — recorded at
-// admission, when the query behind it was classified against every
-// entry — replay the full hit classification with zero query-to-query
-// sub-iso tests. Under the Zipf workloads of the paper most queries are
-// repeats, so most hit discovery collapses to this path.
+// Discovery walks the cache in ForEach order in two steps. First an
+// isomorphism probe: an entry of equal size whose fingerprint subsumes
+// g's both ways gets one (memoized) containment test. If one proves
+// isomorphic, its memoized relation sets — recorded at admission, when
+// the query behind it was classified against every entry — replay the
+// full hit classification with zero query-to-query sub-iso tests. Under
+// the Zipf workloads of the paper most queries are repeats, so most hit
+// discovery collapses to this path. Otherwise every same-kind entry is
+// classified, skipping the containment test in each direction its
+// fingerprint rules out. The differential property test pins
+// classification, credit order and iso selection to the prefilter-free
+// reference in findhits_test.go.
 func (r *Runtime) findHits(pl *queryPlan, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
-	// The plan's own graph stands in for the query: it is structurally
-	// equal by construction, and its memoized summary and path signatures
-	// spare a repeat the signature extraction — the dominant per-query
-	// cost of indexed hit discovery.
-	g, kind, sigs := pl.query, pl.kind, pl.sigs()
+	kind, qf := pl.kind, pl.qf
 	h := newHitClassifier(pl, st)
 	st.HitScanned = r.cache.Size() + r.cache.WindowLen()
 	probed := 0
 	var isoBase *cache.Entry
-	r.cache.ForEachIsoCandidate(kind, g, sigs, func(e *cache.Entry) bool {
+	r.cache.ForEach(func(e *cache.Entry) bool {
+		if e.Kind != kind || !qf.SameSize(e.Fp) || !qf.SubsumedBy(e.Fp) || !e.Fp.SubsumedBy(qf) {
+			return true
+		}
 		probed++
 		if h.isoProbe(e) {
 			isoBase = e
@@ -842,22 +838,27 @@ func (r *Runtime) findHits(pl *queryPlan, st *QueryStats) (direct, restrict []*c
 			return h.direct, h.restrict, h.iso
 		}
 	}
-	// The probe's candidates are a subset of the classification
-	// candidates (exact-feature equality is stricter than could-contain),
-	// so counting only the latter keeps HitCandidates a distinct-entry
-	// count on this path.
-	st.HitCandidates = r.cache.ForEachHitCandidate(kind, g, sigs,
-		func(e *cache.Entry, mayContain, mayBeContained bool) bool {
-			h.visit(e, mayContain, mayBeContained)
+	// Every probed entry passes the prefilter again below, so counting
+	// only this walk keeps HitCandidates a distinct-entry count.
+	r.cache.ForEach(func(e *cache.Entry) bool {
+		if e.Kind != kind {
 			return true
-		})
+		}
+		mayContain, mayBeContained := qf.SubsumedBy(e.Fp), e.Fp.SubsumedBy(qf)
+		if mayContain || mayBeContained {
+			st.HitCandidates++
+			h.visit(e, mayContain, mayBeContained)
+		}
+		return true
+	})
 	return h.direct, h.restrict, h.iso
 }
 
 // hitClassifier applies the per-entry hit classification shared by
-// findHits and its linear-scan test reference. mayContain/mayBeContained
-// are sound prefilter verdicts: false means the corresponding fingerprint
-// subsumption is guaranteed to fail, so the check is skipped entirely.
+// findHits and its prefilter-free test reference. mayContain and
+// mayBeContained say which containment tests to run: findHits passes
+// the fingerprint verdicts (false means the relation is guaranteed
+// absent), the reference passes true for both.
 type hitClassifier struct {
 	// pl supplies the query's fingerprint and its two query-to-query
 	// matchers — the query compiled once in each direction, amortized
@@ -875,8 +876,7 @@ type hitClassifier struct {
 }
 
 // memo bits: the *Known bit marks a computed verdict, the *True bit its
-// value. "contain" is g ⊆ e.Query (fingerprint prefilter included),
-// "contained" is e.Query ⊆ g.
+// value. "contain" is g ⊆ e.Query, "contained" is e.Query ⊆ g.
 const (
 	memoContainKnown uint8 = 1 << iota
 	memoContainTrue
@@ -889,22 +889,20 @@ func newHitClassifier(pl *queryPlan, st *QueryStats) *hitClassifier {
 }
 
 func (h *hitClassifier) visit(e *cache.Entry, mayContain, mayBeContained bool) {
-	// Fingerprint prefilters in both directions, then the decisive
-	// query-to-query tests. An isomorphic entry is *both* a containing
-	// and a contained hit (and the second test is skipped: same size
-	// plus one-directional containment forces isomorphism). When the
-	// plan memo already knows a verdict the test is skipped; a computed
-	// verdict is stored for the next repeat. A false prefilter verdict
-	// means the relation is guaranteed absent, so nothing needs to be
-	// computed or memoized on that side.
-	qf := h.pl.qf
+	// The decisive query-to-query tests, in the directions the caller
+	// left open. An isomorphic entry is *both* a containing and a
+	// contained hit (and the second test is skipped: same size plus
+	// one-directional containment forces isomorphism). When the plan memo
+	// already knows a verdict the test is skipped; a computed verdict is
+	// stored for the next repeat. A closed direction is guaranteed
+	// absent, so nothing needs to be computed or memoized on that side.
 	bits := h.memo[e.Query]
 	isContaining := false
 	if mayContain {
 		if bits&memoContainKnown != 0 {
 			isContaining = bits&memoContainTrue != 0
 		} else {
-			isContaining = qf.SubsumedBy(e.Fp) && h.pl.gAsPattern.Contains(e.Query)
+			isContaining = h.pl.gAsPattern.Contains(e.Query)
 			bits |= memoContainKnown
 			if isContaining {
 				bits |= memoContainTrue
@@ -916,8 +914,7 @@ func (h *hitClassifier) visit(e *cache.Entry, mayContain, mayBeContained bool) {
 		if bits&memoContainedKnown != 0 {
 			isContained = bits&memoContainedTrue != 0
 		} else {
-			isContained = e.Fp.SubsumedBy(qf) &&
-				((isContaining && e.Fp.SameSize(qf)) || h.pl.gAsTarget.Contains(e.Query))
+			isContained = (isContaining && e.Fp.SameSize(h.pl.qf)) || h.pl.gAsTarget.Contains(e.Query)
 			bits |= memoContainedKnown
 			if isContained {
 				bits |= memoContainedTrue
@@ -928,14 +925,11 @@ func (h *hitClassifier) visit(e *cache.Entry, mayContain, mayBeContained bool) {
 	h.record(e, isContaining, isContained)
 }
 
-// isoProbe reports whether e.Query is isomorphic to the query: exact
-// feature match plus one-directional containment. The containment
-// verdict is read from (and recorded into) the plan memo.
+// isoProbe reports whether e.Query, whose fingerprint the caller found
+// equal in size and subsuming the query's both ways, is isomorphic to
+// the query: one-directional containment then suffices. The verdict is
+// read from (and recorded into) the plan memo.
 func (h *hitClassifier) isoProbe(e *cache.Entry) bool {
-	qf := h.pl.qf
-	if !qf.SubsumedBy(e.Fp) || !e.Fp.SubsumedBy(qf) {
-		return false
-	}
 	bits := h.memo[e.Query]
 	if bits&memoContainKnown != 0 {
 		return bits&memoContainTrue != 0

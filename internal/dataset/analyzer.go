@@ -52,9 +52,9 @@ func Analyze(records []Record) *Counters {
 	return c
 }
 
-// AnalyzeSince runs the Log Analyzer over the dataset's records newer
+// analyzeSince runs the Log Analyzer over the dataset's records newer
 // than the given sequence number.
-func (d *Dataset) AnalyzeSince(after uint64) *Counters {
+func (d *Dataset) analyzeSince(after uint64) *Counters {
 	return Analyze(d.RecordsSince(after))
 }
 
@@ -69,9 +69,6 @@ func (c *Counters) UAExclusive(id int) bool {
 func (c *Counters) URExclusive(id int) bool {
 	return c.Total[id] > 0 && c.Total[id] == c.UR[id]
 }
-
-// Empty reports whether no record was analyzed.
-func (c *Counters) Empty() bool { return c.Records == 0 }
 
 // TouchedIDs returns the ids of all graphs with at least one operation
 // (the keyset iterated by Algorithm 2 line 7), in unspecified order.

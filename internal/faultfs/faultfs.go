@@ -131,13 +131,6 @@ func (f *FS) Stop() {
 	f.stopped = true
 }
 
-// Resume re-enables injection after Stop.
-func (f *FS) Resume() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stopped = false
-}
-
 // Events returns a copy of the fired-fault log, in firing order.
 func (f *FS) Events() []Event {
 	f.mu.Lock()

@@ -13,11 +13,9 @@
 // embedding, so SubsumedBy is a sound necessary condition usable as a
 // prefilter in both directions.
 //
-// The fingerprint decides the *pairwise* prefilter; the cache-side query
-// index (internal/cache/qindex.go — the reproduction's analogue of the
-// original GraphCache's query index) answers the *set* question "which
-// fingerprints could pass" without touching every entry, using postings
-// over the same monotone features.
+// Hit discovery (core's findHits) checks every same-kind cache entry's
+// fingerprint against the query's in both directions, and runs the
+// decisive query-to-query sub-iso test only where it passes.
 package feature
 
 import (

@@ -260,3 +260,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("Validate missed bad edge count")
 	}
 }
+
+// Degrees returns the degree sequence sorted descending. The caller must
+// not modify it.
+func (s *Summary) Degrees() []int32 { return s.degrees }

@@ -139,10 +139,6 @@ func (s *Summary) Edges() int { return s.edges }
 // MaxDegree returns the maximum vertex degree.
 func (s *Summary) MaxDegree() int { return s.maxDegree }
 
-// Degrees returns the degree sequence sorted descending. The caller must
-// not modify it.
-func (s *Summary) Degrees() []int32 { return s.degrees }
-
 // LabelCounts returns the per-label vertex counts sorted ascending by
 // label. The caller must not modify it.
 func (s *Summary) LabelCounts() []LabelCount { return s.labels }

@@ -56,7 +56,7 @@ func bucketUpperNS(idx int) uint64 {
 // allocation-free, and safe for concurrent use (shard owner goroutines
 // and benchmark clients record into the same histogram a scrape reads).
 //
-// Reads (Count, Quantile, ForEachBucket) are lock-free snapshots of the
+// Reads (Count, Quantile) are lock-free snapshots of the
 // atomics; under concurrent recording the bucket counts, total count and
 // sum may each lag by a handful of in-flight observations, which is the
 // usual — and acceptable — scrape-time skew of live counters.
@@ -86,13 +86,13 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNS.Add(ns)
 }
 
-// ObserveSeconds records one duration given in seconds. Hostile floats
+// observeSeconds records one duration given in seconds. Hostile floats
 // are tamed before the int64 conversion (whose result is otherwise
 // implementation-defined in Go): NaN and negatives record as 0, values
 // beyond the int64 nanosecond range saturate at the top bucket. The
 // histogram therefore never holds a count in an undefined bucket no
 // matter what arithmetic produced s.
-func (h *Histogram) ObserveSeconds(s float64) {
+func (h *Histogram) observeSeconds(s float64) {
 	if math.IsNaN(s) || s <= 0 {
 		h.Observe(0)
 		return
@@ -106,20 +106,6 @@ func (h *Histogram) ObserveSeconds(s float64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// SumSeconds returns the sum of all observations in seconds.
-func (h *Histogram) SumSeconds() float64 {
-	return float64(h.sumNS.Load()) / float64(time.Second)
-}
-
-// MeanSeconds returns the mean observation in seconds (0 when empty).
-func (h *Histogram) MeanSeconds() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sumNS.Load()) / float64(n) / float64(time.Second)
-}
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) in seconds, as an
 // exact bucket bound: the true quantile value v satisfies
@@ -169,17 +155,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return float64(bucketUpperNS(numBuckets-1)) / float64(time.Second)
-}
-
-// ForEachBucket visits the non-empty buckets in ascending order with
-// their upper bound (seconds) and count. Used by the exposition writer
-// and by tests asserting bucket totals.
-func (h *Histogram) ForEachBucket(fn func(upperSec float64, count int64)) {
-	for i := 0; i < numBuckets; i++ {
-		if c := h.counts[i].Load(); c > 0 {
-			fn(float64(bucketUpperNS(i))/float64(time.Second), c)
-		}
-	}
 }
 
 // Exposition bucket ladder: the fine internal buckets would make every

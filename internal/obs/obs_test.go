@@ -147,7 +147,7 @@ func TestObserveSecondsHostileFloats(t *testing.T) {
 	h := NewHistogram()
 	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 0, 1e300, 1e-12, 0.002}
 	for _, s := range hostile {
-		h.ObserveSeconds(s)
+		h.observeSeconds(s)
 	}
 	if h.Count() != int64(len(hostile)) {
 		t.Fatalf("count = %d, want %d", h.Count(), len(hostile))
@@ -186,7 +186,7 @@ func TestExpositionNoNaN(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("gc_hostile_seconds", "Hostile inputs.", nil)
 	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300, 0.004} {
-		h.ObserveSeconds(s)
+		h.observeSeconds(s)
 	}
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
@@ -260,7 +260,7 @@ func TestRegistryWriteProm(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("gc_requests_total", "Total requests.", nil)
 	c.Add(41)
-	c.Inc()
+	c.Add(1)
 	g := r.Gauge("gc_temperature", "Current temperature.", Labels{"room": "a"})
 	g.Set(3.5)
 	h := r.Histogram("gc_latency_seconds", "Latency.", Labels{"shard": "0", "stage": "query"})
@@ -331,4 +331,29 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("mix_total", "", Labels{"a": "1"})
+}
+
+// SumSeconds returns the sum of all observations in seconds.
+func (h *Histogram) SumSeconds() float64 {
+	return float64(h.sumNS.Load()) / float64(time.Second)
+}
+
+// MeanSeconds returns the mean observation in seconds (0 when empty).
+func (h *Histogram) MeanSeconds() float64 {
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.sumNS.Load()) / float64(n) / float64(time.Second)
+}
+
+// ForEachBucket visits the non-empty buckets in ascending order with
+// their upper bound (seconds) and count, for assertions on bucket
+// totals.
+func (h *Histogram) ForEachBucket(fn func(upperSec float64, count int64)) {
+	for i := 0; i < numBuckets; i++ {
+		if c := h.counts[i].Load(); c > 0 {
+			fn(float64(bucketUpperNS(i))/float64(time.Second), c)
+		}
+	}
 }

@@ -20,9 +20,6 @@ type Counter struct{ v atomic.Int64 }
 // Add increments the counter by n (n must be ≥ 0).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Set overwrites the counter with a snapshot of its source.
 func (c *Counter) Set(n int64) { c.v.Store(n) }
 

@@ -470,3 +470,18 @@ func TestStoreLock(t *testing.T) {
 	}
 	s2.Close()
 }
+
+// OpenWALAppend is OpenWALAppendFS on the OS filesystem.
+func OpenWALAppend(path string, shard int, truncAt int64, sync bool) (*WAL, error) {
+	return OpenWALAppendFS(OSFS, path, shard, truncAt, sync)
+}
+
+// WriteSnapshotFile is WriteSnapshotFileFS on the OS filesystem.
+func WriteSnapshotFile(path string, shard int, payload []byte) error {
+	return WriteSnapshotFileFS(OSFS, path, shard, payload)
+}
+
+// ReadSnapshotFile is ReadSnapshotFileFS on the OS filesystem.
+func ReadSnapshotFile(path string, shard int) ([]byte, error) {
+	return ReadSnapshotFileFS(OSFS, path, shard)
+}

@@ -90,16 +90,10 @@ func CreateWALFS(fsys FS, path string, shard int, baseEpoch uint64, sync bool) (
 	return w, nil
 }
 
-// OpenWALAppend reopens an existing segment for appending after
-// recovery, truncating it to truncAt first (the offset just past the
-// last intact frame, as reported by ReadWALFile) so a torn tail never
-// precedes fresh frames.
-func OpenWALAppend(path string, shard int, truncAt int64, sync bool) (*WAL, error) {
-	return OpenWALAppendFS(OSFS, path, shard, truncAt, sync)
-}
-
-// OpenWALAppendFS is OpenWALAppend writing through an explicit
-// filesystem.
+// OpenWALAppendFS reopens an existing segment on fsys for appending
+// after recovery, truncating it to truncAt first (the offset just past
+// the last intact frame, as reported by ReadWALFile) so a torn tail
+// never precedes fresh frames.
 func OpenWALAppendFS(fsys FS, path string, shard int, truncAt int64, sync bool) (*WAL, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -238,16 +232,11 @@ func ReadWALFileFS(fsys FS, path string, shard int) (baseEpoch uint64, frames []
 	}
 }
 
-// WriteSnapshotFile atomically writes a snapshot file: the payload is
-// framed behind a snapshot header, written to a temporary sibling,
-// fsynced, and renamed into place, with the directory fsynced after the
-// rename. A crash at any point leaves either no file or a complete one.
-func WriteSnapshotFile(path string, shard int, payload []byte) error {
-	return WriteSnapshotFileFS(OSFS, path, shard, payload)
-}
-
-// WriteSnapshotFileFS is WriteSnapshotFile writing through an explicit
-// filesystem.
+// WriteSnapshotFileFS atomically writes a snapshot file on fsys: the
+// payload is framed behind a snapshot header, written to a temporary
+// sibling, fsynced, and renamed into place, with the directory fsynced
+// after the rename. A crash at any point leaves either no file or a
+// complete one.
 func WriteSnapshotFileFS(fsys FS, path string, shard int, payload []byte) error {
 	buf := appendSnapHeader(nil, shard)
 	buf = appendFrame(buf, payload)
@@ -277,14 +266,8 @@ func WriteSnapshotFileFS(fsys FS, path string, shard int, payload []byte) error 
 	return syncDirFS(fsys, path)
 }
 
-// ReadSnapshotFile reads and validates a snapshot file, returning its
-// frame payload.
-func ReadSnapshotFile(path string, shard int) ([]byte, error) {
-	return ReadSnapshotFileFS(OSFS, path, shard)
-}
-
-// ReadSnapshotFileFS is ReadSnapshotFile reading through an explicit
-// filesystem.
+// ReadSnapshotFileFS reads and validates a snapshot file on fsys,
+// returning its frame payload.
 func ReadSnapshotFileFS(fsys FS, path string, shard int) ([]byte, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {

@@ -86,7 +86,7 @@ func Shuffle[T any](rng *rand.Rand, xs []T) {
 	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
-// Choice returns a uniformly chosen element of xs; it panics on empty xs.
-func Choice[T any](rng *rand.Rand, xs []T) T {
+// choice returns a uniformly chosen element of xs; it panics on empty xs.
+func choice[T any](rng *rand.Rand, xs []T) T {
 	return xs[rng.Intn(len(xs))]
 }

@@ -111,7 +111,7 @@ func TestShuffleAndChoice(t *testing.T) {
 	if sum != 15 {
 		t.Fatalf("shuffle lost elements: %v vs %v", xs, orig)
 	}
-	c := Choice(rng, xs)
+	c := choice(rng, xs)
 	found := false
 	for _, x := range xs {
 		if x == c {

@@ -555,3 +555,10 @@ func TestStatsOpsFields(t *testing.T) {
 		t.Fatalf("uptime not monotonic: %f then %f", st1.UptimeSec, st2.UptimeSec)
 	}
 }
+
+// CloseAbrupt shuts the server down without the final snapshot — the
+// crash-shaped shutdown: whatever the WAL and the last snapshot
+// generation already made durable is all a subsequent boot recovers.
+// Crash-recovery tests use it to exercise the WAL replay path
+// deterministically.
+func (s *Server) CloseAbrupt() { _ = s.closeImpl(false) }

@@ -734,13 +734,6 @@ func (s *Server) stopHosts() {
 // generation are lost; callers should surface it loudly).
 func (s *Server) Close() error { return s.closeImpl(true) }
 
-// CloseAbrupt shuts the server down without the final snapshot — the
-// crash-shaped shutdown: whatever the WAL and the last snapshot
-// generation already made durable is all a subsequent boot recovers.
-// Crash-recovery tests use it to exercise the WAL replay path
-// deterministically.
-func (s *Server) CloseAbrupt() { _ = s.closeImpl(false) }
-
 func (s *Server) closeImpl(flush bool) error {
 	flush = flush && s.store != nil
 	holdsSnapMu := false

@@ -368,9 +368,6 @@ func (h *Host) Stop() {
 	<-h.done
 }
 
-// HasWAL reports whether the host currently holds an open WAL segment.
-func (h *Host) HasWAL() bool { return h.wal != nil }
-
 // CloseWAL closes the host's WAL segment if one is open: flushed (final
 // fsync) when flush is true, raw otherwise — the crash-shaped path,
 // where recovery must cope with exactly what the kernel happened to
@@ -393,9 +390,6 @@ func (h *Host) DurableEpoch() uint64 { return h.durableEpoch.Load() }
 // SetDurableEpoch seeds the durable-epoch claim at boot (everything
 // replayed from disk is durable by definition).
 func (h *Host) SetDurableEpoch(e uint64) { h.durableEpoch.Store(e) }
-
-// WALVolatile reports an open WAL durability gap.
-func (h *Host) WALVolatile() bool { return h.volatileWAL.Load() }
 
 // NoteSnapshotDurable records that a complete snapshot generation at
 // epoch is durable: the generation itself proves everything ≤ epoch

@@ -78,15 +78,6 @@ func (r *Running) CoV2() float64 {
 	return r.Variance() / (r.mean * r.mean)
 }
 
-// CoV2Of computes the squared coefficient of variation of a sample.
-func CoV2Of(xs []float64) float64 {
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	return r.CoV2()
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -108,9 +99,9 @@ func Std(xs []float64) float64 {
 	return r.Std()
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
+// percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
 // nearest-rank on a sorted copy. Empty input yields 0.
-func Percentile(xs []float64, p float64) float64 {
+func percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}

@@ -88,12 +88,12 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {20, 1}, {40, 2}, {50, 3}, {100, 5}, {-5, 1}, {200, 5},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
+		if got := percentile(xs, c.p); got != c.want {
 			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
 		}
 	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("Percentile(nil) != 0")
+	if percentile(nil, 50) != 0 {
+		t.Fatal("percentile(nil) != 0")
 	}
 	// input must not be mutated
 	if xs[0] != 5 {
@@ -166,4 +166,13 @@ func TestRunningStateRoundTrip(t *testing.T) {
 	if a.N() != b.N() || a.Mean() != b.Mean() || a.Variance() != b.Variance() {
 		t.Fatalf("restored accumulator diverged: %+v vs %+v", a, b)
 	}
+}
+
+// CoV2Of computes the squared coefficient of variation of a sample.
+func CoV2Of(xs []float64) float64 {
+	var r Running
+	for _, x := range xs {
+		r.Add(x)
+	}
+	return r.CoV2()
 }

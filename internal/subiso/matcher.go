@@ -342,8 +342,8 @@ func (sc *scratch) nextInOrder(p *graph.Graph, freq []int32, d int) {
 }
 
 // fullOrder runs the builder to completion with VF2's index tie-break,
-// for the orders fixed per pattern (CompileSub, FindEmbedding), on fresh
-// buffers holding only what the builder touches.
+// for the order CompileSub fixes per pattern, on fresh buffers holding
+// only what the builder touches.
 func fullOrder(p *graph.Graph) (order, anchor []int32) {
 	n := p.NumVertices()
 	out, tmp := make([]int32, 2*n), make([]int32, 3*n)

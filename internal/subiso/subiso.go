@@ -58,34 +58,6 @@ func PlannerAlgorithms() []Algorithm {
 	return []Algorithm{VF2{}, VF2Plus{}, GraphQL{}}
 }
 
-// CheckEmbedding verifies that m is a valid monomorphism from pattern to
-// target: m must have one entry per pattern vertex, be injective, preserve
-// labels, and map every pattern edge to a target edge. Used by tests.
-func CheckEmbedding(pattern, target *graph.Graph, m []int) error {
-	if len(m) != pattern.NumVertices() {
-		return fmt.Errorf("subiso: mapping has %d entries, pattern has %d vertices", len(m), pattern.NumVertices())
-	}
-	seen := make(map[int]bool, len(m))
-	for u, v := range m {
-		if v < 0 || v >= target.NumVertices() {
-			return fmt.Errorf("subiso: vertex %d maps out of range (%d)", u, v)
-		}
-		if seen[v] {
-			return fmt.Errorf("subiso: mapping not injective at target vertex %d", v)
-		}
-		seen[v] = true
-		if pattern.Label(u) != target.Label(v) {
-			return fmt.Errorf("subiso: label mismatch at %d→%d", u, v)
-		}
-	}
-	for _, e := range pattern.EdgeList() {
-		if !target.HasEdge(m[e.U], m[e.V]) {
-			return fmt.Errorf("subiso: pattern edge {%d,%d} not preserved", e.U, e.V)
-		}
-	}
-	return nil
-}
-
 // profileContains reports whether sorted multiset a is contained in sorted
 // multiset b.
 func profileContains(a, b []graph.Label) bool {

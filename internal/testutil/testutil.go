@@ -17,35 +17,29 @@ import (
 )
 
 // CacheIndexes is the slice of *cache.Cache these helpers exercise: its
-// two bookkeeping invariants. Declaring the interface here (instead of
+// bookkeeping invariants. Declaring the interface here (instead of
 // importing the cache package) keeps testutil importable from the test
-// suites of cache's own dependencies, e.g. internal/ftv.
+// suites of cache's own dependencies.
 type CacheIndexes interface {
-	// CheckIndex verifies the slot table, dead flags, sweep order and
-	// repair queue.
+	// CheckIndex verifies the slot table, dead flags, sweep order,
+	// repair queue and relation graph.
 	CheckIndex() error
-	// CheckQueryIndex verifies the query-index invariant.
-	CheckQueryIndex() error
 }
 
 // RequireCacheIndex fails the test when the cache's bookkeeping
-// violates an invariant: the slot table and sweep order
-// (cache.CheckIndex: every live entry maps back from its slot and is
-// not marked dead, entries run in ascending ID order as Validate sweeps
-// them, and the repair queue holds no nil entry) or the query index
-// (postings must hold exactly the live entries' query features;
-// cache.CheckQueryIndex). Test suites call it after every mutation
-// sequence — admit, evict, purge, validate, repair — so bookkeeping bugs
-// surface at the mutation that introduced them.
+// violates an invariant (cache.CheckIndex): every live entry maps back
+// from its slot and is not marked dead, entries run in ascending ID
+// order as Validate sweeps them, the repair queue holds no nil entry,
+// and the query-to-query relation graph is symmetric over exactly the
+// live entries. Test suites call it after every mutation sequence —
+// admit, evict, purge, validate, repair — so bookkeeping bugs surface
+// at the mutation that introduced them.
 func RequireCacheIndex(t testing.TB, c CacheIndexes) {
 	t.Helper()
 	if c == nil {
 		return
 	}
 	if err := c.CheckIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckQueryIndex(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"math"
 	"strconv"
 	"sync/atomic"
-	"time"
 )
 
 // ID identifies one trace; SpanID one span within it. Both are nonzero
@@ -117,14 +116,6 @@ func (s *Span) Attr(key string) string {
 		}
 	}
 	return ""
-}
-
-// AddEvent appends one event, dropping it once MaxEvents is reached.
-func (s *Span) AddEvent(at time.Time, msg string) {
-	if len(s.Events) >= MaxEvents {
-		return
-	}
-	s.Events = append(s.Events, Event{UnixNanos: at.UnixNano(), Msg: msg})
 }
 
 // Id generation: a process-global counter mixed through splitmix64, so

@@ -216,3 +216,11 @@ func TestCodecHostileInputs(t *testing.T) {
 		t.Fatalf("name len %d, want clipped to %d", len(got[0].Name), MaxWireString)
 	}
 }
+
+// AddEvent appends one event, dropping it once MaxEvents is reached.
+func (s *Span) AddEvent(at time.Time, msg string) {
+	if len(s.Events) >= MaxEvents {
+		return
+	}
+	s.Events = append(s.Events, Event{UnixNanos: at.UnixNano(), Msg: msg})
+}
