@@ -11,18 +11,19 @@ import (
 	"testing"
 )
 
-// TestNoTestOnlyExports enforces the dead-export rule: an exported
-// top-level identifier (function, method, type, variable or constant)
-// declared in a non-test file under internal/ must be referenced from
-// somewhere other than its own package's _test.go files — another
-// package, test or not, or a non-test file of its own package. Every .go
-// file in the repository counts as a caller, including the benchmark/
-// module's. References are matched by identifier name alone, which can
-// only over-count callers, so the rule never flags a live identifier.
-// Methods the standard library calls through an interface without naming
-// them (Unwrap for errors.Is/As, and the like) are live by construction.
-// Delete a flagged identifier, or unexport it; code that only tests need
-// belongs in a _test.go file.
+// TestNoTestOnlyExports enforces the dead-code rule for top-level
+// identifiers (functions, methods, types, variables and constants)
+// declared in non-test files under internal/. An exported one must be
+// referenced from somewhere other than its own package's _test.go files
+// — another package, test or not, or a non-test file of its own package;
+// every .go file in the repository counts as a caller, including the
+// benchmark/ module's. An unexported one must be referenced from a
+// non-test file of its own package. References are matched by
+// identifier name alone, which can only over-count callers, so the rule
+// never flags a live identifier. Methods the standard library calls
+// through an interface without naming them (Unwrap for errors.Is/As, and
+// the like) are live by construction. Delete a flagged identifier, or
+// unexport it; code that only tests need belongs in a _test.go file.
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		dir, name string
@@ -55,7 +56,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		isTest := strings.HasSuffix(path, "_test.go")
 		if !isTest && strings.HasPrefix(dir, "internal/") {
-			for _, id := range exportedDecls(f) {
+			for _, id := range topLevelDecls(f) {
 				declPos[id.Pos()] = true
 				decls = append(decls, decl{dir: dir, name: id.Name, pos: fset.Position(id.Pos())})
 			}
@@ -67,7 +68,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			key = dir + "#test"
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && ast.IsExported(id.Name) && !declPos[id.Pos()] {
+			if id, ok := n.(*ast.Ident); ok && !declPos[id.Pos()] {
 				if callers[id.Name] == nil {
 					callers[id.Name] = make(map[string]bool)
 				}
@@ -82,11 +83,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	var dead []string
 	for _, d := range decls {
-		live := false
-		for key := range callers[d.name] {
-			if key != d.dir+"#test" {
-				live = true
-				break
+		live := callers[d.name][d.dir]
+		if ast.IsExported(d.name) {
+			for key := range callers[d.name] {
+				live = live || key != d.dir+"#test"
 			}
 		}
 		if !live && !implicitMethods[d.name] {
@@ -95,7 +95,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, s := range dead {
-		t.Errorf("%s is exported but referenced only by its own package's tests", s)
+		t.Errorf("%s is referenced only by tests", s)
 	}
 }
 
@@ -107,28 +107,28 @@ var implicitMethods = map[string]bool{
 	"MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
 }
 
-// exportedDecls returns the name identifiers of f's exported top-level
-// declarations, methods included.
-func exportedDecls(f *ast.File) []*ast.Ident {
+// topLevelDecls returns the name identifiers of f's top-level
+// declarations, methods included, except blank identifiers and init
+// functions, which nothing references by name.
+func topLevelDecls(f *ast.File) []*ast.Ident {
 	var out []*ast.Ident
+	add := func(id *ast.Ident) {
+		if id.Name != "_" && id.Name != "init" {
+			out = append(out, id)
+		}
+	}
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			if d.Name.IsExported() {
-				out = append(out, d.Name)
-			}
+			add(d.Name)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					if s.Name.IsExported() {
-						out = append(out, s.Name)
-					}
+					add(s.Name)
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
-						if n.IsExported() {
-							out = append(out, n)
-						}
+						add(n)
 					}
 				}
 			}

@@ -117,16 +117,6 @@ func (s *Set) Any() bool { return !s.None() }
 // used by Algorithm 2's length check.
 func (s *Set) Len() int { return len(s.words) * wordBits }
 
-// max returns the highest set bit, or -1 if the set is empty.
-func (s *Set) max() int {
-	for w := len(s.words) - 1; w >= 0; w-- {
-		if s.words[w] != 0 {
-			return w*wordBits + 63 - bits.LeadingZeros64(s.words[w])
-		}
-	}
-	return -1
-}
-
 // Clone returns a deep copy.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words))}
@@ -273,27 +263,6 @@ func (s *Set) Indices() []int {
 		return true
 	})
 	return out
-}
-
-// nextSet returns the smallest set bit >= i, or -1 if none exists.
-func (s *Set) nextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	w := i / wordBits
-	if w >= len(s.words) {
-		return -1
-	}
-	cur := s.words[w] >> uint(i%wordBits)
-	if cur != 0 {
-		return i + bits.TrailingZeros64(cur)
-	}
-	for w++; w < len(s.words); w++ {
-		if s.words[w] != 0 {
-			return w*wordBits + bits.TrailingZeros64(s.words[w])
-		}
-	}
-	return -1
 }
 
 // Words returns a copy of the set's backing words (64 bits each, little

@@ -81,25 +81,6 @@ func TestCountNoneAny(t *testing.T) {
 	}
 }
 
-func TestMax(t *testing.T) {
-	s := New(0)
-	if s.max() != -1 {
-		t.Fatalf("empty Max = %d, want -1", s.max())
-	}
-	s.Set(0)
-	if s.max() != 0 {
-		t.Fatalf("Max = %d, want 0", s.max())
-	}
-	s.Set(511)
-	if s.max() != 511 {
-		t.Fatalf("Max = %d, want 511", s.max())
-	}
-	s.Clear(511)
-	if s.max() != 0 {
-		t.Fatalf("Max after clear = %d, want 0", s.max())
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	s := FromIndices(1, 2, 3)
 	c := s.Clone()
@@ -233,21 +214,6 @@ func TestIndices(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Indices = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestNextSet(t *testing.T) {
-	s := FromIndices(3, 64, 130)
-	cases := []struct{ from, want int }{
-		{0, 3}, {3, 3}, {4, 64}, {64, 64}, {65, 130}, {131, -1}, {-5, 3},
-	}
-	for _, c := range cases {
-		if got := s.nextSet(c.from); got != c.want {
-			t.Errorf("nextSet(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-	if got := New(0).nextSet(0); got != -1 {
-		t.Errorf("empty NextSet = %d, want -1", got)
 	}
 }
 

@@ -1,11 +1,11 @@
 package changeplan
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
+	"gcplus/internal/wire"
 )
 
 // Binary codec for resolved operations — the currency of the durability
@@ -17,7 +17,8 @@ import (
 //	UA/UR:  uvarint graph id, uvarint u, uvarint v
 //
 // The encoding is self-delimiting, so ops concatenate into a frame
-// payload without separators; DecodeOp returns the remaining bytes.
+// payload without separators; DecodeOp reads one from an internal/wire
+// cursor and leaves it at the next.
 
 // AppendBinary appends the op's binary encoding to buf and returns the
 // extended slice. ADD ops must carry a graph.
@@ -28,72 +29,44 @@ func (op Op) AppendBinary(buf []byte) ([]byte, error) {
 		if op.Graph == nil {
 			return nil, fmt.Errorf("changeplan: cannot encode ADD with nil graph")
 		}
-		blob := graph.Marshal(op.Graph)
-		buf = binary.AppendUvarint(buf, uint64(len(blob)))
-		return append(buf, blob...), nil
+		return wire.AppendBytes(buf, graph.Marshal(op.Graph)), nil
 	case dataset.OpDelete:
-		return binary.AppendUvarint(buf, uint64(op.GraphID)), nil
+		return wire.AppendUvarint(buf, uint64(op.GraphID)), nil
 	case dataset.OpUpdateAddEdge, dataset.OpUpdateRemoveEdge:
-		buf = binary.AppendUvarint(buf, uint64(op.GraphID))
-		buf = binary.AppendUvarint(buf, uint64(op.U))
-		return binary.AppendUvarint(buf, uint64(op.V)), nil
+		buf = wire.AppendUvarint(buf, uint64(op.GraphID))
+		buf = wire.AppendUvarint(buf, uint64(op.U))
+		return wire.AppendUvarint(buf, uint64(op.V)), nil
 	}
 	return nil, fmt.Errorf("changeplan: cannot encode unknown op type %v", op.Type)
 }
 
-// DecodeOp decodes one op from the front of data, returning the op and
-// the remaining bytes.
-func DecodeOp(data []byte) (Op, []byte, error) {
-	if len(data) == 0 {
-		return Op{}, nil, fmt.Errorf("changeplan: empty op encoding")
-	}
-	op := Op{Type: dataset.OpType(data[0])}
-	data = data[1:]
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, fmt.Errorf("changeplan: truncated op varint")
-		}
-		data = data[n:]
-		return v, nil
-	}
+// DecodeOp decodes one op from d. A malformed encoding latches d's
+// error and returns the zero Op.
+func DecodeOp(d *wire.Dec) Op {
+	op := Op{Type: dataset.OpType(d.Byte())}
 	switch op.Type {
 	case dataset.OpAdd:
-		blobLen, err := readUvarint()
-		if err != nil {
-			return Op{}, nil, err
+		blob := d.Bytes()
+		if d.Err() != nil {
+			return Op{}
 		}
-		if blobLen > uint64(len(data)) {
-			return Op{}, nil, fmt.Errorf("changeplan: ADD graph payload truncated (%d > %d bytes)", blobLen, len(data))
-		}
-		g, err := graph.Unmarshal(data[:blobLen])
+		g, err := graph.Unmarshal(blob)
 		if err != nil {
-			return Op{}, nil, fmt.Errorf("changeplan: ADD graph: %w", err)
+			d.Fail("ADD graph: %v", err)
+			return Op{}
 		}
 		op.Graph = g
-		return op, data[blobLen:], nil
 	case dataset.OpDelete:
-		id, err := readUvarint()
-		if err != nil {
-			return Op{}, nil, err
-		}
-		op.GraphID = int(id)
-		return op, data, nil
+		op.GraphID = int(d.Uvarint())
 	case dataset.OpUpdateAddEdge, dataset.OpUpdateRemoveEdge:
-		id, err := readUvarint()
-		if err != nil {
-			return Op{}, nil, err
-		}
-		u, err := readUvarint()
-		if err != nil {
-			return Op{}, nil, err
-		}
-		v, err := readUvarint()
-		if err != nil {
-			return Op{}, nil, err
-		}
-		op.GraphID, op.U, op.V = int(id), int(u), int(v)
-		return op, data, nil
+		op.GraphID = int(d.Uvarint())
+		op.U = int(d.Uvarint())
+		op.V = int(d.Uvarint())
+	default:
+		d.Fail("unknown encoded op type %d", uint8(op.Type))
 	}
-	return Op{}, nil, fmt.Errorf("changeplan: unknown encoded op type %d", uint8(op.Type))
+	if d.Err() != nil {
+		return Op{}
+	}
+	return op
 }

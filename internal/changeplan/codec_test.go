@@ -7,7 +7,15 @@ import (
 
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
+	"gcplus/internal/wire"
 )
+
+// decodeOp decodes one op from the front of data, returning the rest.
+func decodeOp(data []byte) (Op, []byte, error) {
+	d := wire.NewDec("changeplan", data)
+	op := DecodeOp(&d)
+	return op, d.Rest(), d.Err()
+}
 
 func TestOpBinaryRoundTrip(t *testing.T) {
 	g := graph.Path(1, 2, 3)
@@ -29,7 +37,7 @@ func TestOpBinaryRoundTrip(t *testing.T) {
 	rest := buf
 	for i, want := range ops {
 		var got Op
-		got, rest, err = DecodeOp(rest)
+		got, rest, err = decodeOp(rest)
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
@@ -41,7 +49,7 @@ func TestOpBinaryRoundTrip(t *testing.T) {
 		t.Fatalf("%d bytes left over", len(rest))
 	}
 	// The ADD graph survives structurally.
-	dec, _, err := DecodeOp(func() []byte { b, _ := ops[0].AppendBinary(nil); return b }())
+	dec, _, err := decodeOp(func() []byte { b, _ := ops[0].AppendBinary(nil); return b }())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +65,10 @@ func TestOpBinaryErrors(t *testing.T) {
 	if _, err := (Op{Type: dataset.OpType(9)}).AppendBinary(nil); err == nil {
 		t.Fatal("unknown op type encoded")
 	}
-	if _, _, err := DecodeOp(nil); err == nil {
+	if _, _, err := decodeOp(nil); err == nil {
 		t.Fatal("empty input decoded")
 	}
-	if _, _, err := DecodeOp([]byte{9}); err == nil {
+	if _, _, err := decodeOp([]byte{9}); err == nil {
 		t.Fatal("unknown op type decoded")
 	}
 	// Truncated ADD payload.
@@ -68,7 +76,7 @@ func TestOpBinaryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeOp(buf[:len(buf)-1]); err == nil {
+	if _, _, err := decodeOp(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated ADD decoded")
 	}
 }
@@ -80,7 +88,7 @@ func TestDecodeAddRejectsWrappingEndpoint(t *testing.T) {
 		text := "t g\nv 0 1\nv 1 2\n" + e + "\n"
 		buf := append([]byte{byte(dataset.OpAdd)}, binary.AppendUvarint(nil, uint64(len(text)))...)
 		buf = append(buf, text...)
-		if _, _, err := DecodeOp(buf); err == nil || !strings.Contains(err.Error(), "endpoint out of range") {
+		if _, _, err := decodeOp(buf); err == nil || !strings.Contains(err.Error(), "endpoint out of range") {
 			t.Errorf("%q: err = %v, want endpoint out of range", e, err)
 		}
 	}

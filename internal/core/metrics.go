@@ -64,8 +64,8 @@ type Metrics struct {
 	// every query is one or the other.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
-	// TruncatedQueries counts streaming queries that stopped early
-	// (Limit reached or OnAnswer returned false).
+	// TruncatedQueries counts streaming queries that stopped early at
+	// their Limit.
 	TruncatedQueries int64
 
 	// Repair-pipeline counters (updated by the repair phases, which run

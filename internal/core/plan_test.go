@@ -305,9 +305,9 @@ func TestPlanCacheBounded(t *testing.T) {
 }
 
 // TestStreamingVerify pins the streaming contract: with Limit k the
-// answer is exactly the k smallest ids of the full answer set, OnAnswer
-// sees ids ascending, a full stream is bit-identical to the exact path,
-// and a truncated answer is never admitted to the cache.
+// answer is exactly the k smallest ids of the full answer set, a full
+// stream is bit-identical to the exact path, and a truncated answer is
+// never admitted to the cache.
 func TestStreamingVerify(t *testing.T) {
 	// Even ids contain the query path, odd ids do not: the full answer is
 	// the 15 even ids, interleaved with non-answers so streaming has to
@@ -364,39 +364,23 @@ func TestStreamingVerify(t *testing.T) {
 			res.AnswerIDs(), res.Stats.Truncated)
 	}
 
-	// OnAnswer full stream: ids arrive ascending and the final answer is
-	// bit-identical to the exact path.
-	var seen []int
-	res, err = r.SubgraphQueryCtx(ctx, q, QueryOptions{OnAnswer: func(id int) bool {
-		seen = append(seen, id)
-		return true
-	}})
+	// A Limit one past the answer size streams every candidate: the
+	// answer is bit-identical to the exact path and not truncated.
+	res, err = r.SubgraphQueryCtx(ctx, q, QueryOptions{Limit: len(fullIDs) + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Answer.Equal(full.Answer) || res.Stats.Truncated {
-		t.Fatal("full OnAnswer stream diverged from the exact answer")
-	}
-	if len(seen) != len(fullIDs) {
-		t.Fatalf("OnAnswer saw %d ids, want %d", len(seen), len(fullIDs))
-	}
-	for i, id := range seen {
-		if id != fullIDs[i] {
-			t.Fatalf("OnAnswer order %v != ascending %v", seen, fullIDs)
-		}
+		t.Fatal("full stream diverged from the exact answer")
 	}
 
-	// OnAnswer early stop: truncated after exactly 3 emissions.
-	seen = seen[:0]
-	res, err = r.SubgraphQueryCtx(ctx, q, QueryOptions{OnAnswer: func(id int) bool {
-		seen = append(seen, id)
-		return len(seen) < 3
-	}})
+	// Early stop: truncated after exactly the 3 smallest answers.
+	res, err = r.SubgraphQueryCtx(ctx, q, QueryOptions{Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 3 || !res.Stats.Truncated {
-		t.Fatalf("early stop: saw %d ids, truncated=%v", len(seen), res.Stats.Truncated)
+	if got := res.AnswerIDs(); !res.Stats.Truncated || len(got) != 3 || got[0] != fullIDs[0] || got[2] != fullIDs[2] {
+		t.Fatalf("early stop: ids %v truncated=%v, want %v truncated", got, res.Stats.Truncated, fullIDs[:3])
 	}
 
 	// Cache interaction: a truncated answer must never be admitted; the

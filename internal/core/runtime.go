@@ -206,9 +206,9 @@ type QueryStats struct {
 	// PlanCached reports that the query reused a cached compiled plan
 	// (a structurally equal repeat).
 	PlanCached bool
-	// Truncated reports a streaming query stopped early — by
-	// QueryOptions.Limit or an OnAnswer callback returning false — so
-	// the answer may be a proper prefix of the full answer set. Truncated
+	// Truncated reports a streaming query stopped early at
+	// QueryOptions.Limit, so the answer may be a proper prefix of the
+	// full answer set. Truncated
 	// answers are never admitted to (or refreshed into) the cache.
 	Truncated bool
 }
@@ -232,25 +232,15 @@ type QueryOptions struct {
 	// the answer is then exactly the Limit smallest ids of the full
 	// answer set. Stats.Truncated reports whether anything was cut; a
 	// truncated answer is not admitted to the cache. 0 keeps the default
-	// exact-answer mode.
+	// exact-answer mode. Streaming verification is sequential: a Limit
+	// disables the intra-query worker pool for this query.
 	Limit int
-	// OnAnswer, when non-nil, also streams: it is invoked with each
-	// answer id, in ascending order, the moment the id is known to be an
-	// answer (before verification of the remaining candidates).
-	// Returning false stops the query early, like hitting Limit. The
-	// callback runs on the query's goroutine and must not call back into
-	// the Runtime. Streaming verification is sequential: Limit/OnAnswer
-	// disable the intra-query worker pool for this query.
-	OnAnswer func(id int) bool
 	// TraceID, when non-zero, is the sampled distributed trace this
 	// query belongs to; the stage histograms cite it as their exemplar.
 	// In-process only — the serving layer propagates trace context on
 	// its own wire field and sets this per host.
 	TraceID uint64
 }
-
-// streaming reports whether the options request streaming verification.
-func (o QueryOptions) streaming() bool { return o.Limit > 0 || o.OnAnswer != nil }
 
 // CancelError reports a query abandoned at a cooperative cancellation
 // checkpoint, naming the stage that observed the cancelled context.
@@ -354,7 +344,7 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 			iso.Credit(st.CandidatesBefore, r.cache.Tick())
 			ans := iso.Answer.Clone()
 			ans.And(live)
-			if opt.streaming() {
+			if opt.Limit > 0 {
 				ans = streamClip(ans, opt, &st)
 			}
 			st.TestsSaved = st.CandidatesBefore
@@ -428,7 +418,7 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 		verified *bitset.Set
 		err      error
 	)
-	if opt.streaming() {
+	if opt.Limit > 0 {
 		// Streaming folds formula (3) into the emission loop (sure
 		// positives interleave with verified candidates in id order).
 		verified, err = r.streamVerify(ctx, plan, answerSure, csm, &st, opt)
@@ -585,8 +575,8 @@ func (r *Runtime) verify(ctx context.Context, pl *queryPlan, csm *bitset.Set, st
 // it walks the union of the sure positives (formula (1)) and the pruned
 // candidate set in ascending id order, emitting each answer the moment
 // it is known — sure positives without a test, candidates right after
-// their Method M test — and stops once opt.Limit answers are out or an
-// OnAnswer callback returns false. Ids are visited in ascending order,
+// their Method M test — and stops once opt.Limit answers are out. Ids
+// are visited in ascending order,
 // so an early-stopped answer is exactly the smallest |answer| ids of the
 // full answer set. Streaming is sequential by construction (answers must
 // come out in order), so it ignores the worker pool.
@@ -618,12 +608,7 @@ func (r *Runtime) streamVerify(ctx context.Context, pl *queryPlan, sure, csm *bi
 			}
 		}
 		out.Set(id)
-		emitted++
-		if opt.OnAnswer != nil && !opt.OnAnswer(id) {
-			stopped = true
-			return false
-		}
-		if opt.Limit > 0 && emitted >= opt.Limit {
+		if emitted++; emitted >= opt.Limit {
 			stopped = true
 			return false
 		}
@@ -651,8 +636,8 @@ func (r *Runtime) streamVerify(ctx context.Context, pl *queryPlan, sure, csm *bi
 }
 
 // streamClip applies streaming semantics to an answer already known in
-// full (the §6.3 isomorphic-hit shortcut): emit ascending, honoring
-// OnAnswer and Limit. Truncated is set only when ids were actually
+// full (the §6.3 isomorphic-hit shortcut): keep the opt.Limit smallest
+// ids. Truncated is set only when ids were actually
 // withheld, so a limit landing exactly on the final answer stays
 // complete — and therefore cache-refresh eligible.
 func streamClip(ans *bitset.Set, opt QueryOptions, st *QueryStats) *bitset.Set {
@@ -662,13 +647,7 @@ func streamClip(ans *bitset.Set, opt QueryOptions, st *QueryStats) *bitset.Set {
 	ans.ForEach(func(id int) bool {
 		out.Set(id)
 		emitted++
-		if opt.OnAnswer != nil && !opt.OnAnswer(id) {
-			return false
-		}
-		if opt.Limit > 0 && emitted >= opt.Limit {
-			return false
-		}
-		return true
+		return emitted < opt.Limit
 	})
 	if emitted < total {
 		st.Truncated = true

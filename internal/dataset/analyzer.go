@@ -52,12 +52,6 @@ func Analyze(records []Record) *Counters {
 	return c
 }
 
-// analyzeSince runs the Log Analyzer over the dataset's records newer
-// than the given sequence number.
-func (d *Dataset) analyzeSince(after uint64) *Counters {
-	return Analyze(d.RecordsSince(after))
-}
-
 // UAExclusive reports whether every operation on graph id was UA
 // (the tc == uac test of Algorithm 2 line 12).
 func (c *Counters) UAExclusive(id int) bool {

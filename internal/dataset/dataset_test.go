@@ -239,12 +239,12 @@ func TestAnalyzeSince(t *testing.T) {
 	if err := d.UpdateAddEdge(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	c := d.analyzeSince(mark)
+	c := Analyze(d.RecordsSince(mark))
 	if c.Records != 1 || c.UA[0] != 1 {
 		t.Fatalf("AnalyzeSince wrong: %+v", c)
 	}
 	// failed operations must not be logged
-	full := d.analyzeSince(0)
+	full := Analyze(d.RecordsSince(0))
 	if full.Records != 2 {
 		t.Fatalf("full analysis Records = %d, want 2", full.Records)
 	}
@@ -304,7 +304,7 @@ func TestConcurrentAccess(t *testing.T) {
 					_ = d.Graph(rng.Intn(10))
 					_ = d.LiveCount()
 				case 3:
-					_ = d.analyzeSince(0)
+					_ = Analyze(d.RecordsSince(0))
 					_ = d.ComputeStats()
 				}
 			}

@@ -86,24 +86,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNS.Add(ns)
 }
 
-// observeSeconds records one duration given in seconds. Hostile floats
-// are tamed before the int64 conversion (whose result is otherwise
-// implementation-defined in Go): NaN and negatives record as 0, values
-// beyond the int64 nanosecond range saturate at the top bucket. The
-// histogram therefore never holds a count in an undefined bucket no
-// matter what arithmetic produced s.
-func (h *Histogram) observeSeconds(s float64) {
-	if math.IsNaN(s) || s <= 0 {
-		h.Observe(0)
-		return
-	}
-	if s >= float64(math.MaxInt64)/float64(time.Second) {
-		h.Observe(time.Duration(math.MaxInt64))
-		return
-	}
-	h.Observe(time.Duration(s * float64(time.Second)))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

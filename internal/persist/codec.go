@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"gcplus/internal/bitset"
 	"gcplus/internal/cache"
@@ -11,139 +9,46 @@ import (
 	"gcplus/internal/core"
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
+	"gcplus/internal/wire"
 )
 
 // Payload codecs for the two frame kinds: WAL batches and shard
-// snapshots. Everything is uvarints, float64 bit patterns and
-// length-prefixed graph blobs in the text codec (internal/graph) — no
-// reflection, no allocation surprises, and decoders that fail loudly on
-// any inconsistency so the fuzz target (FuzzWALDecode) can assert they
-// never panic on corrupt input.
+// snapshots. Everything is internal/wire values — uvarints, float64 bit
+// patterns and length-prefixed graph blobs in the text codec
+// (internal/graph) — with no reflection and no allocation surprises;
+// decoders fail loudly on any inconsistency, so the fuzz target
+// (FuzzWALDecode) can assert they never panic on corrupt input.
 
-// dec is a bounds-checked little decoder over a payload; the first
-// failure latches and every later read returns zero values.
-type dec struct {
-	data []byte
-	err  error
-}
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("persist: "+format, args...)
-	}
-}
-
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.data = d.data[n:]
-	return v
-}
-
-// count reads a uvarint meant as an element count and bounds it by the
-// remaining payload assuming at least minBytes bytes per element, so a
-// corrupt count cannot drive a giant allocation.
-func (d *dec) count(minBytes int) int {
-	v := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if v > uint64(len(d.data)/minBytes) {
-		d.fail("count %d exceeds remaining payload", v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *dec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) == 0 {
-		d.fail("truncated byte")
-		return 0
-	}
-	b := d.data[0]
-	d.data = d.data[1:]
-	return b
-}
-
-func (d *dec) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) < 8 {
-		d.fail("truncated float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data))
-	d.data = d.data[8:]
-	return v
-}
-
-func (d *dec) bytes() []byte {
-	n := d.count(1)
-	if d.err != nil {
-		return nil
-	}
-	b := d.data[:n]
-	d.data = d.data[n:]
-	return b
-}
-
-func (d *dec) graph() *graph.Graph {
-	blob := d.bytes()
-	if d.err != nil {
+func decodeGraph(d *wire.Dec) *graph.Graph {
+	blob := d.Bytes()
+	if d.Err() != nil {
 		return nil
 	}
 	g, err := graph.Unmarshal(blob)
 	if err != nil {
-		d.fail("graph blob: %v", err)
+		d.Fail("graph blob: %v", err)
 		return nil
 	}
 	return g
 }
 
-func (d *dec) bitset() *bitset.Set {
-	n := d.count(8)
-	if d.err != nil {
+func decodeBitset(d *wire.Dec) *bitset.Set {
+	n := d.Count(8)
+	if d.Err() != nil {
 		return nil
 	}
 	words := make([]uint64, n)
 	for i := range words {
-		if len(d.data) < 8 {
-			d.fail("truncated bitset word")
-			return nil
-		}
-		words[i] = binary.LittleEndian.Uint64(d.data)
-		d.data = d.data[8:]
+		words[i] = d.Uint64()
 	}
 	return bitset.FromWords(words)
 }
 
-func appendFloat64(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
 func appendBitset(buf []byte, s *bitset.Set) []byte {
 	words := s.Words()
-	buf = binary.AppendUvarint(buf, uint64(len(words)))
+	buf = wire.AppendUvarint(buf, uint64(len(words)))
 	for _, w := range words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
+		buf = wire.AppendUint64(buf, w)
 	}
 	return buf
 }
@@ -167,13 +72,13 @@ type WALBatch struct {
 
 // EncodeWALBatch serializes a batch into a frame payload.
 func EncodeWALBatch(b *WALBatch) ([]byte, error) {
-	buf := binary.AppendUvarint(nil, b.Epoch)
-	buf = binary.AppendUvarint(buf, uint64(len(b.Ops)))
+	buf := wire.AppendUvarint(nil, b.Epoch)
+	buf = wire.AppendUvarint(buf, uint64(len(b.Ops)))
 	for _, op := range b.Ops {
 		if op.GlobalID < 0 {
 			return nil, fmt.Errorf("persist: negative global id %d in WAL batch", op.GlobalID)
 		}
-		buf = binary.AppendUvarint(buf, uint64(op.GlobalID))
+		buf = wire.AppendUvarint(buf, uint64(op.GlobalID))
 		var err error
 		if buf, err = op.Op.AppendBinary(buf); err != nil {
 			return nil, err
@@ -184,27 +89,16 @@ func EncodeWALBatch(b *WALBatch) ([]byte, error) {
 
 // DecodeWALBatch parses a frame payload produced by EncodeWALBatch.
 func DecodeWALBatch(payload []byte) (*WALBatch, error) {
-	d := &dec{data: payload}
-	b := &WALBatch{Epoch: d.uvarint()}
-	n := d.count(2)
-	for i := 0; i < n && d.err == nil; i++ {
-		gid := d.uvarint()
-		if d.err != nil {
-			break
-		}
-		op, rest, err := changeplan.DecodeOp(d.data)
-		if err != nil {
-			d.fail("op %d: %v", i, err)
-			break
-		}
-		d.data = rest
+	d := wire.NewDec("persist", payload)
+	b := &WALBatch{Epoch: d.Uvarint()}
+	n := d.Count(2)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		gid := d.Uvarint()
+		op := changeplan.DecodeOp(&d)
 		b.Ops = append(b.Ops, WALOp{Op: op, GlobalID: int(gid)})
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.data) != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes after WAL batch", len(d.data))
+	if err := d.Finish("WAL batch"); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -224,28 +118,28 @@ type ShardSnapshot struct {
 
 // EncodeShardSnapshot serializes a shard snapshot into a frame payload.
 func EncodeShardSnapshot(s *ShardSnapshot) ([]byte, error) {
-	buf := binary.AppendUvarint(nil, s.Epoch)
-	buf = binary.AppendUvarint(buf, s.Dataset.Seq)
-	buf = binary.AppendUvarint(buf, uint64(len(s.Dataset.Graphs)))
+	buf := wire.AppendUvarint(nil, s.Epoch)
+	buf = wire.AppendUvarint(buf, s.Dataset.Seq)
+	buf = wire.AppendUvarint(buf, uint64(len(s.Dataset.Graphs)))
 	for _, g := range s.Dataset.Graphs {
 		if g == nil {
 			buf = append(buf, 0)
 			continue
 		}
 		buf = append(buf, 1)
-		buf = appendBytes(buf, graph.Marshal(g))
+		buf = wire.AppendBytes(buf, graph.Marshal(g))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.LocalToGlobal)))
+	buf = wire.AppendUvarint(buf, uint64(len(s.LocalToGlobal)))
 	for _, gid := range s.LocalToGlobal {
 		if gid < 0 {
 			return nil, fmt.Errorf("persist: negative global id %d in localToGlobal", gid)
 		}
-		buf = binary.AppendUvarint(buf, uint64(gid))
+		buf = wire.AppendUvarint(buf, uint64(gid))
 	}
 	st := s.State
-	buf = binary.AppendUvarint(buf, uint64(st.AvgTestCostN))
-	buf = appendFloat64(buf, st.AvgTestCostMean)
-	buf = appendFloat64(buf, st.AvgTestCostM2)
+	buf = wire.AppendUvarint(buf, uint64(st.AvgTestCostN))
+	buf = wire.AppendFloat64(buf, st.AvgTestCostMean)
+	buf = wire.AppendFloat64(buf, st.AvgTestCostM2)
 	if st.Cache == nil {
 		return append(buf, 0), nil
 	}
@@ -254,144 +148,128 @@ func EncodeShardSnapshot(s *ShardSnapshot) ([]byte, error) {
 }
 
 func appendCacheSnapshot(buf []byte, c *cache.Snapshot) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(c.NextID))
-	buf = binary.AppendUvarint(buf, uint64(c.Clock))
-	buf = binary.AppendUvarint(buf, c.AppliedSeq)
+	buf = wire.AppendUvarint(buf, uint64(c.NextID))
+	buf = wire.AppendUvarint(buf, uint64(c.Clock))
+	buf = wire.AppendUvarint(buf, c.AppliedSeq)
 	for _, ctr := range []int64{c.Admitted, c.Evicted, c.Purges, c.Validates, c.RepairedBits, c.RepairDropped} {
 		if ctr < 0 {
 			return nil, fmt.Errorf("persist: negative cache counter %d", ctr)
 		}
-		buf = binary.AppendUvarint(buf, uint64(ctr))
+		buf = wire.AppendUvarint(buf, uint64(ctr))
 	}
-	buf = append(buf, boolByte(c.RelIncomplete))
-	buf = binary.AppendUvarint(buf, uint64(len(c.Entries)))
-	buf = binary.AppendUvarint(buf, uint64(c.WindowStart))
+	buf = wire.AppendBool(buf, c.RelIncomplete)
+	buf = wire.AppendUvarint(buf, uint64(len(c.Entries)))
+	buf = wire.AppendUvarint(buf, uint64(c.WindowStart))
 	for i := range c.Entries {
 		e := &c.Entries[i]
 		if e.ID < 0 || e.Hits < 0 || e.LastUsed < 0 {
 			return nil, fmt.Errorf("persist: negative entry field on entry %d", i)
 		}
-		buf = binary.AppendUvarint(buf, uint64(e.ID))
+		buf = wire.AppendUvarint(buf, uint64(e.ID))
 		buf = append(buf, byte(e.Kind))
-		buf = appendBytes(buf, graph.Marshal(e.Query))
-		buf = binary.AppendUvarint(buf, e.Seq)
-		buf = appendFloat64(buf, e.R)
-		buf = appendFloat64(buf, e.CostEst)
-		buf = binary.AppendUvarint(buf, uint64(e.Hits))
-		buf = binary.AppendUvarint(buf, uint64(e.LastUsed))
+		buf = wire.AppendBytes(buf, graph.Marshal(e.Query))
+		buf = wire.AppendUvarint(buf, e.Seq)
+		buf = wire.AppendFloat64(buf, e.R)
+		buf = wire.AppendFloat64(buf, e.CostEst)
+		buf = wire.AppendUvarint(buf, uint64(e.Hits))
+		buf = wire.AppendUvarint(buf, uint64(e.LastUsed))
 		buf = appendBitset(buf, e.Answer)
 		buf = appendBitset(buf, e.Valid)
-		buf = append(buf, boolByte(e.RelKnown))
-		buf = binary.AppendUvarint(buf, uint64(len(e.Sup)))
+		buf = wire.AppendBool(buf, e.RelKnown)
+		buf = wire.AppendUvarint(buf, uint64(len(e.Sup)))
 		for _, j := range e.Sup {
-			buf = binary.AppendUvarint(buf, uint64(j))
+			buf = wire.AppendUvarint(buf, uint64(j))
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(e.Sub)))
+		buf = wire.AppendUvarint(buf, uint64(len(e.Sub)))
 		for _, j := range e.Sub {
-			buf = binary.AppendUvarint(buf, uint64(j))
+			buf = wire.AppendUvarint(buf, uint64(j))
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(c.RepairQueue)))
+	buf = wire.AppendUvarint(buf, uint64(len(c.RepairQueue)))
 	for _, r := range c.RepairQueue {
-		buf = binary.AppendUvarint(buf, uint64(r.EntryIdx))
-		buf = binary.AppendUvarint(buf, uint64(r.GraphID))
+		buf = wire.AppendUvarint(buf, uint64(r.EntryIdx))
+		buf = wire.AppendUvarint(buf, uint64(r.GraphID))
 	}
 	return buf, nil
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // DecodeShardSnapshot parses a frame payload produced by
 // EncodeShardSnapshot.
 func DecodeShardSnapshot(payload []byte) (*ShardSnapshot, error) {
-	d := &dec{data: payload}
-	s := &ShardSnapshot{Epoch: d.uvarint(), Dataset: &dataset.Snapshot{Seq: d.uvarint()}}
-	ngraphs := d.count(1)
-	if d.err == nil {
-		s.Dataset.Graphs = make([]*graph.Graph, ngraphs)
-		for i := 0; i < ngraphs && d.err == nil; i++ {
-			if d.byte() != 0 {
-				s.Dataset.Graphs[i] = d.graph()
-			}
+	d := wire.NewDec("persist", payload)
+	s := &ShardSnapshot{Epoch: d.Uvarint(), Dataset: &dataset.Snapshot{Seq: d.Uvarint()}}
+	s.Dataset.Graphs = make([]*graph.Graph, d.Count(1))
+	for i := 0; i < len(s.Dataset.Graphs) && d.Err() == nil; i++ {
+		if d.Bool() {
+			s.Dataset.Graphs[i] = decodeGraph(&d)
 		}
 	}
-	nloc := d.count(1)
-	if d.err == nil {
-		s.LocalToGlobal = make([]int, nloc)
-		for i := range s.LocalToGlobal {
-			s.LocalToGlobal[i] = int(d.uvarint())
-		}
+	s.LocalToGlobal = make([]int, d.Count(1))
+	for i := range s.LocalToGlobal {
+		s.LocalToGlobal[i] = int(d.Uvarint())
 	}
 	s.State = &core.RuntimeState{
-		AvgTestCostN:    int64(d.uvarint()),
-		AvgTestCostMean: d.float64(),
-		AvgTestCostM2:   d.float64(),
+		AvgTestCostN:    int64(d.Uvarint()),
+		AvgTestCostMean: d.Float64(),
+		AvgTestCostM2:   d.Float64(),
 	}
-	if d.byte() != 0 {
-		s.State.Cache = decodeCacheSnapshot(d)
+	if d.Bool() {
+		s.State.Cache = decodeCacheSnapshot(&d)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.data) != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes after shard snapshot", len(d.data))
+	if err := d.Finish("shard snapshot"); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-func decodeCacheSnapshot(d *dec) *cache.Snapshot {
+func decodeCacheSnapshot(d *wire.Dec) *cache.Snapshot {
 	c := &cache.Snapshot{
-		NextID:     int(d.uvarint()),
-		Clock:      int64(d.uvarint()),
-		AppliedSeq: d.uvarint(),
+		NextID:     int(d.Uvarint()),
+		Clock:      int64(d.Uvarint()),
+		AppliedSeq: d.Uvarint(),
 	}
 	for _, ctr := range []*int64{&c.Admitted, &c.Evicted, &c.Purges, &c.Validates, &c.RepairedBits, &c.RepairDropped} {
-		*ctr = int64(d.uvarint())
+		*ctr = int64(d.Uvarint())
 	}
-	c.RelIncomplete = d.byte() != 0
-	n := d.count(8)
-	c.WindowStart = int(d.uvarint())
-	if d.err != nil {
+	c.RelIncomplete = d.Bool()
+	n := d.Count(8)
+	c.WindowStart = int(d.Uvarint())
+	if d.Err() != nil {
 		return nil
 	}
 	c.Entries = make([]cache.EntrySnapshot, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		e := &c.Entries[i]
-		e.ID = int(d.uvarint())
-		kind := d.byte()
+		e.ID = int(d.Uvarint())
+		kind := d.Byte()
 		if kind > byte(cache.KindSuper) {
-			d.fail("entry %d: unknown kind %d", i, kind)
+			d.Fail("entry %d: unknown kind %d", i, kind)
 			return nil
 		}
 		e.Kind = cache.Kind(kind)
-		e.Query = d.graph()
-		e.Seq = d.uvarint()
-		e.R = d.float64()
-		e.CostEst = d.float64()
-		e.Hits = int64(d.uvarint())
-		e.LastUsed = int64(d.uvarint())
-		e.Answer = d.bitset()
-		e.Valid = d.bitset()
-		e.RelKnown = d.byte() != 0
-		nsup := d.count(1)
-		for j := 0; j < nsup && d.err == nil; j++ {
-			e.Sup = append(e.Sup, int(d.uvarint()))
+		e.Query = decodeGraph(d)
+		e.Seq = d.Uvarint()
+		e.R = d.Float64()
+		e.CostEst = d.Float64()
+		e.Hits = int64(d.Uvarint())
+		e.LastUsed = int64(d.Uvarint())
+		e.Answer = decodeBitset(d)
+		e.Valid = decodeBitset(d)
+		e.RelKnown = d.Bool()
+		nsup := d.Count(1)
+		for j := 0; j < nsup && d.Err() == nil; j++ {
+			e.Sup = append(e.Sup, int(d.Uvarint()))
 		}
-		nsub := d.count(1)
-		for j := 0; j < nsub && d.err == nil; j++ {
-			e.Sub = append(e.Sub, int(d.uvarint()))
+		nsub := d.Count(1)
+		for j := 0; j < nsub && d.Err() == nil; j++ {
+			e.Sub = append(e.Sub, int(d.Uvarint()))
 		}
 	}
-	nrep := d.count(2)
-	for i := 0; i < nrep && d.err == nil; i++ {
+	nrep := d.Count(2)
+	for i := 0; i < nrep && d.Err() == nil; i++ {
 		c.RepairQueue = append(c.RepairQueue, cache.RepairRef{
-			EntryIdx: int(d.uvarint()),
-			GraphID:  int(d.uvarint()),
+			EntryIdx: int(d.Uvarint()),
+			GraphID:  int(d.Uvarint()),
 		})
 	}
 	return c

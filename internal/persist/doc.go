@@ -27,14 +27,15 @@
 //
 // # Frames and crash safety
 //
-// Both file kinds are sequences of length-prefixed, CRC-32-checked
-// frames behind a small typed header. WAL appends write one frame per
-// update batch — every shard logs every epoch, with an empty frame when
-// the batch did not touch it, which makes per-shard epochs dense and
-// lets recovery compute the newest batch durable on *all* shards (the
-// cross-shard consistency point) as a simple minimum. Frames are
-// fsynced before the update is acknowledged (unless NoSync), so an
-// acknowledged batch survives a crash; a torn tail — a partially
+// Both file kinds are sequences of internal/wire frames (the one
+// definition of the length-prefixed, CRC-32-checked frame, shared with
+// the loopback transport) behind a small typed header. WAL appends write
+// one frame per update batch — every shard logs every epoch, with an
+// empty frame when the batch did not touch it, which makes per-shard
+// epochs dense and lets recovery compute the newest batch durable on
+// *all* shards (the cross-shard consistency point) as a simple minimum.
+// Frames are fsynced before the update is acknowledged (unless NoSync),
+// so an acknowledged batch survives a crash; a torn tail — a partially
 // written frame, or a batch durable on only some shards — is detected
 // by the CRC/length checks and truncated away, exactly as if the
 // unacknowledged batch had never happened.

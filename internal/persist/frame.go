@@ -2,66 +2,20 @@ package persist
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+
+	"gcplus/internal/wire"
 )
 
-// Frame codec: every payload persisted — one WAL batch, one shard
-// snapshot — is wrapped in a frame of
-//
-//	u32 payload length | u32 CRC-32 (IEEE) of the payload | payload
-//
-// A reader accepts a frame only when the full payload is present and the
-// CRC matches; anything else is a torn tail, reported as such so the
-// caller can truncate to the last intact frame.
-
-const frameHeaderSize = 8
-
-// maxFramePayload bounds a frame's declared payload so a corrupt length
-// word cannot trigger a giant allocation. Snapshots of very large shards
-// are the biggest frames; 1 GiB is far above anything the system writes.
-const maxFramePayload = 1 << 30
+// Every payload persisted — one WAL batch, one shard snapshot — is one
+// internal/wire frame (u32 length | u32 CRC-32 | payload). A reader
+// accepts a frame only when the full payload is present and the CRC
+// matches; anything else is a torn tail, reported as such so the caller
+// can truncate to the last intact frame.
 
 // ErrTornFrame reports a frame that is incomplete or fails its CRC — the
 // expected shape of a WAL tail after a crash.
-var ErrTornFrame = errors.New("persist: torn frame")
-
-// appendFrame wraps payload in a frame and appends it to buf.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-// readFrame decodes one frame from the front of data, returning the
-// payload and the remaining bytes. io.EOF means data was empty (a clean
-// end); ErrTornFrame means a partial or corrupt frame.
-func readFrame(data []byte) (payload, rest []byte, err error) {
-	if len(data) == 0 {
-		return nil, nil, io.EOF
-	}
-	if len(data) < frameHeaderSize {
-		return nil, nil, ErrTornFrame
-	}
-	n := binary.LittleEndian.Uint32(data[0:4])
-	sum := binary.LittleEndian.Uint32(data[4:8])
-	if n > maxFramePayload {
-		return nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrTornFrame, n)
-	}
-	body := data[frameHeaderSize:]
-	if uint32(len(body)) < n {
-		return nil, nil, ErrTornFrame
-	}
-	payload = body[:n]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, nil, fmt.Errorf("%w: CRC mismatch", ErrTornFrame)
-	}
-	return payload, body[n:], nil
-}
+var ErrTornFrame = wire.ErrBadFrame
 
 // File headers. Both file kinds start with a 4-byte magic and a u32
 // format version; WAL files add the shard index and the segment's base

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gcplus/internal/changeplan"
+	"gcplus/internal/wire"
 )
 
 // FuzzWALDecode drives arbitrary bytes through the full WAL read path —
@@ -29,7 +30,7 @@ func FuzzWALDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	stream := appendFrame(appendFrame(nil, b1), b2)
+	stream := wire.AppendFrame(wire.AppendFrame(nil, b1), b2)
 	f.Add(stream)
 	f.Add(b1)
 	f.Add([]byte{})
@@ -38,7 +39,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rest := data
 		for {
-			payload, next, err := readFrame(rest)
+			payload, next, err := wire.NextFrame(rest)
 			if err != nil {
 				break
 			}

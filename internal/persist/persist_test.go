@@ -13,17 +13,18 @@ import (
 	"gcplus/internal/core"
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
+	"gcplus/internal/wire"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 1000)}
 	var buf []byte
 	for _, p := range payloads {
-		buf = appendFrame(buf, p)
+		buf = wire.AppendFrame(buf, p)
 	}
 	rest := buf
 	for i, want := range payloads {
-		got, next, err := readFrame(rest)
+		got, next, err := wire.NextFrame(rest)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -32,7 +33,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		rest = next
 	}
-	if _, _, err := readFrame(rest); err == nil || len(rest) != 0 {
+	if _, _, err := wire.NextFrame(rest); err == nil || len(rest) != 0 {
 		t.Fatalf("want clean EOF at end, got rest=%d", len(rest))
 	}
 }
@@ -45,14 +46,14 @@ func TestFrameTornTruncation(t *testing.T) {
 	var full []byte
 	ends := []int{}
 	for _, p := range payloads {
-		full = appendFrame(full, p)
+		full = wire.AppendFrame(full, p)
 		ends = append(ends, len(full))
 	}
 	for cut := 0; cut < len(full); cut++ {
 		data := full[:cut]
 		var got int
 		for {
-			payload, rest, err := readFrame(data)
+			payload, rest, err := wire.NextFrame(data)
 			if err != nil {
 				break
 			}
@@ -74,8 +75,8 @@ func TestFrameTornTruncation(t *testing.T) {
 	}
 	// Flip one payload byte: CRC must reject the frame.
 	corrupt := append([]byte(nil), full...)
-	corrupt[frameHeaderSize] ^= 0x01
-	if _, _, err := readFrame(corrupt); err == nil {
+	corrupt[wire.HeaderSize] ^= 0x01
+	if _, _, err := wire.NextFrame(corrupt); err == nil {
 		t.Fatal("corrupted frame passed its CRC")
 	}
 }

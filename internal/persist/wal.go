@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"gcplus/internal/wire"
 )
 
 // WAL is an append-only frame log for one shard. Appends are not safe
@@ -133,7 +135,7 @@ func (w *WAL) Append(payload []byte) error {
 	if w.broken {
 		return fmt.Errorf("persist: WAL %s is poisoned by an earlier failed append; awaiting rotation", w.path)
 	}
-	w.buf = appendFrame(w.buf[:0], payload)
+	w.buf = wire.AppendFrame(w.buf[:0], payload)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return w.appendFailed(err)
 	}
@@ -216,7 +218,7 @@ func ReadWALFileFS(fsys FS, path string, shard int) (baseEpoch uint64, frames []
 	off := int64(walHeaderSize)
 	rest := data[walHeaderSize:]
 	for {
-		payload, next, ferr := readFrame(rest)
+		payload, next, ferr := wire.NextFrame(rest)
 		if ferr == io.EOF {
 			return baseEpoch, frames, off, false, nil
 		}
@@ -226,7 +228,7 @@ func ReadWALFileFS(fsys FS, path string, shard int) (baseEpoch uint64, frames []
 			}
 			return 0, nil, 0, false, ferr
 		}
-		off += int64(frameHeaderSize + len(payload))
+		off += int64(wire.HeaderSize + len(payload))
 		frames = append(frames, WALFrame{Payload: payload, End: off})
 		rest = next
 	}
@@ -239,7 +241,7 @@ func ReadWALFileFS(fsys FS, path string, shard int) (baseEpoch uint64, frames []
 // complete one.
 func WriteSnapshotFileFS(fsys FS, path string, shard int, payload []byte) error {
 	buf := appendSnapHeader(nil, shard)
-	buf = appendFrame(buf, payload)
+	buf = wire.AppendFrame(buf, payload)
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -276,7 +278,7 @@ func ReadSnapshotFileFS(fsys FS, path string, shard int) ([]byte, error) {
 	if err := parseSnapHeader(data, shard); err != nil {
 		return nil, err
 	}
-	payload, rest, err := readFrame(data[snapHeaderSize:])
+	payload, rest, err := wire.NextFrame(data[snapHeaderSize:])
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot %s: %w", path, err)
 	}

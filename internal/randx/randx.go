@@ -85,8 +85,3 @@ func (z *Zipf) Prob(k int) float64 {
 func Shuffle[T any](rng *rand.Rand, xs []T) {
 	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
-
-// choice returns a uniformly chosen element of xs; it panics on empty xs.
-func choice[T any](rng *rand.Rand, xs []T) T {
-	return xs[rng.Intn(len(xs))]
-}

@@ -30,9 +30,9 @@ type QueryRequest struct {
 	Kind cache.Kind
 	// Query is the pattern graph (treated as immutable).
 	Query *graph.Graph
-	// Opts carries the per-query execution options. Only the plain-data
-	// fields (BypassCache, MaxVerifyParallelism, Limit) cross a wire
-	// transport; the OnAnswer streaming hook is in-process only.
+	// Opts carries the per-query execution options. BypassCache,
+	// MaxVerifyParallelism and Limit cross a wire transport; TraceID is
+	// set per host.
 	Opts core.QueryOptions
 	// Trace is the propagated trace context. When Sampled, the shard
 	// synthesizes its span subtree into the reply and tags its stage

@@ -7,7 +7,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -97,25 +96,4 @@ func Std(xs []float64) float64 {
 		r.Add(x)
 	}
 	return r.Std()
-}
-
-// percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// nearest-rank on a sorted copy. Empty input yields 0.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s[rank]
 }

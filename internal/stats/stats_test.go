@@ -82,25 +82,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {20, 1}, {40, 2}, {50, 3}, {100, 5}, {-5, 1}, {200, 5},
-	}
-	for _, c := range cases {
-		if got := percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-	if percentile(nil, 50) != 0 {
-		t.Fatal("percentile(nil) != 0")
-	}
-	// input must not be mutated
-	if xs[0] != 5 {
-		t.Fatal("Percentile mutated input")
-	}
-}
-
 func TestQuickRunningMatchesBatch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,18 +1,17 @@
 package trace
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
+
+	"gcplus/internal/wire"
 )
 
 // Span wire codec: the compact binary form a shard uses to piggyback
-// its spans on a reply frame. Self-contained (no dependency on the
-// transport package's framing) so the transport can treat the block as
-// opaque bytes, and bounds-checked on decode with the same hostile-
-// input posture as the rest of the wire: counts are capped, strings
-// are capped, and a decoder error never panics or over-allocates.
+// its spans on a reply frame. It is written in internal/wire values but
+// knows nothing of the transport's messages, so the transport can treat
+// the block as opaque bytes. Decoding reads through the wire cursor and
+// also caps counts and strings, so a decoder error never panics or
+// over-allocates.
 const (
 	// MaxWireSpans bounds one block; a query produces on the order of a
 	// dozen spans per shard, so 512 is generous headroom, not a quota.
@@ -21,8 +20,6 @@ const (
 	MaxWireString = 1024
 )
 
-var errCodec = errors.New("trace: malformed span block")
-
 // AppendSpans encodes spans onto dst. Oversized strings are truncated
 // and per-span lists clipped to the model bounds, so the encoded block
 // always decodes.
@@ -30,20 +27,20 @@ func AppendSpans(dst []byte, spans []Span) []byte {
 	if len(spans) > MaxWireSpans {
 		spans = spans[:MaxWireSpans]
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(spans)))
+	dst = wire.AppendUvarint(dst, uint64(len(spans)))
 	for i := range spans {
 		s := &spans[i]
-		dst = binary.AppendUvarint(dst, uint64(s.TraceID))
-		dst = binary.AppendUvarint(dst, uint64(s.ID))
-		dst = binary.AppendUvarint(dst, uint64(s.Parent))
+		dst = wire.AppendUvarint(dst, uint64(s.TraceID))
+		dst = wire.AppendUvarint(dst, uint64(s.ID))
+		dst = wire.AppendUvarint(dst, uint64(s.Parent))
 		dst = appendCapped(dst, s.Name)
-		dst = binary.AppendUvarint(dst, uint64(s.StartNanos))
-		dst = binary.AppendUvarint(dst, uint64(s.DurNanos))
+		dst = wire.AppendUvarint(dst, uint64(s.StartNanos))
+		dst = wire.AppendUvarint(dst, uint64(s.DurNanos))
 		attrs := s.Attrs
 		if len(attrs) > MaxAttrs {
 			attrs = attrs[:MaxAttrs]
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(attrs)))
+		dst = wire.AppendUvarint(dst, uint64(len(attrs)))
 		for _, a := range attrs {
 			dst = appendCapped(dst, a.Key)
 			dst = appendCapped(dst, a.Value)
@@ -52,9 +49,9 @@ func AppendSpans(dst []byte, spans []Span) []byte {
 		if len(events) > MaxEvents {
 			events = events[:MaxEvents]
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(events)))
+		dst = wire.AppendUvarint(dst, uint64(len(events)))
 		for _, e := range events {
-			dst = binary.AppendUvarint(dst, uint64(e.UnixNanos))
+			dst = wire.AppendUvarint(dst, uint64(e.UnixNanos))
 			dst = appendCapped(dst, e.Msg)
 		}
 	}
@@ -65,93 +62,60 @@ func appendCapped(dst []byte, s string) []byte {
 	if len(s) > MaxWireString {
 		s = s[:MaxWireString]
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+	return wire.AppendString(dst, s)
 }
 
 // DecodeSpans decodes a block produced by AppendSpans. The whole input
 // must be consumed; trailing bytes are an error (the block is embedded
 // as a length-delimited field, so a correct frame never has any).
 func DecodeSpans(data []byte) ([]Span, error) {
-	d := &sdec{data: data}
-	n := d.uvarint()
+	d := wire.NewDec("trace", data)
+	// Every span costs at least 8 bytes on the wire, which bounds the
+	// allocation below by the input size.
+	n := d.Count(8)
 	if n > MaxWireSpans {
 		return nil, fmt.Errorf("trace: span count %d exceeds limit %d", n, MaxWireSpans)
 	}
-	// Every span costs ≥ 8 bytes on the wire; reject counts the input
-	// cannot possibly hold before allocating for them.
-	if d.err == nil && n > uint64(len(d.data)/8+1) {
-		return nil, errCodec
-	}
 	var spans []Span
-	if n > 0 && d.err == nil {
+	if n > 0 {
 		spans = make([]Span, 0, n)
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var s Span
-		s.TraceID = ID(d.uvarint())
-		s.ID = SpanID(d.uvarint())
-		s.Parent = SpanID(d.uvarint())
-		s.Name = d.str()
-		s.StartNanos = int64(d.uvarint())
-		s.DurNanos = int64(d.uvarint())
-		na := d.uvarint()
+		s.TraceID = ID(d.Uvarint())
+		s.ID = SpanID(d.Uvarint())
+		s.Parent = SpanID(d.Uvarint())
+		s.Name = cappedStr(&d)
+		s.StartNanos = int64(d.Uvarint())
+		s.DurNanos = int64(d.Uvarint())
+		na := d.Count(2)
 		if na > MaxAttrs {
 			return nil, fmt.Errorf("trace: attr count %d exceeds limit %d", na, MaxAttrs)
 		}
-		for j := uint64(0); j < na && d.err == nil; j++ {
-			s.Attrs = append(s.Attrs, Attr{Key: d.str(), Value: d.str()})
+		for j := 0; j < na && d.Err() == nil; j++ {
+			s.Attrs = append(s.Attrs, Attr{Key: cappedStr(&d), Value: cappedStr(&d)})
 		}
-		ne := d.uvarint()
+		ne := d.Count(2)
 		if ne > MaxEvents {
 			return nil, fmt.Errorf("trace: event count %d exceeds limit %d", ne, MaxEvents)
 		}
-		for j := uint64(0); j < ne && d.err == nil; j++ {
-			s.Events = append(s.Events, Event{UnixNanos: int64(d.uvarint()), Msg: d.str()})
+		for j := 0; j < ne && d.Err() == nil; j++ {
+			s.Events = append(s.Events, Event{UnixNanos: int64(d.Uvarint()), Msg: cappedStr(&d)})
 		}
-		if d.err == nil {
-			spans = append(spans, s)
-		}
+		spans = append(spans, s)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.data) != 0 {
-		return nil, errCodec
+	if err := d.Finish("span block"); err != nil {
+		return nil, err
 	}
 	return spans, nil
 }
 
-// sdec is the block's bounds-checked decoder: first error latches,
-// every subsequent read returns zero values.
-type sdec struct {
-	data []byte
-	err  error
-}
-
-func (d *sdec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data)
-	if n <= 0 {
-		d.err = errCodec
-		return 0
-	}
-	d.data = d.data[n:]
-	return v
-}
-
-func (d *sdec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
+// cappedStr reads one string, rejecting any longer than MaxWireString.
+func cappedStr(d *wire.Dec) string {
+	b := d.Bytes()
+	if len(b) > MaxWireString {
+		d.Fail("string of %d bytes exceeds limit %d", len(b), MaxWireString)
 		return ""
 	}
-	if n > MaxWireString || n > uint64(len(d.data)) || n > math.MaxInt32 {
-		d.err = errCodec
-		return ""
-	}
-	s := string(d.data[:n])
-	d.data = d.data[n:]
-	return s
+	return string(b)
 }

@@ -12,6 +12,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +28,7 @@ import (
 	"gcplus/internal/subiso"
 	"gcplus/internal/synthetic"
 	"gcplus/internal/trace"
+	"gcplus/internal/wire"
 )
 
 func genGraphs(t testing.TB, n int, seed int64) []*graph.Graph {
@@ -446,6 +448,44 @@ func TestContractSignalsPiggyback(t *testing.T) {
 	want := hosts[0].Signals()
 	if sig.PendingRepairs != want.PendingRepairs {
 		t.Fatalf("piggybacked repairs %d, host says %d", sig.PendingRepairs, want.PendingRepairs)
+	}
+}
+
+// TestContractHelloVersion: the loopback server speaks only
+// protocolVersion. A HELLO that ends at the shard index (the old v1
+// shape) gets its connection closed before any request is served; the
+// same HELLO with the version appended is answered.
+func TestContractHelloVersion(t *testing.T) {
+	srv, err := ServeLoopback(newTestHosts(t, 1, shardhost.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	syncFrame := wire.AppendFrame(nil, []byte{msgSync, 1})
+	for _, ver := range []bool{false, true} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := []byte{msgHello, 0}
+		if ver {
+			hello = wire.AppendUvarint(hello, protocolVersion)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(append(wire.AppendFrame(nil, hello), syncFrame...)); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.ReadFrame(conn, 0)
+		conn.Close()
+		if ver && (err != nil || reply[0] != msgReply) {
+			t.Fatalf("versioned HELLO: reply %x, err %v", reply, err)
+		}
+		// Closed means EOF, or a reset when the server closed with the
+		// SYNC frame still unread; a timeout means it kept the connection.
+		var ne net.Error
+		if !ver && (err == nil || errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("HELLO without a version: got reply %x, err %v; want the connection closed", reply, err)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,16 +56,6 @@ func readRawFrame(r io.Reader) ([]byte, error) {
 	copy(frame, hdr[:])
 	_, err := io.ReadFull(r, frame[8:])
 	return frame, err
-}
-
-// replyFrame renders one reply frame the way the server's writer does.
-func replyFrame(id uint64, typ byte, sig shardhost.Signals, body func([]byte) []byte) []byte {
-	p := []byte{msgReply}
-	p = appendUvarint(p, id)
-	p = append(p, typ)
-	p = appendUvarint(p, uint64(sig.QueueLen))
-	p = appendUvarint(p, uint64(sig.PendingRepairs))
-	return appendFrame(nil, body(p))
 }
 
 func goldenSnapshot() *persist.ShardSnapshot {
@@ -157,9 +146,7 @@ func goldenScript() []goldenStep {
 		}
 	}
 	walBody := func(r *shardhost.WALAppendReply) func([]byte) []byte {
-		return func(dst []byte) []byte {
-			return appendUvarint(appendWireError(dst, r.Err), uint64(r.Nanos))
-		}
+		return func(dst []byte) []byte { return appendWALReply(dst, r) }
 	}
 	checkWAL := func(got *shardhost.WALAppendReply, want *shardhost.WALAppendReply) func(*testing.T) {
 		return func(t *testing.T) {
@@ -174,15 +161,15 @@ func goldenScript() []goldenStep {
 	wantO9 := &shardhost.OpReply{ID: -1, Err: &OverloadError{Kind: "update", Limit: 4}}
 
 	return []goldenStep{
-		{req: "query", rep: "reply_query", reply: replyFrame(1, msgQuery, busy, func(d []byte) []byte { return AppendQueryReply(d, want1, protocolVersion) }),
+		{req: "query", rep: "reply_query", reply: appendReplyFrame(nil, 1, msgQuery, busy, func(d []byte) []byte { return AppendQueryReply(d, want1) }),
 			call: queryCall(&q1, &shardhost.QueryRequest{Kind: cache.KindSub, Query: graph.Path(1, 2),
 				Opts: core.QueryOptions{Limit: 3, MaxVerifyParallelism: 2}}),
 			check: checkQuery(&q1, want1)},
-		{req: "query_traced", rep: "reply_query_spans", reply: replyFrame(2, msgQuery, idle, func(d []byte) []byte { return AppendQueryReply(d, want2, protocolVersion) }),
+		{req: "query_traced", rep: "reply_query_spans", reply: appendReplyFrame(nil, 2, msgQuery, idle, func(d []byte) []byte { return AppendQueryReply(d, want2) }),
 			call: queryCall(&q2, &shardhost.QueryRequest{Kind: cache.KindSuper, Query: graph.Star(2, 1, 3),
 				Opts: core.QueryOptions{BypassCache: true}, Trace: trace.Context{TraceID: 0xfeed, Parent: 0xbeef, Sampled: true}}),
 			check: checkQuery(&q2, want2)},
-		{req: "apply_op", rep: "reply_apply_op", reply: replyFrame(3, msgApplyOp, idle, func(d []byte) []byte { return appendOpReply(d, &shardhost.OpReply{ID: 60}) }),
+		{req: "apply_op", rep: "reply_apply_op", reply: appendReplyFrame(nil, 3, msgApplyOp, idle, func(d []byte) []byte { return appendOpReply(d, &shardhost.OpReply{ID: 60}) }),
 			call: func(c *LoopbackClient, done func()) {
 				c.ApplyOp(&shardhost.OpRequest{Op: changeplan.AddOp(graph.Path(3, 1, 4)), GlobalID: 60,
 					Trace: trace.Context{TraceID: 0xabc, Parent: 0xdef, Sampled: true}}, &o3, done)
@@ -192,35 +179,29 @@ func goldenScript() []goldenStep {
 					t.Fatalf("op reply decoded as %+v", o3)
 				}
 			}},
-		{req: "append_wal", rep: "reply_append_wal_no_segment", reply: replyFrame(4, msgAppendWAL, idle, walBody(wantW4)),
+		{req: "append_wal", rep: "reply_append_wal_no_segment", reply: appendReplyFrame(nil, 4, msgAppendWAL, idle, walBody(wantW4)),
 			call:  func(c *LoopbackClient, done func()) { c.AppendWAL(7, &w4, done) },
 			check: checkWAL(&w4, wantW4)},
-		{req: "sync", rep: "reply_sync", reply: replyFrame(5, msgSync, idle, func(d []byte) []byte { return d }),
+		{req: "sync", rep: "reply_sync", reply: appendReplyFrame(nil, 5, msgSync, idle, func(d []byte) []byte { return d }),
 			call: func(c *LoopbackClient, done func()) { c.Sync(done) }, check: func(*testing.T) {}},
-		{req: "snapshot", rep: "reply_snapshot", reply: replyFrame(6, msgSnapshot, idle, func(d []byte) []byte { return appendSnapshotReply(d, &shardhost.SnapshotReply{Snap: snap}) }),
+		{req: "snapshot", rep: "reply_snapshot", reply: appendReplyFrame(nil, 6, msgSnapshot, idle, func(d []byte) []byte { return appendSnapshotReply(d, &shardhost.SnapshotReply{Snap: snap}) }),
 			call: func(c *LoopbackClient, done func()) { c.Snapshot(7, &sn6, done) },
 			check: func(t *testing.T) {
 				if sn6.RotateErr != nil || !bytes.Equal(sn6.Payload, snapPayload) {
 					t.Fatalf("snapshot reply decoded as err=%v payload=%d bytes", sn6.RotateErr, len(sn6.Payload))
 				}
 			}},
-		{req: "stats", rep: "reply_stats", reply: replyFrame(7, msgStats, idle, func(d []byte) []byte {
-			b, err := json.Marshal(stats)
-			if err != nil {
-				panic(err)
-			}
-			return appendBytes(appendWireError(d, nil), b)
-		}),
+		{req: "stats", rep: "reply_stats", reply: appendReplyFrame(nil, 7, msgStats, idle, func(d []byte) []byte { return appendStatsReply(d, stats) }),
 			call: func(c *LoopbackClient, done func()) { c.Stats(&st7, done) },
 			check: func(t *testing.T) {
 				if !reflect.DeepEqual(&st7, stats) {
 					t.Fatalf("stats reply decoded as %+v, want %+v", st7, *stats)
 				}
 			}},
-		{req: "query_2", rep: "reply_query_canceled", reply: replyFrame(8, msgQuery, busy, func(d []byte) []byte { return AppendQueryReply(d, want8, protocolVersion) }),
+		{req: "query_2", rep: "reply_query_canceled", reply: appendReplyFrame(nil, 8, msgQuery, busy, func(d []byte) []byte { return AppendQueryReply(d, want8) }),
 			call:  queryCall(&q8, &shardhost.QueryRequest{Kind: cache.KindSub, Query: graph.Path(1)}),
 			check: checkQuery(&q8, want8)},
-		{req: "apply_op_2", rep: "reply_apply_op_overload", reply: replyFrame(9, msgApplyOp, idle, func(d []byte) []byte { return appendOpReply(d, wantO9) }),
+		{req: "apply_op_2", rep: "reply_apply_op_overload", reply: appendReplyFrame(nil, 9, msgApplyOp, idle, func(d []byte) []byte { return appendOpReply(d, wantO9) }),
 			call: func(c *LoopbackClient, done func()) {
 				c.ApplyOp(&shardhost.OpRequest{Op: changeplan.DeleteOp(4), GlobalID: 9}, &o9, done)
 			},
@@ -229,13 +210,13 @@ func goldenScript() []goldenStep {
 					t.Fatalf("op reply decoded as %+v", o9)
 				}
 			}},
-		{req: "append_wal_2", rep: "reply_append_wal", reply: replyFrame(10, msgAppendWAL, idle, walBody(wantW10)),
+		{req: "append_wal_2", rep: "reply_append_wal", reply: appendReplyFrame(nil, 10, msgAppendWAL, idle, walBody(wantW10)),
 			call:  func(c *LoopbackClient, done func()) { c.AppendWAL(8, &w10, done) },
 			check: checkWAL(&w10, wantW10)},
-		{req: "append_wal_3", rep: "reply_append_wal_durability", reply: replyFrame(11, msgAppendWAL, busy, walBody(wantW11)),
+		{req: "append_wal_3", rep: "reply_append_wal_durability", reply: appendReplyFrame(nil, 11, msgAppendWAL, busy, walBody(wantW11)),
 			call:  func(c *LoopbackClient, done func()) { c.AppendWAL(9, &w11, done) },
 			check: checkWAL(&w11, wantW11)},
-		{req: "snapshot_2", rep: "reply_snapshot_closed", reply: replyFrame(12, msgSnapshot, idle, func(d []byte) []byte {
+		{req: "snapshot_2", rep: "reply_snapshot_closed", reply: appendReplyFrame(nil, 12, msgSnapshot, idle, func(d []byte) []byte {
 			return appendSnapshotReply(d, &shardhost.SnapshotReply{RotateErr: ErrClosed})
 		}),
 			call: func(c *LoopbackClient, done func()) { c.Snapshot(8, &sn12, done) },

@@ -2,10 +2,8 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,6 +11,7 @@ import (
 
 	"gcplus/internal/persist"
 	"gcplus/internal/shardhost"
+	"gcplus/internal/wire"
 )
 
 // The loopback transport runs the full wire path — request encode,
@@ -122,22 +121,15 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	// HELLO: the first frame binds this connection to one shard.
-	hello, err := readFrame(conn, 0)
+	// HELLO: the first frame binds this connection to one shard and
+	// must announce protocolVersion.
+	hello, err := wire.ReadFrame(conn, 0)
 	if err != nil {
 		return
 	}
-	hd := &dec{data: hello}
-	if hd.byte() != msgHello {
-		return
-	}
-	shard := hd.uvarint()
-	// Optional protocol version; a v1 client's HELLO ends at the shard.
-	ver := uint64(1)
-	if hd.err == nil && len(hd.data) > 0 {
-		ver = hd.uvarint()
-	}
-	if hd.err != nil || shard >= uint64(len(s.hosts)) {
+	hd := wire.NewDec("transport", hello)
+	typ, shard, ver := hd.Byte(), hd.Uvarint(), hd.Uvarint()
+	if hd.Finish("hello") != nil || typ != msgHello || ver != protocolVersion || shard >= uint64(len(s.hosts)) {
 		return
 	}
 	host := s.hosts[shard]
@@ -159,20 +151,7 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 			if dead {
 				continue
 			}
-			buf = buf[:0]
-			buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-			buf = append(buf, msgReply)
-			buf = appendUvarint(buf, r.id)
-			buf = append(buf, r.typ)
-			// Piggyback the shard's pressure sample on every reply so the
-			// client's Signals stay fresh with zero extra round trips.
-			sig := host.Signals()
-			buf = appendUvarint(buf, uint64(sig.QueueLen))
-			buf = appendUvarint(buf, uint64(max64(sig.PendingRepairs, 0)))
-			buf = r.enc(buf)
-			payload := buf[frameHeaderSize:]
-			binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+			buf = appendReplyFrame(buf[:0], r.id, r.typ, host.Signals(), r.enc)
 			if _, err := conn.Write(buf); err != nil {
 				dead = true
 			}
@@ -191,15 +170,15 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 	// dies or a frame is malformed (poisoned stream — stop cold rather
 	// than guess at resynchronization).
 	for {
-		payload, err := readFrame(conn, 0)
+		payload, err := wire.ReadFrame(conn, 0)
 		if err != nil {
 			break
 		}
-		d := &dec{data: payload}
-		typ := d.byte()
+		d := wire.NewDec("transport", payload)
+		typ := d.Byte()
 		if typ == msgCancel {
-			target := d.uvarint()
-			if d.err != nil {
+			target := d.Uvarint()
+			if d.Err() != nil {
 				break
 			}
 			imu.Lock()
@@ -210,19 +189,18 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		id := d.uvarint()
-		if d.err != nil {
+		id := d.Uvarint()
+		if d.Err() != nil {
 			break
 		}
-		body := d.data
 
 		switch typ {
 		case msgQuery:
-			req, budget, derr := DecodeQueryRequest(body)
+			req, budget, derr := DecodeQueryRequest(d.Rest())
 			if derr != nil {
 				pending.Add(1)
-				r := &shardhost.QueryReply{Err: badRequestf("%v", derr)}
-				reply(typ, id, func(dst []byte) []byte { return AppendQueryReply(dst, r, ver) })
+				r := &shardhost.QueryReply{Err: derr}
+				reply(typ, id, func(dst []byte) []byte { return AppendQueryReply(dst, r) })
 				continue
 			}
 			var ctx context.Context
@@ -248,19 +226,19 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 					// the writer goroutine, so the shard owner never pays
 					// for span construction (the reply is final by the time
 					// the writer renders it).
-					if ver >= 2 && req.Trace.Sampled && req.Trace.Valid() {
+					if req.Trace.Sampled && req.Trace.Valid() {
 						r.Spans = shardhost.BuildShardSpans(req.Trace, host.ID(), at.UnixNano(),
 							time.Duration(r.QueueNanos), &r.Stats, r.Err, host.CacheEnabled())
 					}
-					return AppendQueryReply(dst, r, ver)
+					return AppendQueryReply(dst, r)
 				})
 			})
 
 		case msgApplyOp:
-			req, derr := DecodeOpRequest(body)
+			req, derr := DecodeOpRequest(d.Rest())
 			if derr != nil {
 				pending.Add(1)
-				r := &shardhost.OpReply{ID: -1, Err: badRequestf("%v", derr)}
+				r := &shardhost.OpReply{ID: -1, Err: derr}
 				reply(typ, id, func(dst []byte) []byte { return appendOpReply(dst, r) })
 				continue
 			}
@@ -271,21 +249,14 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 			})
 
 		case msgAppendWAL:
-			ed := &dec{data: body}
-			epoch := ed.uvarint()
-			if ed.err != nil {
+			epoch := d.Uvarint()
+			if d.Err() != nil {
 				goto drain
 			}
 			pending.Add(1)
 			r := &shardhost.WALAppendReply{}
 			host.AppendWAL(epoch, r, func() {
-				reply(typ, id, func(dst []byte) []byte {
-					dst = appendWireError(dst, r.Err)
-					if ver >= 2 {
-						dst = appendUvarint(dst, uint64(max64(r.Nanos, 0)))
-					}
-					return dst
-				})
+				reply(typ, id, func(dst []byte) []byte { return appendWALReply(dst, r) })
 			})
 
 		case msgSync:
@@ -295,9 +266,8 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 			})
 
 		case msgSnapshot:
-			ed := &dec{data: body}
-			epoch := ed.uvarint()
-			if ed.err != nil {
+			epoch := d.Uvarint()
+			if d.Err() != nil {
 				goto drain
 			}
 			pending.Add(1)
@@ -310,14 +280,7 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 			pending.Add(1)
 			r := &shardhost.StatsReply{}
 			host.Stats(r, func() {
-				reply(typ, id, func(dst []byte) []byte {
-					b, jerr := json.Marshal(r)
-					dst = appendWireError(dst, jerr)
-					if jerr == nil {
-						dst = appendBytes(dst, b)
-					}
-					return dst
-				})
+				reply(typ, id, func(dst []byte) []byte { return appendStatsReply(dst, r) })
 			})
 
 		default:
@@ -339,12 +302,44 @@ drain:
 	<-writerDone
 }
 
+// appendReplyFrame renders one reply frame onto dst: the reply header,
+// piggybacking the shard's pressure sample so the client's Signals stay
+// fresh with zero extra round trips, then the body enc appends.
+func appendReplyFrame(dst []byte, id uint64, typ byte, sig shardhost.Signals, enc func([]byte) []byte) []byte {
+	start := len(dst)
+	dst = append(wire.BeginFrame(dst), msgReply)
+	dst = wire.AppendUvarint(dst, id)
+	dst = append(dst, typ)
+	dst = wire.AppendUvarint(dst, uint64(sig.QueueLen))
+	dst = wire.AppendInt(dst, sig.PendingRepairs)
+	dst = enc(dst)
+	wire.EndFrame(dst[start:])
+	return dst
+}
+
 // appendOpReply encodes an OpReply body: errblock, then the assigned
 // global id on success.
 func appendOpReply(dst []byte, r *shardhost.OpReply) []byte {
 	dst = appendWireError(dst, r.Err)
 	if r.Err == nil {
-		dst = appendUvarint(dst, uint64(max64(int64(r.ID), 0)))
+		dst = wire.AppendInt(dst, int64(r.ID))
+	}
+	return dst
+}
+
+// appendWALReply encodes a WALAppendReply body: errblock, then the
+// host-measured append nanos.
+func appendWALReply(dst []byte, r *shardhost.WALAppendReply) []byte {
+	return wire.AppendInt(appendWireError(dst, r.Err), r.Nanos)
+}
+
+// appendStatsReply encodes a StatsReply body: errblock (a JSON encode
+// failure), then the reply as JSON.
+func appendStatsReply(dst []byte, r *shardhost.StatsReply) []byte {
+	b, err := json.Marshal(r)
+	dst = appendWireError(dst, err)
+	if err == nil {
+		dst = wire.AppendBytes(dst, b)
 	}
 	return dst
 }
@@ -364,9 +359,9 @@ func appendSnapshotReply(dst []byte, r *shardhost.SnapshotReply) []byte {
 	}
 	dst = appendWireError(dst, werr)
 	ok := payload != nil && encErr == nil
-	dst = appendBool(dst, ok)
+	dst = wire.AppendBool(dst, ok)
 	if ok {
-		dst = appendBytes(dst, payload)
+		dst = wire.AppendBytes(dst, payload)
 	}
 	return dst
 }
@@ -431,8 +426,8 @@ func DialLoopback(addr string, shard int) (*LoopbackClient, error) {
 		maxFrame:   MaxFramePayload,
 		readerDone: make(chan struct{}),
 	}
-	hello := appendUvarint(appendUvarint([]byte{msgHello}, uint64(shard)), protocolVersion)
-	if _, err := conn.Write(appendFrame(nil, hello)); err != nil {
+	hello := wire.AppendUvarint(wire.AppendUvarint([]byte{msgHello}, uint64(shard)), protocolVersion)
+	if _, err := conn.Write(wire.AppendFrame(nil, hello)); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -455,15 +450,11 @@ func (c *LoopbackClient) Signals() shardhost.Signals {
 // into the call's reply and done — when nothing was sent.
 func (c *LoopbackClient) send(id uint64, cl *call, build func(dst []byte) ([]byte, error)) {
 	c.wmu.Lock()
-	c.wbuf = c.wbuf[:0]
-	c.wbuf = append(c.wbuf, 0, 0, 0, 0, 0, 0, 0, 0)
-	c.wbuf = append(c.wbuf, cl.typ)
-	c.wbuf = appendUvarint(c.wbuf, id)
+	c.wbuf = wire.AppendUvarint(append(wire.BeginFrame(c.wbuf[:0]), cl.typ), id)
 	var berr error
 	c.wbuf, berr = build(c.wbuf)
-	payload := c.wbuf[frameHeaderSize:]
-	if berr == nil && len(payload) > c.maxFrame {
-		berr = badRequestf("transport: request frame payload %d exceeds limit %d", len(payload), c.maxFrame)
+	if n := len(c.wbuf) - wire.HeaderSize; berr == nil && n > c.maxFrame {
+		berr = badRequestf("transport: request frame payload %d exceeds limit %d", n, c.maxFrame)
 	}
 	if berr != nil {
 		c.wmu.Unlock()
@@ -479,8 +470,7 @@ func (c *LoopbackClient) send(id uint64, cl *call, build func(dst []byte) ([]byt
 	}
 	c.pending[id] = cl
 	c.pmu.Unlock()
-	binary.LittleEndian.PutUint32(c.wbuf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(c.wbuf[4:8], crc32.ChecksumIEEE(payload))
+	wire.EndFrame(c.wbuf)
 	_, werr := c.conn.Write(c.wbuf)
 	c.wmu.Unlock()
 	if werr != nil {
@@ -515,13 +505,8 @@ func (c *LoopbackClient) Query(ctx context.Context, req *shardhost.QueryRequest,
 func (c *LoopbackClient) sendCancel(id uint64) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf = c.wbuf[:0]
-	c.wbuf = append(c.wbuf, 0, 0, 0, 0, 0, 0, 0, 0)
-	c.wbuf = append(c.wbuf, msgCancel)
-	c.wbuf = appendUvarint(c.wbuf, id)
-	payload := c.wbuf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(c.wbuf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(c.wbuf[4:8], crc32.ChecksumIEEE(payload))
+	c.wbuf = wire.AppendUvarint(append(wire.BeginFrame(c.wbuf[:0]), msgCancel), id)
+	wire.EndFrame(c.wbuf)
 	c.conn.Write(c.wbuf)
 }
 
@@ -537,7 +522,7 @@ func (c *LoopbackClient) AppendWAL(epoch uint64, reply *shardhost.WALAppendReply
 	id := c.nextID.Add(1)
 	cl := &call{typ: msgAppendWAL, wreply: reply, done: done}
 	c.send(id, cl, func(dst []byte) ([]byte, error) {
-		return appendUvarint(dst, epoch), nil
+		return wire.AppendUvarint(dst, epoch), nil
 	})
 }
 
@@ -556,7 +541,7 @@ func (c *LoopbackClient) Snapshot(epoch uint64, reply *shardhost.SnapshotReply, 
 	id := c.nextID.Add(1)
 	cl := &call{typ: msgSnapshot, snreply: reply, done: done}
 	c.send(id, cl, func(dst []byte) ([]byte, error) {
-		return appendUvarint(dst, epoch), nil
+		return wire.AppendUvarint(dst, epoch), nil
 	})
 }
 
@@ -629,22 +614,22 @@ func (c *LoopbackClient) fail(err error) {
 func (c *LoopbackClient) readLoop() {
 	defer close(c.readerDone)
 	for {
-		payload, err := readFrame(c.conn, 0)
+		payload, err := wire.ReadFrame(c.conn, 0)
 		if err != nil {
 			c.fail(fmt.Errorf("transport: shard %d connection read: %w", c.shard, err))
 			return
 		}
-		d := &dec{data: payload}
-		if d.byte() != msgReply {
+		d := wire.NewDec("transport", payload)
+		if d.Byte() != msgReply {
 			c.fail(fmt.Errorf("transport: shard %d: unexpected frame type", c.shard))
 			return
 		}
-		id := d.uvarint()
-		typ := d.byte()
-		ql := d.uvarint()
-		pr := d.uvarint()
-		if d.err != nil {
-			c.fail(d.err)
+		id := d.Uvarint()
+		typ := d.Byte()
+		ql := d.Uvarint()
+		pr := d.Uvarint()
+		if d.Err() != nil {
+			c.fail(d.Err())
 			return
 		}
 		c.queueLen.Store(int64(ql))
@@ -656,7 +641,7 @@ func (c *LoopbackClient) readLoop() {
 		if cl == nil {
 			continue // reply to an abandoned call (e.g. an unregistered Sync)
 		}
-		if derr := c.decodeReply(typ, d, cl); derr != nil {
+		if derr := c.decodeReply(typ, &d, cl); derr != nil {
 			// A malformed reply means the stream itself can no longer be
 			// trusted; fail the call and the connection with it.
 			c.setErr(cl, derr)
@@ -675,67 +660,57 @@ func (c *LoopbackClient) readLoop() {
 }
 
 // decodeReply decodes one reply body into the call's reply struct.
-func (c *LoopbackClient) decodeReply(typ byte, d *dec, cl *call) error {
+func (c *LoopbackClient) decodeReply(typ byte, d *wire.Dec, cl *call) error {
 	if typ != cl.typ {
 		return fmt.Errorf("transport: shard %d: reply type %d for request type %d", c.shard, typ, cl.typ)
 	}
 	switch typ {
 	case msgQuery:
-		return DecodeQueryReply(d.data, cl.qreply)
+		return DecodeQueryReply(d.Rest(), cl.qreply)
 	case msgApplyOp:
-		werr := decodeWireError(d)
-		if d.err != nil {
-			return d.err
+		gid, werr := -1, decodeWireError(d)
+		if werr == nil {
+			gid = int(d.Uvarint())
 		}
-		if werr != nil {
-			cl.oreply.ID = -1
-			cl.oreply.Err = werr
-			return nil
+		if d.Err() != nil {
+			return d.Err()
 		}
-		gid := d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		cl.oreply.ID = int(gid)
+		cl.oreply.ID, cl.oreply.Err = gid, werr
 		return nil
 	case msgAppendWAL:
 		werr := decodeWireError(d)
-		if d.err == nil && len(d.data) > 0 {
-			// v2 extension: host-measured append latency.
-			cl.wreply.Nanos = int64(d.duration())
+		nanos := d.Duration()
+		if d.Err() != nil {
+			return d.Err()
 		}
-		if d.err != nil {
-			return d.err
-		}
-		cl.wreply.Err = werr
+		cl.wreply.Err, cl.wreply.Nanos = werr, int64(nanos)
 		return nil
 	case msgSync:
 		return nil
 	case msgSnapshot:
 		werr := decodeWireError(d)
-		hasSnap := d.bool()
 		var payload []byte
-		if hasSnap {
-			payload = d.bytes()
+		if d.Bool() {
+			payload = d.Bytes()
 		}
-		if d.err != nil {
-			return d.err
+		if d.Err() != nil {
+			return d.Err()
 		}
 		cl.snreply.RotateErr = werr
 		cl.snreply.Payload = payload
 		return nil
 	case msgStats:
 		werr := decodeWireError(d)
-		if d.err != nil {
-			return d.err
+		var b []byte
+		if werr == nil {
+			b = d.Bytes()
+		}
+		if d.Err() != nil {
+			return d.Err()
 		}
 		if werr != nil {
 			cl.streply.Err = werr
 			return nil
-		}
-		b := d.bytes()
-		if d.err != nil {
-			return d.err
 		}
 		if jerr := json.Unmarshal(b, cl.streply); jerr != nil {
 			return fmt.Errorf("transport: shard %d stats reply: %w", c.shard, jerr)

@@ -1,8 +1,8 @@
 // Package transport carries the ShardService contract between the
 // router and its shard hosts. It defines the ShardClient interface the
 // router fans out over, two implementations — Local (direct in-process
-// calls, zero serialization) and Loopback (a real TCP transport with
-// CRC length-prefixed frames in the internal/persist framing style) —
+// calls, zero serialization) and Loopback (a real TCP transport over
+// internal/wire's CRC length-prefixed frames) —
 // and the shared error taxonomy mapping the serving stack's typed
 // failures onto transport status codes. The HTTP layer and the wire
 // codecs both consult the same table, so a shard error surfaces with
@@ -17,6 +17,7 @@ import (
 	"net/http"
 
 	"gcplus/internal/core"
+	"gcplus/internal/wire"
 )
 
 // ErrClosed is returned by operations on a closed server. (The message
@@ -186,12 +187,12 @@ func appendWireError(dst []byte, err error) []byte {
 	case StatusOverload:
 		var oe *OverloadError
 		errors.As(err, &oe)
-		dst = appendString(dst, oe.Kind)
-		dst = appendUvarint(dst, uint64(oe.Limit))
+		dst = wire.AppendString(dst, oe.Kind)
+		dst = wire.AppendUvarint(dst, uint64(oe.Limit))
 	case StatusCanceled:
 		var ce *core.CancelError
 		errors.As(err, &ce)
-		dst = appendString(dst, ce.Stage)
+		dst = wire.AppendString(dst, ce.Stage)
 		if errors.Is(ce.Err, context.DeadlineExceeded) {
 			dst = append(dst, 1)
 		} else {
@@ -200,56 +201,36 @@ func appendWireError(dst []byte, err error) []byte {
 	case StatusDurability:
 		var de *DurabilityError
 		errors.As(err, &de)
-		dst = appendUvarint(dst, de.Epoch)
-		dst = appendUvarint(dst, uint64(de.Shard))
-		dst = appendString(dst, fmt.Sprint(de.Err))
+		dst = wire.AppendUvarint(dst, de.Epoch)
+		dst = wire.AppendUvarint(dst, uint64(de.Shard))
+		dst = wire.AppendString(dst, fmt.Sprint(de.Err))
 	default:
-		dst = appendString(dst, err.Error())
+		dst = wire.AppendString(dst, err.Error())
 	}
 	return dst
 }
 
 // decodeWireError is appendWireError's inverse; it reconstructs the
 // typed error so StatusOf and errors.As work identically on both sides
-// of the wire.
-func decodeWireError(d *dec) error {
-	st := Status(d.byte())
-	switch st {
+// of the wire. A malformed block latches d's error.
+func decodeWireError(d *wire.Dec) error {
+	switch st := Status(d.Byte()); st {
 	case StatusOK:
 		return nil
 	case StatusOverload:
-		kind := d.str()
-		limit := int(d.uvarint())
-		if d.err != nil {
-			return d.err
-		}
-		return &OverloadError{Kind: kind, Limit: limit}
+		return &OverloadError{Kind: d.Str(), Limit: int(d.Uvarint())}
 	case StatusCanceled:
-		stage := d.str()
-		which := d.byte()
-		if d.err != nil {
-			return d.err
-		}
+		stage := d.Str()
 		cause := context.Canceled
-		if which == 1 {
+		if d.Byte() == 1 {
 			cause = context.DeadlineExceeded
 		}
 		return &core.CancelError{Stage: stage, Err: cause}
 	case StatusClosed:
 		return ErrClosed
 	case StatusDurability:
-		epoch := d.uvarint()
-		shard := int(d.uvarint())
-		msg := d.str()
-		if d.err != nil {
-			return d.err
-		}
-		return &DurabilityError{Epoch: epoch, Shard: shard, Err: errors.New(msg)}
+		return &DurabilityError{Epoch: d.Uvarint(), Shard: int(d.Uvarint()), Err: errors.New(d.Str())}
 	default:
-		msg := d.str()
-		if d.err != nil {
-			return d.err
-		}
-		return &statusError{status: st, msg: msg}
+		return &statusError{status: st, msg: d.Str()}
 	}
 }

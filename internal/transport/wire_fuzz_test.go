@@ -20,6 +20,7 @@ import (
 	"gcplus/internal/graph"
 	"gcplus/internal/shardhost"
 	"gcplus/internal/trace"
+	"gcplus/internal/wire"
 )
 
 func fuzzSeedGraphs() []*graph.Graph {
@@ -142,15 +143,19 @@ func FuzzWireResult(f *testing.F) {
 		IDs:       []int{2, 5, 11, 40},
 		Stats:     core.QueryStats{Kind: cache.KindSub, SubIsoTests: 9, TestsSaved: 4, QueryTime: time.Millisecond, PlanAlgorithm: "VF2+", Truncated: true},
 		HostNanos: 12345,
-	}, protocolVersion))
+	}))
 	f.Add(AppendQueryReply(nil, &shardhost.QueryReply{
 		Err:       &core.CancelError{Stage: "verify", Err: nil},
 		HostNanos: 99,
-	}, protocolVersion))
-	f.Add(AppendQueryReply(nil, &shardhost.QueryReply{
-		Err: &OverloadError{Kind: "query", Limit: 8},
-	}, 1)) // v1 body: no trailing extension
-	f.Add(AppendQueryReply(nil, &shardhost.QueryReply{}, protocolVersion))
+	}))
+	// A protocol-v1 body ends after the error block, without the queue
+	// nanos and span block every reply now carries: it must not decode.
+	v1 := appendWireError(wire.AppendInt(nil, 0), &OverloadError{Kind: "query", Limit: 8})
+	if err := DecodeQueryReply(v1, &shardhost.QueryReply{}); err == nil {
+		f.Fatal("a v1 query reply without the trailing extension decoded")
+	}
+	f.Add(v1)
+	f.Add(AppendQueryReply(nil, &shardhost.QueryReply{}))
 	f.Add(AppendQueryReply(nil, &shardhost.QueryReply{
 		IDs:        []int{3},
 		QueueNanos: 4200,
@@ -158,7 +163,7 @@ func FuzzWireResult(f *testing.F) {
 			{TraceID: 9, ID: 1, Name: "shard", Attrs: []trace.Attr{{Key: "shard", Value: "0"}}},
 			{TraceID: 9, ID: 2, Parent: 1, Name: "verify", DurNanos: 777},
 		},
-	}, protocolVersion))
+	}))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -174,7 +179,7 @@ func FuzzWireResult(f *testing.F) {
 		if reply.HostNanos < 0 {
 			t.Fatalf("decoded negative host nanos %d", reply.HostNanos)
 		}
-		re := AppendQueryReply(nil, &reply, protocolVersion)
+		re := AppendQueryReply(nil, &reply)
 		var reply2 shardhost.QueryReply
 		if err := DecodeQueryReply(re, &reply2); err != nil {
 			t.Fatalf("re-encode of a decoded reply failed to decode: %v", err)
