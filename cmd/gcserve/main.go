@@ -23,7 +23,7 @@
 // API:
 //
 //	POST /query?kind=sub|super    body: one graph in the text codec
-//	     &trace=1                 include the per-shard stage trace
+//	     &trace=1                 include the query's span tree
 //	     &limit=N                 return the N smallest answer ids (exact
 //	                              prefix; "truncated" marks a cut)
 //	POST /update                  body: {"ops":[{"op":"ADD","graph":"..."},
@@ -43,7 +43,7 @@
 //	-slowlog-threshold 50ms       capture queries at/above 50ms wall time
 //	-trace-sample-rate 0.01       head-sample this fraction of requests
 //	                              into /debug/traces (anomalous requests
-//	                              are always retained; negative = off)
+//	                              are always retained; negative = none)
 //	-pprof-addr localhost:6060    serve net/http/pprof on a side listener
 //	-log-json                     structured logs as JSON lines
 //
@@ -99,7 +99,7 @@ func main() {
 		nowal     = flag.Bool("nowal", false, "disable the write-ahead log, keeping snapshots only (a crash loses batches since the last snapshot)")
 		slowThr   = flag.Duration("slowlog-threshold", 0, "capture queries at/above this wall time into GET /debug/slowlog (0 = off)")
 		slowSize  = flag.Int("slowlog-size", 0, "slow-query ring capacity (0 = default of 128)")
-		traceRate = flag.Float64("trace-sample-rate", 0, "fraction of requests head-sampled into GET /debug/traces (0 = default of 0.01, negative = tracing off; anomalous requests are always retained)")
+		traceRate = flag.Float64("trace-sample-rate", 0, "fraction of requests head-sampled into GET /debug/traces (0 = default of 0.01, negative = none; anomalous requests are always retained)")
 		traceSize = flag.Int("trace-store-size", 0, "retained-trace ring capacity (0 = default of 256)")
 		readyMax  = flag.Int("ready-max-pending", 0, "readyz threshold: 503 while more invalidated pairs than this await repair (0 = default, negative = require empty backlog)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this side listener (e.g. localhost:6060; empty = off)")

@@ -181,26 +181,26 @@
 // at GET /metrics (gcplus_stage_duration_seconds{shard,stage},
 // gcplus_queue_wait_seconds, gcplus_queries_total, ...); the
 // histogram totals are pinned to Metrics.Queries by tests.
-// POST /query?trace=1 returns the per-shard stage trace inline; queries
+// POST /query?trace=1 returns the query's span tree inline; queries
 // crossing ServeOptions.SlowLogThreshold are captured into a bounded
-// ring served at GET /debug/slowlog.
+// ring served at GET /debug/slowlog, each linking its retained trace.
 // GET /healthz and GET /readyz are the liveness and readiness probes
 // (readiness is gated on the repair backlog via
 // ServeOptions.ReadyMaxPendingRepairs), ServeOptions.Logger receives
 // structured lifecycle events (log/slog), and cmd/gcserve's
 // -pprof-addr serves net/http/pprof on a side listener.
 //
-// Requests additionally carry distributed traces (internal/trace, a
-// dependency-free span model): the router opens the root span, times
-// admission/fan-out/merge, and propagates a trace context across the
-// transport seam; shards contribute a queue/plan/consistency/hit/
-// verify subtree annotated with every cache decision (hit class, plan
-// verdict, degradation rung), piggybacked on wire reply frames under
-// protocol v2. ServeOptions.TraceSampleRate head-samples healthy
-// requests (default 1%) and tail retention always keeps anomalous
-// traces — slow, error, shed, deadline-exceeded, degraded — in a
-// bounded store served at GET /debug/traces (list) and
-// GET /debug/traces/{id} (span tree). Histogram buckets on /metrics
-// cite exemplar trace ids linking latency outliers to their traces,
-// and slow-log entries link their retained trace by trace_id.
+// Every request has a distributed trace (internal/trace, a
+// dependency-free span model) with one producer, the router: it opens
+// the root span, times admission/fan-out/merge, and builds each shard's
+// queue/plan/consistency/hit/verify subtree from the stats the shard's
+// reply carries over any transport, annotated with every cache decision
+// (hit class, plan verdict, degradation rung). Only a sampled query's
+// trace id crosses the wire, for the shard's histogram exemplars.
+// ServeOptions.TraceSampleRate head-samples healthy requests (default
+// 1%) and tail retention always keeps anomalous traces — slow, error,
+// shed, deadline-exceeded, degraded — in a bounded store served at
+// GET /debug/traces (list) and GET /debug/traces/{id} (span tree).
+// Histogram buckets on /metrics cite exemplar trace ids linking latency
+// outliers to their traces.
 package gcplus

@@ -277,19 +277,20 @@ type ServeOptions struct {
 	// batches survive a process crash but not a machine crash.
 	NoSync bool
 	// SlowLogThreshold enables the slow-query log: queries whose wall
-	// time reaches the threshold are captured (with their per-shard
-	// stage trace) into a bounded ring served at GET /debug/slowlog.
-	// Zero disables capture.
+	// time reaches the threshold are captured (linking their retained
+	// trace) into a bounded ring served at GET /debug/slowlog. Zero
+	// disables capture.
 	SlowLogThreshold time.Duration
 	// SlowLogSize bounds the slow-query ring (0 = default of 128).
 	SlowLogSize int
 	// TraceSampleRate is the distributed-tracing head-sampling rate: the
-	// fraction of requests whose full span tree — router admission,
-	// fan-out and merge plus every shard's queue/plan/consistency/hit/
-	// verify subtree — is collected and retained, served at
+	// fraction of healthy requests whose full span tree — router
+	// admission, fan-out and merge plus every shard's queue/plan/
+	// consistency/hit/verify subtree — is retained, served at
 	// GET /debug/traces. 0 means the serving layer's default (0.01);
-	// negative disables tracing. Anomalous requests (slow, error, shed,
-	// deadline-exceeded, degraded) are retained regardless of the rate.
+	// negative head-samples no healthy request. Anomalous requests (slow,
+	// error, shed, deadline-exceeded, degraded) are retained regardless
+	// of the rate, and POST /query?trace=1 always returns its own tree.
 	TraceSampleRate float64
 	// TraceStoreSize bounds the in-memory trace store's normal ring
 	// (0 = default of 256); anomalous traces keep a reserved ring of a
@@ -520,7 +521,7 @@ type ServerSlowQuery = router.SlowQuery
 func (s *Server) SlowQueries() []ServerSlowQuery { return s.srv.SlowQueries() }
 
 // Handler returns the HTTP API that cmd/gcserve serves: POST /query
-// (with ?trace=1 for per-shard stage traces), POST /update, GET /stats,
+// (with ?trace=1 for the query's span tree), POST /update, GET /stats,
 // GET /metrics (Prometheus exposition, with exemplar trace ids on the
 // latency histograms), GET /healthz, GET /readyz, GET /debug/slowlog
 // and GET /debug/traces (retained distributed traces; fetch one span

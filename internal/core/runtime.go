@@ -237,8 +237,6 @@ type QueryOptions struct {
 	Limit int
 	// TraceID, when non-zero, is the sampled distributed trace this
 	// query belongs to; the stage histograms cite it as their exemplar.
-	// In-process only — the serving layer propagates trace context on
-	// its own wire field and sets this per host.
 	TraceID uint64
 }
 

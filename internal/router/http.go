@@ -30,7 +30,8 @@ const (
 // The HTTP API of cmd/gcserve:
 //
 //	POST /query?kind=sub|super   body: one graph in the text codec
-//	     &trace=1                include the per-shard stage trace
+//	     &trace=1                sample the query's trace and include its
+//	                             span tree (the /debug/traces/{id} form)
 //	     &limit=N                stream: return the N smallest answer ids
 //	                             (exact prefix); "truncated" reports a cut
 //	POST /update                 body: JSON update batch (see updateRequest)
@@ -65,17 +66,17 @@ func (s *Server) Handler() http.Handler {
 // queryResponse is the wire form of a QueryResult. Trace is present
 // only when the request asked for it (?trace=1).
 type queryResponse struct {
-	IDs            []int       `json:"ids"`
-	Count          int         `json:"count"`
-	Epoch          uint64      `json:"epoch"`
-	Kind           string      `json:"kind"`
-	WallMicros     int64       `json:"wall_us"`
-	Candidates     int         `json:"candidates"`
-	SubIsoTests    int         `json:"subiso_tests"`
-	TestsSaved     int         `json:"tests_saved"`
-	ZeroTestShards int         `json:"zero_test_shards"`
-	Truncated      bool        `json:"truncated,omitempty"`
-	Trace          *QueryTrace `json:"trace,omitempty"`
+	IDs            []int      `json:"ids"`
+	Count          int        `json:"count"`
+	Epoch          uint64     `json:"epoch"`
+	Kind           string     `json:"kind"`
+	WallMicros     int64      `json:"wall_us"`
+	Candidates     int        `json:"candidates"`
+	SubIsoTests    int        `json:"subiso_tests"`
+	TestsSaved     int        `json:"tests_saved"`
+	ZeroTestShards int        `json:"zero_test_shards"`
+	Truncated      bool       `json:"truncated,omitempty"`
+	Trace          *wireTrace `json:"trace,omitempty"`
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -113,7 +114,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "want exactly one query graph, got %d", len(graphs))
 		return
 	}
-	res, err := s.Query(r.Context(), kind, graphs[0], limit)
+	t := r.URL.Query().Get("trace")
+	traced := t == "1" || t == "true"
+	res, err := s.query(r.Context(), kind, graphs[0], limit, traced)
 	if err != nil {
 		writeErr(w, err, "query failed: %v", err)
 		return
@@ -134,8 +137,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ZeroTestShards: res.ZeroTestShards,
 		Truncated:      res.Truncated,
 	}
-	if t := r.URL.Query().Get("trace"); t == "1" || t == "true" {
-		out.Trace = res.Trace()
+	if traced { // a forced trace is always retained
+		out.Trace = expandTrace(res.trace)
 	}
 	// The parsed graph holds no reference into buf, so it is free to
 	// carry the (compact) reply.
@@ -364,7 +367,6 @@ type wireSpan struct {
 	StartUnixNanos int64             `json:"start_unix_ns"`
 	DurMicros      int64             `json:"dur_us"`
 	Attrs          map[string]string `json:"attrs,omitempty"`
-	Events         []trace.Event     `json:"events,omitempty"`
 }
 
 // summarizeTrace renders a trace without its spans (the list view);
@@ -383,7 +385,7 @@ func summarizeTrace(t *trace.Trace) wireTrace {
 	return wt
 }
 
-func expandTrace(t *trace.Trace) wireTrace {
+func expandTrace(t *trace.Trace) *wireTrace {
 	wt := summarizeTrace(t)
 	wt.Spans = make([]wireSpan, len(t.Spans))
 	for i, sp := range t.Spans {
@@ -392,7 +394,6 @@ func expandTrace(t *trace.Trace) wireTrace {
 			Name:           sp.Name,
 			StartUnixNanos: sp.StartNanos,
 			DurMicros:      sp.DurNanos / 1e3,
-			Events:         sp.Events,
 		}
 		if sp.Parent != 0 {
 			ws.ParentID = fmt.Sprintf("%016x", uint64(sp.Parent))
@@ -405,25 +406,18 @@ func expandTrace(t *trace.Trace) wireTrace {
 		}
 		wt.Spans[i] = ws
 	}
-	return wt
+	return &wt
 }
 
 // handleTraces serves the retained traces, newest first across the
 // normal and anomalous rings.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"enabled": false, "traces": []wireTrace{},
-		})
-		return
-	}
 	snap := s.traces.Snapshot()
 	out := make([]wireTrace, len(snap))
 	for i, t := range snap {
 		out[i] = summarizeTrace(t)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":     true,
 		"sample_rate": s.traceRate,
 		"captured":    s.traces.Added(),
 		"traces":      out,
@@ -432,10 +426,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleTraceByID serves one retained trace's full span tree.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		httpError(w, http.StatusNotFound, "tracing is disabled (-trace-sample-rate < 0)")
-		return
-	}
 	id, ok := trace.ParseID(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusBadRequest, "trace id must be up to 16 hex digits, got %q", r.PathValue("id"))

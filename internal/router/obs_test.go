@@ -288,17 +288,44 @@ func TestQueryTraceAndSlowLog(t *testing.T) {
 	if qr.Trace == nil {
 		t.Fatal("trace requested but absent")
 	}
-	if len(qr.Trace.PerShard) != 2 {
-		t.Fatalf("trace has %d shards, want 2", len(qr.Trace.PerShard))
+	// The inline tree is the query's own, in the /debug/traces/{id}
+	// form: one shard subtree per shard, each with a plan span naming
+	// the algorithm and the per-shard facts as attributes.
+	names := make(map[string]string, len(qr.Trace.Spans)) // span id → name
+	for _, sp := range qr.Trace.Spans {
+		names[sp.SpanID] = sp.Name
 	}
-	for _, sp := range qr.Trace.PerShard {
-		if sp.QueryMicros < 0 || sp.VerifyMicros < 0 {
-			t.Fatalf("negative span: %+v", sp)
+	shards := map[string]bool{}
+	plans, verifies := 0, 0
+	for _, sp := range qr.Trace.Spans {
+		switch sp.Name {
+		case "shard":
+			shards[sp.Attrs["shard"]] = true
+			for _, k := range []string{"query_us", "overhead_us", "transport_us"} {
+				if v, err := strconv.ParseInt(sp.Attrs[k], 10, 64); err != nil || v < 0 {
+					t.Fatalf("shard span attr %s = %q", k, sp.Attrs[k])
+				}
+			}
+		case "plan":
+			plans++
+			if names[sp.ParentID] != "shard" || sp.Attrs["algorithm"] == "" {
+				t.Fatalf("plan span not under a shard or naming no algorithm: %+v", sp)
+			}
+		case "verify":
+			verifies++
+			for _, k := range []string{"cpu_us", "states"} {
+				if v, err := strconv.ParseInt(sp.Attrs[k], 10, 64); err != nil || v < 0 {
+					t.Fatalf("verify span attr %s = %q", k, sp.Attrs[k])
+				}
+			}
 		}
 	}
-	if qr.Trace.WallMicros < qr.Trace.PerShard[0].QueryMicros {
-		t.Fatalf("wall %dus below shard 0 query time %dus",
-			qr.Trace.WallMicros, qr.Trace.PerShard[0].QueryMicros)
+	if len(shards) != 2 || plans != 2 || verifies != 2 {
+		t.Fatalf("trace has shards %v, %d plan and %d verify spans; want 2 of each", shards, plans, verifies)
+	}
+	if status, body := getBody(t, ts.URL+"/debug/traces/"+qr.Trace.TraceID); status != http.StatusOK ||
+		len(decodeJSON[wireTrace](t, strings.NewReader(body)).Spans) != len(qr.Trace.Spans) {
+		t.Fatalf("inline trace %s differs from its retained copy: %d %s", qr.Trace.TraceID, status, body)
 	}
 
 	// Untraced query: no trace field.
@@ -311,6 +338,12 @@ func TestQueryTraceAndSlowLog(t *testing.T) {
 	resp.Body.Close()
 	if qr.Trace != nil {
 		t.Fatal("trace present without trace=1")
+	}
+	// ?trace=1 does not use up a head-sampler slot: this query was the
+	// sampler's first, so it was head-sampled rather than kept only by
+	// tail retention.
+	if tr := srv.traces.Snapshot()[0]; tr.Spans[0].Attr("synthesized") != "" {
+		t.Fatal("the query after a ?trace=1 request lost its head-sampler slot")
 	}
 
 	// Fill past the ring bound; retention is the newest SlowLogSize.
@@ -337,14 +370,10 @@ func TestQueryTraceAndSlowLog(t *testing.T) {
 		t.Fatalf("retained = %d, want ring size 4", len(slow.Entries))
 	}
 	for i, e := range slow.Entries {
-		// Tracing is on by default and a slow query is anomalous, so
-		// every entry links a retained trace instead of inlining the
-		// stage payload.
+		// A slow query is anomalous, so every entry links a retained
+		// trace.
 		if e.TraceID == "" {
 			t.Fatalf("entry %d links no retained trace: %+v", i, e)
-		}
-		if e.Trace != nil {
-			t.Fatalf("entry %d inlines a trace despite linking %s", i, e.TraceID)
 		}
 		if status, body := getBody(t, ts.URL+"/debug/traces/"+e.TraceID); status != http.StatusOK {
 			t.Fatalf("linked trace %s not fetchable: status %d (%s)", e.TraceID, status, body)

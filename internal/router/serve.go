@@ -152,8 +152,8 @@ type Options struct {
 	// benchmarks.
 	NoSync bool
 	// SlowLogThreshold enables the slow-query log: every query whose
-	// end-to-end wall time meets or exceeds it is captured — with its
-	// per-shard stage trace and the query text — into a bounded
+	// end-to-end wall time meets or exceeds it is captured — with the
+	// query text and the id of its retained trace — into a bounded
 	// in-memory ring readable via SlowQueries / GET /debug/slowlog.
 	// Zero (the default) disables capture.
 	SlowLogThreshold time.Duration
@@ -161,13 +161,13 @@ type Options struct {
 	// entries are overwritten; the drop count is retained.
 	SlowLogSize int
 	// TraceSampleRate is the distributed-tracing head-sampling rate: the
-	// fraction of requests whose spans are collected end to end (router
-	// stages plus per-shard subtrees piggybacked on reply frames). 0
-	// means DefaultTraceSampleRate; negative disables tracing entirely.
-	// Independent of the rate, every anomalous request — slow, error,
-	// shed, deadline-exceeded, degraded — is retained with a trace
-	// synthesized from its reply stats (tail-based retention), so the
-	// pathological cases are always inspectable at GET /debug/traces.
+	// fraction of healthy requests whose trace — router stages plus one
+	// shard subtree per shard, built from the reply stats — is retained.
+	// 0 means DefaultTraceSampleRate; negative head-samples no healthy
+	// request. Independent of the rate, every anomalous request — slow,
+	// error, shed, deadline-exceeded, degraded — is retained (tail-based
+	// retention), so the pathological cases are always inspectable at
+	// GET /debug/traces, and POST /query?trace=1 always returns its own.
 	TraceSampleRate float64
 	// TraceStoreSize bounds the in-memory trace store's normal ring
 	// (default trace.DefaultStoreSize); anomalous traces rotate through
@@ -397,9 +397,9 @@ type Server struct {
 	obs      *serverObs
 	slow     *slowLog
 	snapHist *obs.Histogram // snapshot-generation wall time (nil without persistence)
-	// Tracing state: nil traces means tracing is disabled. cacheOn
-	// mirrors !DisableCache for router-side shard-span synthesis;
-	// traceRate is the resolved head-sampling rate for /debug/traces.
+	// Tracing state. cacheOn mirrors !DisableCache for shard-span
+	// synthesis; traceRate is the resolved head-sampling rate for
+	// /debug/traces.
 	traces    *trace.Store
 	sampler   *trace.Sampler
 	cacheOn   bool
@@ -524,14 +524,13 @@ func New(initial []*graph.Graph, opts Options) (*Server, error) {
 	}
 	s.slow = newSlowLog(opts.SlowLogSize)
 	s.cacheOn = !opts.DisableCache
-	if rate := opts.TraceSampleRate; rate >= 0 {
-		if rate == 0 {
-			rate = DefaultTraceSampleRate
-		}
-		s.traceRate = rate
-		s.sampler = trace.NewSampler(rate)
-		s.traces = trace.NewStore(opts.TraceStoreSize)
+	rate := opts.TraceSampleRate
+	if rate == 0 {
+		rate = DefaultTraceSampleRate
 	}
+	s.traceRate = max(rate, 0) // a negative rate head-samples no request
+	s.sampler = trace.NewSampler(s.traceRate)
+	s.traces = trace.NewStore(opts.TraceStoreSize)
 	if opts.DataDir != "" {
 		fsys := persist.OSFS
 		if opts.Faults != nil && opts.Faults.FS != nil {
@@ -837,18 +836,12 @@ type QueryResult struct {
 	Truncated bool `json:"truncated,omitempty"`
 	// PerShard holds the raw per-shard execution stats, shard order.
 	PerShard []core.QueryStats `json:"-"`
-	// Transport holds the per-shard transport overhead, shard order: the
-	// router-observed round trip minus the host-measured service time
-	// (clamped at zero). Surfaced as transport_us in the query trace.
-	Transport []time.Duration `json:"-"`
-	// Queue holds the per-shard owner-queue wait, shard order: the time
-	// the shard job spent enqueued behind the owner goroutine before it
-	// started. Surfaced as queue_us in the query trace.
-	Queue []time.Duration `json:"-"`
 	// TraceID is the retained distributed trace's id, zero when the
-	// query was neither head-sampled nor anomalous (or tracing is off).
-	// Fetch the full span tree at GET /debug/traces/{id}.
+	// query was neither sampled nor anomalous. Fetch the full span tree
+	// at GET /debug/traces/{id}.
 	TraceID trace.ID `json:"-"`
+	// trace is the retained trace itself, which ?trace=1 renders.
+	trace *trace.Trace
 }
 
 // Query answers one graph-pattern query across all shards: kind
@@ -868,6 +861,12 @@ type QueryResult struct {
 // QueryResult.Truncated reports whether anything was cut. limit <= 0
 // means unlimited.
 func (s *Server) Query(ctx context.Context, kind cache.Kind, q *graph.Graph, limit int) (*QueryResult, error) {
+	return s.query(ctx, kind, q, limit, false)
+}
+
+// query is Query; forceTrace samples the query's trace regardless of
+// the head sampler (POST /query?trace=1).
+func (s *Server) query(ctx context.Context, kind cache.Kind, q *graph.Graph, limit int, forceTrace bool) (*QueryResult, error) {
 	if q == nil {
 		return nil, errors.New("serve: nil query graph")
 	}
@@ -879,7 +878,7 @@ func (s *Server) Query(ctx context.Context, kind cache.Kind, q *graph.Graph, lim
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	qt := s.beginTrace("query", kind.String())
+	qt := s.beginTrace("query", kind.String(), forceTrace)
 	// Admission control: fast-fail instead of convoying on the sequence
 	// lock when the in-flight bound is saturated.
 	if s.querySem != nil {
@@ -895,7 +894,7 @@ func (s *Server) Query(ctx context.Context, kind cache.Kind, q *graph.Graph, lim
 	// Apply the active degradation rung. Both rungs keep answers exact:
 	// capping verification only slows this query, and bypassing the
 	// cache is pure Method M — sound by construction.
-	var qopt core.QueryOptions
+	qopt := core.QueryOptions{TraceID: qt.exemplarID()}
 	if limit > 0 {
 		qopt.Limit = limit
 	}
@@ -910,7 +909,7 @@ func (s *Server) Query(ctx context.Context, kind cache.Kind, q *graph.Graph, lim
 	}
 	start := s.now()
 	qt.noteAdmitted(start, rung, rungName)
-	req := &shardhost.QueryRequest{Kind: kind, Query: q, Opts: qopt, Trace: qt.wireContext()}
+	req := &shardhost.QueryRequest{Kind: kind, Query: q, Opts: qopt}
 	replies := make([]shardhost.QueryReply, len(s.clients))
 	rtts := make([]int64, len(s.clients))
 	var wg sync.WaitGroup
@@ -960,30 +959,23 @@ func (s *Server) Query(ctx context.Context, kind cache.Kind, q *graph.Graph, lim
 
 	out := &QueryResult{
 		Epoch: epoch, Kind: kind.String(),
-		PerShard:  make([]core.QueryStats, len(s.clients)),
-		Transport: make([]time.Duration, len(s.clients)),
-		Queue:     make([]time.Duration, len(s.clients)),
+		PerShard: make([]core.QueryStats, len(s.clients)),
 	}
 	total := 0
 	for i := range replies {
 		if err := replies[i].Err; err != nil {
 			s.noteDeadline(err)
-			qt.finishReplyErr(s, err, replies, start)
+			qt.finishReplyErr(s, err, replies, rtts, start)
 			return nil, err
 		}
 		total += len(replies[i].IDs)
 	}
-	exID := qt.exemplarID()
 	lists := make([][]int, 0, len(replies))
 	for i := range replies {
 		r := &replies[i]
 		lists = append(lists, r.IDs)
 		out.PerShard[i] = r.Stats
-		out.Queue[i] = time.Duration(r.QueueNanos)
-		if d := rtts[i] - r.HostNanos; d > 0 {
-			out.Transport[i] = time.Duration(d)
-		}
-		s.obs.observeRTT(i, time.Duration(rtts[i]), exID)
+		s.obs.observeRTT(i, time.Duration(rtts[i]), qopt.TraceID)
 		out.Candidates += r.Stats.CandidatesBefore
 		out.SubIsoTests += r.Stats.SubIsoTests
 		out.TestsSaved += r.Stats.TestsSaved
@@ -1006,9 +998,8 @@ func (s *Server) Query(ctx context.Context, kind cache.Kind, q *graph.Graph, lim
 		out.Wall = d
 	}
 	// Finish the trace before the slow log captures the result, so a
-	// slow entry can link the retained trace id instead of duplicating
-	// the stage payload.
-	qt.finishQuery(s, out, replies, start, end)
+	// slow entry can link the retained trace id.
+	qt.finishQuery(s, out, replies, rtts, start, end)
 	if t := s.opts.SlowLogThreshold; t > 0 && out.Wall >= t {
 		s.slow.record(q, out)
 	}
@@ -1084,7 +1075,7 @@ func (s *Server) UpdateCtx(ctx context.Context, ops []changeplan.Op) (*UpdateRes
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	ut := s.beginTrace("update", "")
+	ut := s.beginTrace("update", "", false)
 	if s.updateSem != nil {
 		select {
 		case s.updateSem <- struct{}{}:
@@ -1109,9 +1100,7 @@ func (s *Server) UpdateCtx(ctx context.Context, ops []changeplan.Op) (*UpdateRes
 		default:
 		}
 	}
-	if ut != nil {
-		ut.noteAdmitted(s.now(), 0, "")
-	}
+	ut.noteAdmitted(s.now(), 0, "")
 
 	s.seqMu.Lock()
 	if s.closed {
@@ -1119,11 +1108,10 @@ func (s *Server) UpdateCtx(ctx context.Context, ops []changeplan.Op) (*UpdateRes
 		ut.finishEarly(s, ErrClosed)
 		return nil, ErrClosed
 	}
-	utc := ut.wireContext()
 	touched := make(map[int]bool)
 	pending := make([]<-chan OpResult, len(ops))
 	for i, op := range ops {
-		pending[i] = s.enqueueOp(op, touched, utc)
+		pending[i] = s.enqueueOp(op, touched)
 	}
 	s.epoch++
 	epoch := s.epoch
@@ -1158,9 +1146,7 @@ func (s *Server) UpdateCtx(ctx context.Context, ops []changeplan.Op) (*UpdateRes
 			walErr = &transport.DurabilityError{Epoch: epoch, Shard: i, Err: err}
 		}
 	}
-	if ut != nil {
-		ut.finishUpdate(s, s.now(), epoch, res.Applied, walReplies, walErr)
-	}
+	ut.finishUpdate(s, s.now(), epoch, res.Applied, walReplies, walErr)
 	if walErr != nil {
 		return res, walErr
 	}
@@ -1175,7 +1161,7 @@ func (s *Server) UpdateCtx(ctx context.Context, ops []changeplan.Op) (*UpdateRes
 // dispatch time, so later ops in the same batch can target a graph an
 // earlier op is about to add. The host applies the op, maintains its
 // local→global map and accumulates the WAL batch.
-func (s *Server) enqueueOp(op changeplan.Op, touched map[int]bool, tc trace.Context) <-chan OpResult {
+func (s *Server) enqueueOp(op changeplan.Op, touched map[int]bool) <-chan OpResult {
 	out := make(chan OpResult, 1)
 	fail := func(err error) <-chan OpResult {
 		out <- OpResult{ID: -1, Err: err}
@@ -1184,7 +1170,7 @@ func (s *Server) enqueueOp(op changeplan.Op, touched map[int]bool, tc trace.Cont
 	dispatch := func(sid int, op changeplan.Op, gid int) <-chan OpResult {
 		touched[sid] = true
 		reply := new(shardhost.OpReply)
-		s.clients[sid].ApplyOp(&shardhost.OpRequest{Op: op, GlobalID: gid, Trace: tc}, reply, func() {
+		s.clients[sid].ApplyOp(&shardhost.OpRequest{Op: op, GlobalID: gid}, reply, func() {
 			out <- OpResult{ID: reply.ID, Err: reply.Err}
 		})
 		s.obs.noteTransport("apply_op", 1)

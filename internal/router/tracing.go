@@ -10,27 +10,26 @@ import (
 	"gcplus/internal/trace"
 )
 
-// Router-side distributed tracing. The router owns the trace: it opens
-// the root span, times its own stages (admission, fan-out, merge for
-// queries; admission, apply, WAL appends for updates), carries a
-// trace.Context to every shard through the transport seam, and adopts
-// the span subtrees the shards piggyback on their replies. Head
-// sampling (Options.TraceSampleRate) decides which healthy requests
-// build spans at all; tail retention keeps every anomalous trace —
-// slow, error, shed, deadline-exceeded, degraded — even unsampled ones,
-// whose shard subtrees are synthesized router-side from the same
-// QueryStats every reply already carries.
+// Router-side distributed tracing. The router is the only producer of
+// a trace: it opens the root span, times its own stages (admission,
+// fan-out, merge for queries; admission, apply, WAL appends for
+// updates), and synthesizes every shard's subtree from the reply's
+// QueryStats, its QueueNanos and the round trip it measured itself —
+// over every transport, so the local and loopback trees have the same
+// shape by construction. Head sampling (Options.TraceSampleRate)
+// decides which healthy requests are retained; tail retention keeps
+// every anomalous trace — slow, error, shed, deadline-exceeded,
+// degraded — even unsampled ones. POST /query?trace=1 force-samples
+// its request.
 
 // DefaultTraceSampleRate is the head-sampling rate when
 // Options.TraceSampleRate is zero: one query in a hundred.
 const DefaultTraceSampleRate = 0.01
 
-// requestTrace accumulates one request's router-side trace state. All
-// methods are nil-receiver safe so the serving path stays branch-light
-// when tracing is disabled. A requestTrace exists for every request
-// while tracing is enabled — sampled or not — because tail retention
-// must be able to promote any request to a retained trace after the
-// fact; only the store Add pays allocation beyond the struct itself.
+// requestTrace accumulates one request's router-side trace state. One
+// exists for every request, sampled or not, because tail retention must
+// be able to promote any request to a retained trace after the fact;
+// only the store Add pays allocation beyond the struct itself.
 type requestTrace struct {
 	id      trace.ID
 	sampled bool
@@ -48,14 +47,12 @@ type requestTrace struct {
 	rungName string
 }
 
-// beginTrace opens a request trace, or returns nil when tracing is off.
-func (s *Server) beginTrace(op, kind string) *requestTrace {
-	if s.traces == nil {
-		return nil
-	}
+// beginTrace opens a request trace. force samples it without consulting
+// (or using up a slot of) the head sampler.
+func (s *Server) beginTrace(op, kind string, force bool) *requestTrace {
 	return &requestTrace{
 		id:      trace.NewTraceID(),
-		sampled: s.sampler.Sample(),
+		sampled: force || s.sampler.Sample(),
 		op:      op,
 		kind:    kind,
 		start:   s.now(),
@@ -64,30 +61,11 @@ func (s *Server) beginTrace(op, kind string) *requestTrace {
 	}
 }
 
-// context is the trace context shards parent their spans under.
-func (t *requestTrace) context() trace.Context {
-	if t == nil {
-		return trace.Context{}
-	}
-	return trace.Context{TraceID: t.id, Parent: t.fanID, Sampled: t.sampled}
-}
-
-// wireContext is the context to propagate over the transport: only
-// sampled traces cross the wire, so an unsampled request's frames stay
-// byte-identical to tracing-off and the shards never build spans the
-// router might discard.
-func (t *requestTrace) wireContext() trace.Context {
-	if t == nil || !t.sampled {
-		return trace.Context{}
-	}
-	return t.context()
-}
-
 // exemplarID is the trace id to cite on histogram exemplars: only
-// sampled traces, so every exemplar points at a trace whose shard spans
-// were really collected.
+// sampled traces, so every exemplar points at a trace that is retained.
+// It crosses the transport as QueryOptions.TraceID.
 func (t *requestTrace) exemplarID() uint64 {
-	if t == nil || !t.sampled {
+	if !t.sampled {
 		return 0
 	}
 	return uint64(t.id)
@@ -96,20 +74,13 @@ func (t *requestTrace) exemplarID() uint64 {
 // noteAdmitted marks the end of the admission stage and records the
 // degradation rung the request was admitted under.
 func (t *requestTrace) noteAdmitted(at time.Time, rung int, rungName string) {
-	if t == nil {
-		return
-	}
 	t.admitEnd = at
 	t.rung = rung
 	t.rungName = rungName
 }
 
 // noteFanoutDone marks the completion of the shard fan-out wait.
-func (t *requestTrace) noteFanoutDone(at time.Time) {
-	if t != nil {
-		t.fanEnd = at
-	}
-}
+func (t *requestTrace) noteFanoutDone(at time.Time) { t.fanEnd = at }
 
 // nanosBetween is b-a clamped at zero: clock-skew fault injection must
 // never produce a negative span duration.
@@ -130,19 +101,15 @@ func capErr(err error) string {
 }
 
 // assemble builds the router span tree — root plus the stages the
-// request reached — appends the per-shard subtrees straight off the
-// replies (plus any extra spans the caller synthesized, e.g. WAL
-// appends), and retains the trace when it is sampled or anomalous.
-// The whole trace lands in one allocation: the slice is sized for the
-// router stages plus every shard subtree up front, and shard spans are
-// appended here rather than concatenated by the caller first. Returns
-// whether the trace was retained. Only call with finished replies.
-func (t *requestTrace) assemble(s *Server, end time.Time, anomaly, errMsg string, rootAttrs []trace.Attr, replies []shardhost.QueryReply, dispatch time.Time, extra []trace.Span) bool {
-	if t == nil {
-		return false
-	}
+// request reached — appends one shard subtree per reply (plus any extra
+// spans the caller built, e.g. WAL appends), and retains the trace when
+// it is sampled or anomalous. The whole trace lands in one allocation:
+// the slice is sized for the router stages plus every shard subtree up
+// front. Returns the retained trace, nil when none was kept. Only call
+// with finished replies; rtts holds each reply's measured round trip.
+func (t *requestTrace) assemble(s *Server, end time.Time, anomaly, errMsg string, rootAttrs []trace.Attr, replies []shardhost.QueryReply, rtts []int64, dispatch time.Time, extra []trace.Span) *trace.Trace {
 	if !t.sampled && anomaly == trace.AnomalyNone {
-		return false
+		return nil
 	}
 	startN := t.start.UnixNano()
 	root := trace.Span{
@@ -166,18 +133,10 @@ func (t *requestTrace) assemble(s *Server, end time.Time, anomaly, errMsg string
 		root.SetAttr("error", errMsg)
 	}
 	if !t.sampled {
-		root.SetAttr("synthesized", "true")
+		root.SetAttr("synthesized", "true") // kept by tail retention alone
 	}
 
-	capHint := 4 + len(extra)
-	for i := range replies {
-		if t.sampled && len(replies[i].Spans) > 0 {
-			capHint += len(replies[i].Spans)
-		} else {
-			capHint += 6 // synthesized subtree: root + up to 5 stage spans
-		}
-	}
-	spans := make([]trace.Span, 0, capHint)
+	spans := make([]trace.Span, 0, 4+len(extra)+maxShardSpans*len(replies))
 	spans = append(spans, root)
 	adm := trace.Span{
 		TraceID: t.id, ID: trace.NewSpanID(), Parent: t.rootID,
@@ -210,37 +169,138 @@ func (t *requestTrace) assemble(s *Server, end time.Time, anomaly, errMsg string
 			})
 		}
 	}
-	// Per-shard subtrees: the shards' own spans when the trace was
-	// sampled, otherwise subtrees synthesized here from the reply stats —
-	// structurally identical to what the shard would have built, because
-	// both paths run the shardhost span builder over the same non-timing
-	// stats fields. Synthesis appends straight into the trace's backing
-	// array, so it leaves no intermediate garbage behind.
-	tc := trace.Context{TraceID: t.id, Parent: t.fanID, Sampled: true}
 	for i := range replies {
-		r := &replies[i]
-		if t.sampled && len(r.Spans) > 0 {
-			spans = append(spans, r.Spans...)
-			continue
-		}
-		spans = shardhost.AppendShardSpans(spans, tc, i, dispatch.UnixNano(),
-			time.Duration(r.QueueNanos), &r.Stats, r.Err, s.cacheOn)
+		spans = appendShardSpans(spans, t.id, t.fanID, i, dispatch.UnixNano(), &replies[i], rtts[i], s.cacheOn)
 	}
 	spans = append(spans, extra...)
-	s.traces.Add(&trace.Trace{
+	tr := &trace.Trace{
 		ID: t.id, StartNanos: startN, WallNanos: root.DurNanos,
 		Anomaly: anomaly, Spans: spans,
-	})
-	return true
+	}
+	s.traces.Add(tr)
+	return tr
+}
+
+// maxShardSpans is the size of the largest shard subtree: the shard
+// root plus five stage spans.
+const maxShardSpans = 6
+
+// appendShardSpans synthesizes one shard's query subtree into dst: a
+// "shard" root parented under the fan-out span, with stage children
+// laid out back to back from startNanos:
+//
+//	shard                (query_us, overhead_us, transport_us, hit_class)
+//	├── queue            (always; the measured owner-queue wait)
+//	├── plan             (always on success: algorithm, cached)
+//	├── consistency      (iff the cache path ran)
+//	├── hit              (iff the cache path ran: class, scanned, candidates)
+//	└── verify           (always on success: subiso_tests, states, cpu_us)
+//
+// Which spans and attributes exist depends only on non-timing reply
+// fields (cache bypass, error), never on measured durations, so every
+// transport yields the same shape. A failed query keeps its partial
+// trace: the root records the error and only the queue child is emitted
+// (stats are zero-valued on error, so stage spans would be fiction).
+// transport_us is the round trip minus the host-measured service time.
+// Attrs are carved from one per-call arena, so SetAttr allocates once
+// per subtree rather than once per span.
+func appendShardSpans(dst []trace.Span, id trace.ID, parent trace.SpanID, shard int, startNanos int64, r *shardhost.QueryReply, rtt int64, cacheEnabled bool) []trace.Span {
+	st := &r.Stats
+	// The root lives at index ri and is finalized last, once the stage
+	// cursor has advanced past every child.
+	ri := len(dst)
+	spans := append(dst, trace.Span{})
+	arena := make([]trace.Attr, 0, 6+2+3+6) // shard + plan + hit + verify windows
+	grab := func(n int) []trace.Attr {
+		a := arena[len(arena) : len(arena) : len(arena)+n]
+		arena = arena[:len(arena)+n]
+		return a
+	}
+	root := &spans[ri]
+	*root = trace.Span{
+		TraceID: id, ID: trace.NewSpanID(), Parent: parent,
+		Name: "shard", StartNanos: startNanos, Attrs: grab(6),
+	}
+	root.SetAttr("shard", strconv.Itoa(shard))
+	root.SetAttr("transport_us", micros(time.Duration(rtt-r.HostNanos)))
+
+	cursor := startNanos
+	child := func(name string, d time.Duration, attrs int) *trace.Span {
+		spans = append(spans, trace.Span{
+			TraceID: id, ID: trace.NewSpanID(), Parent: spans[ri].ID,
+			Name: name, StartNanos: cursor, DurNanos: int64(d), Attrs: grab(attrs),
+		})
+		cursor += int64(d)
+		root = &spans[ri] // append may have moved the backing array
+		return &spans[len(spans)-1]
+	}
+
+	child("queue", time.Duration(r.QueueNanos), 0)
+	if r.Err != nil {
+		root.SetAttr("error", capErr(r.Err))
+		root.DurNanos = cursor - startNanos
+		return spans
+	}
+
+	p := child("plan", st.PlanTime, 2)
+	p.SetAttr("algorithm", st.PlanAlgorithm)
+	p.SetAttr("cached", strconv.FormatBool(st.PlanCached))
+	if cacheEnabled && !st.CacheBypassed {
+		child("consistency", st.ConsistencyTime, 0)
+		hs := child("hit", st.HitTime, 3)
+		hs.SetAttr("class", hitClass(st))
+		hs.SetAttr("scanned", strconv.Itoa(st.HitScanned))
+		hs.SetAttr("candidates", strconv.Itoa(st.HitCandidates))
+	}
+	v := child("verify", st.VerifyTime, 6)
+	v.SetAttr("subiso_tests", strconv.Itoa(st.SubIsoTests))
+	v.SetAttr("tests_saved", strconv.Itoa(st.TestsSaved))
+	v.SetAttr("states", strconv.Itoa(st.SearchStates))
+	v.SetAttr("cpu_us", micros(st.VerifyCPUTime))
+	if st.VerifyWorkers > 0 {
+		v.SetAttr("workers", strconv.Itoa(st.VerifyWorkers))
+	}
+	if st.Truncated {
+		v.SetAttr("truncated", "true")
+	}
+
+	root.SetAttr("query_us", micros(st.QueryTime))
+	root.SetAttr("overhead_us", micros(st.Overhead))
+	root.SetAttr("hit_class", hitClass(st))
+	if st.CacheBypassed {
+		root.SetAttr("bypassed", "true")
+	}
+	root.DurNanos = cursor - startNanos
+	return spans
+}
+
+// micros renders a duration as whole microseconds, clamped at zero.
+func micros(d time.Duration) string {
+	return strconv.FormatInt(max(d, 0).Microseconds(), 10)
+}
+
+// hitClass collapses the stats' hit flags into the one-word cache
+// verdict the trace annotates: how much of the answer the GC+ cache
+// supplied before Method M verification ran.
+func hitClass(st *core.QueryStats) string {
+	switch {
+	case st.ExactHit:
+		return "exact"
+	case st.EmptyShortcut:
+		return "empty"
+	case st.IsoHits > 0:
+		return "iso"
+	case st.ContainingHits > 0 || st.ContainedHits > 0:
+		return "partial"
+	default:
+		return "miss"
+	}
 }
 
 // finishShed retains the trace of a request fast-failed by admission
 // control: root + admission only, always kept (tail retention).
 func (t *requestTrace) finishShed(s *Server) {
-	if t == nil {
-		return
-	}
-	t.assemble(s, s.now(), trace.AnomalyShed, "", nil, nil, time.Time{}, nil)
+	t.assemble(s, s.now(), trace.AnomalyShed, "", nil, nil, nil, time.Time{}, nil)
 }
 
 // finishEarly retains the trace of a request that failed before any
@@ -248,28 +308,19 @@ func (t *requestTrace) finishShed(s *Server) {
 // fan-out wait): the shard subtrees are unknown, the router stages and
 // the anomaly class are not.
 func (t *requestTrace) finishEarly(s *Server, err error) {
-	if t == nil {
-		return
-	}
-	t.assemble(s, s.now(), anomalyOf(err), capErr(err), nil, nil, time.Time{}, nil)
+	t.assemble(s, s.now(), anomalyOf(err), capErr(err), nil, nil, nil, time.Time{}, nil)
 }
 
 // finishReplyErr retains the trace of a query whose shards all
 // finished but at least one reported an error. Partial shard spans —
 // root + queue — survive for every failed shard.
-func (t *requestTrace) finishReplyErr(s *Server, err error, replies []shardhost.QueryReply, dispatch time.Time) {
-	if t == nil {
-		return
-	}
-	t.assemble(s, s.now(), anomalyOf(err), capErr(err), nil, replies, dispatch, nil)
+func (t *requestTrace) finishReplyErr(s *Server, err error, replies []shardhost.QueryReply, rtts []int64, dispatch time.Time) {
+	t.assemble(s, s.now(), anomalyOf(err), capErr(err), nil, replies, rtts, dispatch, nil)
 }
 
 // finishQuery classifies and retains a successful query's trace,
-// stamping the result with the trace id when the trace was kept.
-func (t *requestTrace) finishQuery(s *Server, out *QueryResult, replies []shardhost.QueryReply, dispatch, end time.Time) {
-	if t == nil {
-		return
-	}
+// attaching it to the result when it was kept.
+func (t *requestTrace) finishQuery(s *Server, out *QueryResult, replies []shardhost.QueryReply, rtts []int64, dispatch, end time.Time) {
 	anomaly := trace.AnomalyNone
 	switch {
 	case s.opts.SlowLogThreshold > 0 && out.Wall >= s.opts.SlowLogThreshold:
@@ -277,11 +328,8 @@ func (t *requestTrace) finishQuery(s *Server, out *QueryResult, replies []shardh
 	case t.rung > 0:
 		anomaly = trace.AnomalyDegraded
 	}
-	if !t.sampled && anomaly == trace.AnomalyNone {
-		return
-	}
-	if t.assemble(s, end, anomaly, "", nil, replies, dispatch, nil) {
-		out.TraceID = t.id
+	if tr := t.assemble(s, end, anomaly, "", nil, replies, rtts, dispatch, nil); tr != nil {
+		out.TraceID, out.trace = tr.ID, tr
 	}
 }
 
@@ -289,9 +337,6 @@ func (t *requestTrace) finishQuery(s *Server, out *QueryResult, replies []shardh
 // batch's trace: root + admission + apply + one wal_append child per
 // shard, with the host-measured append latency off the reply frames.
 func (t *requestTrace) finishUpdate(s *Server, end time.Time, epoch uint64, applied int, walReplies []*shardhost.WALAppendReply, walErr error) {
-	if t == nil {
-		return
-	}
 	anomaly := trace.AnomalyNone
 	errMsg := ""
 	if walErr != nil {
@@ -321,7 +366,7 @@ func (t *requestTrace) finishUpdate(s *Server, end time.Time, epoch uint64, appl
 	t.assemble(s, end, anomaly, errMsg, []trace.Attr{
 		{Key: "epoch", Value: strconv.FormatUint(epoch, 10)},
 		{Key: "applied", Value: strconv.Itoa(applied)},
-	}, nil, time.Time{}, spans)
+	}, nil, nil, time.Time{}, spans)
 }
 
 // anomalyOf maps a request error to its trace anomaly class.

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,8 @@ import (
 
 	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
+	"gcplus/internal/core"
+	"gcplus/internal/shardhost"
 	"gcplus/internal/trace"
 )
 
@@ -45,9 +49,11 @@ func traceShape(t *trace.Trace) string {
 // TestTraceDifferentialTransports pins the acceptance contract of the
 // tracing tentpole: the local and loopback transports must produce
 // structurally identical traces for the same workload — same span
-// names, same nesting, same attribute keys — because shard spans are
-// synthesized from the same QueryStats regardless of the seam that
-// carried them.
+// names, same nesting, same attribute keys — because the router
+// synthesizes every shard subtree from the same QueryStats regardless
+// of the seam that carried them. The workload ends with a query whose
+// deadline expires while every shard is blocked (its partial trace
+// keeps the router stages) and a ?trace=1 request.
 func TestTraceDifferentialTransports(t *testing.T) {
 	initial := genGraphs(t, 40, 23)
 	queries := testQueries(initial)
@@ -78,18 +84,41 @@ func TestTraceDifferentialTransports(t *testing.T) {
 		if _, err := srv.Update([]changeplan.Op{changeplan.AddOp(initial[0].Clone())}); err != nil {
 			t.Fatal(err)
 		}
+		gate := make(chan struct{})
+		for _, h := range srv.hosts {
+			h.Enqueue(func() { <-gate })
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err = srv.Query(ctx, cache.KindSub, queries[0], 0)
+		cancel()
+		close(gate)
+		var ce *core.CancelError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: query past its deadline returned %v, want a CancelError", tr, err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query?kind=sub&trace=1",
+			strings.NewReader(codecOf(t, queries[1]))))
+		qr := decodeJSON[queryResponse](t, rec.Body)
 		snap := srv.traces.Snapshot()
-		if want := 2*len(queries) + 1; len(snap) != want {
+		if want := 2*len(queries) + 3; len(snap) != want {
 			t.Fatalf("%s: retained %d traces, want %d", tr, len(snap), want)
+		}
+		if qr.Trace == nil || qr.Trace.TraceID != snap[0].ID.String() || len(qr.Trace.Spans) != len(snap[0].Spans) {
+			t.Fatalf("%s: ?trace=1 returned %+v, not the retained trace %s", tr, qr.Trace, snap[0].ID)
+		}
+		if snap[1].Anomaly != trace.AnomalyDeadline || snap[1].Spans[0].Attr("error") == "" {
+			t.Fatalf("%s: expired query's trace is %q with root %+v", tr, snap[1].Anomaly, snap[1].Spans[0])
 		}
 		// Snapshot is newest-first and both servers ran the same
 		// sequence, so index i is the same request on both transports.
 		// Every query runs under a plan, so every shard subtree of a
-		// query trace (all but the newest, the update) carries the plan
-		// span with its two attributes.
-		for i, tt := range snap {
+		// healthy query trace carries the plan span with its two
+		// attributes.
+		for _, tt := range snap {
 			shape := traceShape(tt)
-			if n := strings.Count(shape, "shard>plan(algorithm,cached)"); i > 0 && n != opts.Shards {
+			n := strings.Count(shape, "shard>plan(algorithm,cached)")
+			if tt.Spans[0].Name == "query" && tt.Anomaly == trace.AnomalyNone && n != opts.Shards {
 				t.Fatalf("%s: query trace has %d plan spans, want %d:\n%s", tr, n, opts.Shards, shape)
 			}
 			shapes[tr] = append(shapes[tr], shape)
@@ -120,9 +149,6 @@ func TestTraceSampledQuery(t *testing.T) {
 	}
 	if res.TraceID == 0 {
 		t.Fatal("sampled query result carries no trace id")
-	}
-	if len(res.Queue) != 2 {
-		t.Fatalf("per-shard queue waits: %v", res.Queue)
 	}
 	tr := srv.traces.Get(res.TraceID)
 	if tr == nil {
@@ -159,9 +185,12 @@ func TestTraceSampledQuery(t *testing.T) {
 			t.Fatalf("span %q has dangling parent %d", sp.Name, sp.Parent)
 		}
 	}
-	// The query trace view links the id.
-	if qt := res.Trace(); qt.TraceID != res.TraceID.String() {
-		t.Fatalf("QueryTrace.TraceID = %q, want %q", qt.TraceID, res.TraceID)
+	// A failed shard keeps a partial subtree: the root records the error
+	// and only the queue wait, the one stage measured before it, follows.
+	failed := appendShardSpans(nil, tr.ID, tr.Spans[0].ID, 1, 0,
+		&shardhost.QueryReply{Err: &core.CancelError{Stage: "verify", Err: context.Canceled}, QueueNanos: 5000}, 0, true)
+	if len(failed) != 2 || failed[0].Attr("error") == "" || failed[1].Name != "queue" || failed[1].Parent != failed[0].ID {
+		t.Fatalf("failed shard subtree: %+v", failed)
 	}
 }
 
@@ -229,39 +258,62 @@ func TestTraceTailRetention(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled checks the off switch: a negative sample rate must
-// leave results unstamped, keep the slow log inlining its stage
-// breakdown, and have /debug/traces report tracing disabled.
+// TestTraceDisabled checks the negative sample rate, which head-samples
+// no healthy request: a healthy query leaves no trace behind, a slow one
+// is still retained by tail retention and linked from its slow-log
+// entry, and ?trace=1 still returns the query's own span tree.
 func TestTraceDisabled(t *testing.T) {
 	initial := genGraphs(t, 12, 5)
-	srv, err := New(initial, Options{
-		Shards:           2,
-		TraceSampleRate:  -1,
-		SlowLogThreshold: time.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	res, err := subQ(srv, testQueries(initial)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TraceID != 0 {
-		t.Fatalf("tracing disabled but result stamped %s", res.TraceID)
-	}
-	entries := srv.SlowQueries()
-	if len(entries) != 1 || entries[0].TraceID != "" || entries[0].Trace == nil {
-		t.Fatalf("slow entry should inline its trace when tracing is off: %+v", entries)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	status, body := getBody(t, ts.URL+"/debug/traces")
-	if status != http.StatusOK || !strings.Contains(body, `"enabled": false`) {
-		t.Fatalf("/debug/traces with tracing off: %d %s", status, body)
-	}
-	if status, _ := getBody(t, ts.URL+"/debug/traces/00ff"); status != http.StatusNotFound {
-		t.Fatalf("by-id with tracing off: status %d, want 404", status)
+	q := testQueries(initial)[0]
+	for _, slow := range []time.Duration{0, time.Nanosecond} {
+		srv, err := New(initial, Options{
+			Shards:           2,
+			TraceSampleRate:  -1,
+			SlowLogThreshold: slow,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := subQ(srv, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow == 0 {
+			if res.TraceID != 0 || len(srv.traces.Snapshot()) != 0 {
+				t.Fatalf("healthy query retained trace %s at a negative rate", res.TraceID)
+			}
+		} else {
+			entries := srv.SlowQueries()
+			tr := srv.traces.Get(res.TraceID)
+			if tr == nil || tr.Anomaly != trace.AnomalySlow || len(entries) != 1 || entries[0].TraceID != res.TraceID.String() {
+				t.Fatalf("slow query at a negative rate: trace %+v, slow log %+v", tr, entries)
+			}
+		}
+		ts := httptest.NewServer(srv.Handler())
+		resp, err := http.Post(ts.URL+"/query?kind=sub&trace=1", "text/plain", strings.NewReader(codecOf(t, q)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qr := decodeJSON[queryResponse](t, resp.Body)
+		resp.Body.Close()
+		if qr.Trace == nil {
+			t.Fatal("?trace=1 at a negative rate returned no trace")
+		}
+		shards := 0
+		for _, sp := range qr.Trace.Spans {
+			if sp.Name == "shard" {
+				shards++
+			}
+		}
+		if shards != 2 {
+			t.Fatalf("?trace=1 at a negative rate returned %d shard subtrees, want 2: %+v", shards, qr.Trace)
+		}
+		status, body := getBody(t, ts.URL+"/debug/traces")
+		if status != http.StatusOK || !strings.Contains(body, `"sample_rate": 0`) || !strings.Contains(body, qr.Trace.TraceID) {
+			t.Fatalf("/debug/traces at a negative rate: %d %s", status, body)
+		}
+		ts.Close()
+		srv.Close()
 	}
 }
 
@@ -284,7 +336,6 @@ func TestTracesEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	type listBody struct {
-		Enabled    bool        `json:"enabled"`
 		SampleRate float64     `json:"sample_rate"`
 		Captured   uint64      `json:"captured"`
 		Traces     []wireTrace `json:"traces"`
@@ -295,7 +346,7 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	list := decodeJSON[listBody](t, resp.Body)
 	resp.Body.Close()
-	if !list.Enabled || list.SampleRate != 1 || list.Captured != 2 || len(list.Traces) != 2 {
+	if list.SampleRate != 1 || list.Captured != 2 || len(list.Traces) != 2 {
 		t.Fatalf("list view: %+v", list)
 	}
 	for _, wt := range list.Traces {

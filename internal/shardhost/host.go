@@ -213,11 +213,6 @@ func (h *Host) Dataset() *dataset.Dataset { return h.ds }
 // owner-context use only.
 func (h *Host) LocalToGlobal() []int { return h.localToGlobal }
 
-// CacheEnabled reports whether this shard runs the GC+ cache. The flag
-// is fixed at construction, so any goroutine may read it — the wire
-// server uses it to synthesize span subtrees off the owner goroutine.
-func (h *Host) CacheEnabled() bool { return h.rt.CacheEnabled() }
-
 // QueueWaitHist and WALAppendHist expose the host-owned histograms for
 // registry registration by the process that scrapes them.
 func (h *Host) QueueWaitHist() *obs.Histogram { return h.queueWait }
@@ -249,8 +244,8 @@ func (h *Host) Enqueue(fn func()) {
 }
 
 // EnqueueTimed is Enqueue for jobs that want their own measured queue
-// wait (the tracing path turns it into the per-shard queue span and the
-// reply's QueueNanos without a second clock read).
+// wait (Query reports it as the reply's QueueNanos without a second
+// clock read).
 func (h *Host) EnqueueTimed(fn func(wait time.Duration)) {
 	at := h.now()
 	h.jobs <- func() {

@@ -11,7 +11,6 @@ import (
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
 	"gcplus/internal/persist"
-	"gcplus/internal/trace"
 )
 
 // This file is the ShardService contract: the request/reply vocabulary
@@ -30,14 +29,11 @@ type QueryRequest struct {
 	Kind cache.Kind
 	// Query is the pattern graph (treated as immutable).
 	Query *graph.Graph
-	// Opts carries the per-query execution options. BypassCache,
-	// MaxVerifyParallelism and Limit cross a wire transport; TraceID is
-	// set per host.
+	// Opts carries the per-query execution options, all of which cross
+	// a wire transport. A non-zero Opts.TraceID is the sampled trace the
+	// query belongs to: the shard cites it as the exemplar on its
+	// queue-wait and stage histograms.
 	Opts core.QueryOptions
-	// Trace is the propagated trace context. When Sampled, the shard
-	// synthesizes its span subtree into the reply and tags its stage
-	// histograms with the trace id as an exemplar.
-	Trace trace.Context
 }
 
 // QueryReply is the shard's answer.
@@ -58,14 +54,6 @@ type QueryReply struct {
 	// HostNanos minus execution. Always filled, so the router can report
 	// per-shard queue pressure for untraced queries too.
 	QueueNanos int64
-	// Spans is the shard's synthesized span subtree. Wire transports fill
-	// it (server-side, off the owner goroutine) for sampled requests —
-	// error replies included, so a cancelled query keeps its partial
-	// trace. The in-process transport leaves it nil and the router
-	// synthesizes an identically-shaped subtree from the reply's stats:
-	// both paths run BuildShardSpans over the same non-timing fields, so
-	// the owner goroutine never pays for span construction either way.
-	Spans []trace.Span
 }
 
 // OpRequest applies one dataset change operation to the shard. The
@@ -75,11 +63,6 @@ type QueryReply struct {
 type OpRequest struct {
 	Op       changeplan.Op
 	GlobalID int
-	// Trace is the propagated trace context for the owning update. The
-	// host does not synthesize op spans (the router builds the update's
-	// trace from replies), but the context crosses the wire so a future
-	// remote shard can.
-	Trace trace.Context
 }
 
 // OpReply reports one operation's outcome: the global id on success
@@ -143,12 +126,9 @@ type StatsReply struct {
 // stage "queue".
 func (h *Host) Query(ctx context.Context, req *QueryRequest, reply *QueryReply, done func()) {
 	at := h.now()
-	sampled := req.Trace.Sampled && req.Trace.Valid()
 	h.EnqueueTimed(func(wait time.Duration) {
 		reply.QueueNanos = int64(wait)
-		if sampled {
-			h.queueWait.SetExemplar(wait, uint64(req.Trace.TraceID))
-		}
+		h.queueWait.SetExemplar(wait, req.Opts.TraceID)
 		defer func() {
 			if d := h.now().Sub(at); d > 0 {
 				reply.HostNanos = int64(d)
@@ -164,18 +144,12 @@ func (h *Host) Query(ctx context.Context, req *QueryRequest, reply *QueryReply, 
 			default:
 			}
 		}
-		opts := req.Opts
-		if sampled {
-			// In-process only: tells the runtime's stage histograms which
-			// trace to cite as their exemplar.
-			opts.TraceID = uint64(req.Trace.TraceID)
-		}
 		var res *core.Result
 		var err error
 		if req.Kind == cache.KindSub {
-			res, err = h.rt.SubgraphQueryCtx(ctx, req.Query, opts)
+			res, err = h.rt.SubgraphQueryCtx(ctx, req.Query, req.Opts)
 		} else {
-			res, err = h.rt.SupergraphQueryCtx(ctx, req.Query, opts)
+			res, err = h.rt.SupergraphQueryCtx(ctx, req.Query, req.Opts)
 		}
 		if err != nil {
 			reply.Err = err

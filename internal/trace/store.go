@@ -95,7 +95,7 @@ func NewStore(size int) *Store {
 // Add retains a trace; anomalous traces go to the reserved ring. The
 // store takes ownership of t (callers must not mutate it afterwards).
 func (s *Store) Add(t *Trace) {
-	if s == nil || t == nil || t.ID == 0 {
+	if t == nil || t.ID == 0 {
 		return
 	}
 	s.mu.Lock()
@@ -112,7 +112,7 @@ func (s *Store) Add(t *Trace) {
 
 // Get returns the retained trace with the given id, or nil.
 func (s *Store) Get(id ID) *Trace {
-	if s == nil || id == 0 {
+	if id == 0 {
 		return nil
 	}
 	s.mu.Lock()
@@ -131,9 +131,6 @@ func (s *Store) Get(id ID) *Trace {
 // Snapshot returns every retained trace, newest first across both
 // rings. The returned traces are shared; treat them as read-only.
 func (s *Store) Snapshot() []*Trace {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]entry, 0, s.norm.n+s.anom.n)
@@ -150,9 +147,6 @@ func (s *Store) Snapshot() []*Trace {
 // Added returns the lifetime count of retained traces (including ones
 // since evicted) — the store's throughput counter for /debug/traces.
 func (s *Store) Added() uint64 {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.adds

@@ -1,20 +1,17 @@
 // Package trace is GC+'s dependency-free distributed-tracing core: a
-// span/event model with trace and span ids, parent links, bounded
-// attribute and event lists; a deterministic head sampler; a compact
-// wire codec so shard hosts can piggyback their spans on reply frames;
-// and a bounded in-memory store with tail-based retention that always
-// keeps anomalous traces (slow, error, shed, deadline-exceeded,
-// degraded-mode) no matter how fast normal traffic churns the ring.
+// span model with trace and span ids, parent links and a bounded
+// attribute list; a deterministic head sampler; and a bounded in-memory
+// store with tail-based retention that always keeps anomalous traces
+// (slow, error, shed, deadline-exceeded, degraded-mode) no matter how
+// fast normal traffic churns the ring.
 //
-// The model is deliberately small: the router opens a root span per
-// query, the fan-out stage carries a Context (trace id + parent span id
-// + sampling bit) to every shard over the transport seam, and each
-// shard synthesizes its stage spans — queue wait, plan, consistency,
-// hit discovery, verify — from the same QueryStats both transports
-// already measure. Because the spans are built from measured stats on
-// the shard's own goroutine, the local and loopback transports produce
-// identically-shaped traces by construction, which is the contract a
-// future remote transport inherits.
+// The model is deliberately small, and one process builds every trace:
+// the router opens a root span per request, times its own stages, and
+// synthesizes each shard's stage spans — queue wait, plan, consistency,
+// hit discovery, verify — from the QueryStats the shard's reply carries
+// over any transport. Nothing here crosses the wire, so the local and
+// loopback transports produce identically-shaped traces by
+// construction.
 package trace
 
 import (
@@ -25,8 +22,7 @@ import (
 )
 
 // ID identifies one trace; SpanID one span within it. Both are nonzero
-// for real traces — zero means "no trace" and doubles as the absent
-// marker on the wire.
+// for real traces — zero means "no trace".
 type ID uint64
 
 // SpanID identifies one span within a trace.
@@ -48,18 +44,6 @@ func ParseID(s string) (ID, bool) {
 	return ID(v), true
 }
 
-// Context is what crosses the transport seam: enough for a shard to
-// parent its spans under the router's fan-out span and to know whether
-// to build spans at all.
-type Context struct {
-	TraceID ID
-	Parent  SpanID
-	Sampled bool
-}
-
-// Valid reports whether the context names a real trace.
-func (c Context) Valid() bool { return c.TraceID != 0 }
-
 // Attr is one string key/value annotation on a span (hit class,
 // plan-cache verdict, degradation rung, error stage, ...).
 type Attr struct {
@@ -67,22 +51,12 @@ type Attr struct {
 	Value string `json:"v"`
 }
 
-// Event is one timestamped note within a span.
-type Event struct {
-	UnixNanos int64  `json:"unix_ns"`
-	Msg       string `json:"msg"`
-}
-
-// Bounded list sizes: a span can never grow past these no matter how
-// chatty a stage is, so a trace's memory and wire footprint is O(spans).
-const (
-	MaxAttrs  = 16
-	MaxEvents = 8
-)
+// MaxAttrs bounds a span's attribute list: a span can never grow past
+// it no matter how chatty a stage is, so a trace's memory is O(spans).
+const MaxAttrs = 16
 
 // Span is one timed operation in a trace. Times are absolute unix
-// nanoseconds so spans from different processes need no offset
-// agreement; viewers subtract the trace root's start.
+// nanoseconds; viewers subtract the trace root's start.
 type Span struct {
 	TraceID    ID
 	ID         SpanID
@@ -91,7 +65,6 @@ type Span struct {
 	StartNanos int64 // unix nanoseconds
 	DurNanos   int64
 	Attrs      []Attr
-	Events     []Event
 }
 
 // SetAttr appends one attribute, silently dropping it once MaxAttrs is
@@ -174,7 +147,7 @@ func NewSampler(rate float64) *Sampler {
 
 // Sample reports whether the next unit of work should be traced.
 func (s *Sampler) Sample() bool {
-	if s == nil || s.period == 0 {
+	if s.period == 0 {
 		return false
 	}
 	if s.period == 1 {

@@ -2,9 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
-	"time"
 )
 
 func TestIDsNonZeroAndDistinct(t *testing.T) {
@@ -63,10 +61,6 @@ func TestSamplerRates(t *testing.T) {
 			t.Errorf("rate %v: sampled %d/1000, want %d", c.rate, got, c.want)
 		}
 	}
-	var nilS *Sampler
-	if nilS.Sample() {
-		t.Error("nil sampler sampled")
-	}
 }
 
 func TestSpanBounds(t *testing.T) {
@@ -76,12 +70,6 @@ func TestSpanBounds(t *testing.T) {
 	}
 	if len(s.Attrs) != MaxAttrs {
 		t.Fatalf("attrs grew to %d, want cap %d", len(s.Attrs), MaxAttrs)
-	}
-	for i := 0; i < MaxEvents+5; i++ {
-		s.AddEvent(time.Unix(0, int64(i)), "e")
-	}
-	if len(s.Events) != MaxEvents {
-		t.Fatalf("events grew to %d, want cap %d", len(s.Events), MaxEvents)
 	}
 	if got := s.Attr("k0"); got != "v" {
 		t.Fatalf("Attr(k0) = %q", got)
@@ -147,10 +135,6 @@ func TestStoreNewestFirst(t *testing.T) {
 			t.Fatalf("snapshot not newest-first at %d: %d then %d", i, pi, ci)
 		}
 	}
-	var nilStore *Store
-	if nilStore.Snapshot() != nil || nilStore.Get(ids[0]) != nil || nilStore.Added() != 0 {
-		t.Fatal("nil store must be inert")
-	}
 }
 
 func indexOf(ids []ID, id ID) int {
@@ -160,67 +144,4 @@ func indexOf(ids []ID, id ID) int {
 		}
 	}
 	return -1
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	spans := []Span{
-		{
-			TraceID: 1, ID: 2, Parent: 0, Name: "query",
-			StartNanos: time.Now().UnixNano(), DurNanos: 12345,
-			Attrs:  []Attr{{Key: "hit_class", Value: "exact"}, {Key: "shard", Value: "3"}},
-			Events: []Event{{UnixNanos: 77, Msg: "admitted"}},
-		},
-		{TraceID: 1, ID: 3, Parent: 2, Name: "verify", DurNanos: 99},
-		{TraceID: 1, ID: 4, Parent: 2, Name: ""},
-	}
-	enc := AppendSpans(nil, spans)
-	got, err := DecodeSpans(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, spans) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, spans)
-	}
-	if _, err := DecodeSpans(append(enc, 0)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	empty, err := DecodeSpans(AppendSpans(nil, nil))
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty block: %v %v", empty, err)
-	}
-}
-
-func TestCodecHostileInputs(t *testing.T) {
-	bad := [][]byte{
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // absurd count
-		{5},                       // count 5, no spans
-		{1, 1, 1, 1, 0xff},        // truncated name length
-		AppendSpans(nil, nil)[:0], // empty input (count missing)
-	}
-	for i, b := range bad {
-		if _, err := DecodeSpans(b); err == nil {
-			t.Errorf("case %d: hostile input decoded", i)
-		}
-	}
-	// Oversized string is clipped on encode, so it still decodes.
-	long := make([]byte, 5000)
-	for i := range long {
-		long[i] = 'a'
-	}
-	enc := AppendSpans(nil, []Span{{TraceID: 1, ID: 1, Name: string(long)}})
-	got, err := DecodeSpans(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got[0].Name) != MaxWireString {
-		t.Fatalf("name len %d, want clipped to %d", len(got[0].Name), MaxWireString)
-	}
-}
-
-// AddEvent appends one event, dropping it once MaxEvents is reached.
-func (s *Span) AddEvent(at time.Time, msg string) {
-	if len(s.Events) >= MaxEvents {
-		return
-	}
-	s.Events = append(s.Events, Event{UnixNanos: at.UnixNano(), Msg: msg})
 }

@@ -12,6 +12,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -23,11 +24,11 @@ import (
 	"gcplus/internal/core"
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
+	"gcplus/internal/obs"
 	"gcplus/internal/persist"
 	"gcplus/internal/shardhost"
 	"gcplus/internal/subiso"
 	"gcplus/internal/synthetic"
-	"gcplus/internal/trace"
 	"gcplus/internal/wire"
 )
 
@@ -453,8 +454,9 @@ func TestContractSignalsPiggyback(t *testing.T) {
 
 // TestContractHelloVersion: the loopback server speaks only
 // protocolVersion. A HELLO that ends at the shard index (the old v1
-// shape) gets its connection closed before any request is served; the
-// same HELLO with the version appended is answered.
+// shape) or announces version 2 (whose QUERY replies carried a span
+// block) gets its connection closed before any request is served; the
+// same HELLO announcing protocolVersion is answered.
 func TestContractHelloVersion(t *testing.T) {
 	srv, err := ServeLoopback(newTestHosts(t, 1, shardhost.Config{}))
 	if err != nil {
@@ -462,14 +464,14 @@ func TestContractHelloVersion(t *testing.T) {
 	}
 	defer srv.Close()
 	syncFrame := wire.AppendFrame(nil, []byte{msgSync, 1})
-	for _, ver := range []bool{false, true} {
+	for _, ver := range []uint64{0, 2, protocolVersion} { // 0: no version field
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		hello := []byte{msgHello, 0}
-		if ver {
-			hello = wire.AppendUvarint(hello, protocolVersion)
+		if ver != 0 {
+			hello = wire.AppendUvarint(hello, ver)
 		}
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
 		if _, err := conn.Write(append(wire.AppendFrame(nil, hello), syncFrame...)); err != nil {
@@ -477,14 +479,14 @@ func TestContractHelloVersion(t *testing.T) {
 		}
 		reply, err := wire.ReadFrame(conn, 0)
 		conn.Close()
-		if ver && (err != nil || reply[0] != msgReply) {
-			t.Fatalf("versioned HELLO: reply %x, err %v", reply, err)
+		if ver == protocolVersion && (err != nil || reply[0] != msgReply) {
+			t.Fatalf("HELLO version %d: reply %x, err %v", ver, reply, err)
 		}
 		// Closed means EOF, or a reset when the server closed with the
 		// SYNC frame still unread; a timeout means it kept the connection.
 		var ne net.Error
-		if !ver && (err == nil || errors.As(err, &ne) && ne.Timeout()) {
-			t.Fatalf("HELLO without a version: got reply %x, err %v; want the connection closed", reply, err)
+		if ver != protocolVersion && (err == nil || errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("HELLO version %d: got reply %x, err %v; want the connection closed", ver, reply, err)
 		}
 	}
 }
@@ -533,140 +535,49 @@ func TestContractOrdering(t *testing.T) {
 	})
 }
 
-// queryShardTraced is queryShard with a propagated trace context.
-func queryShardTraced(ctx context.Context, c ShardClient, q *graph.Graph, tc trace.Context) *shardhost.QueryReply {
-	reply := &shardhost.QueryReply{}
-	done := make(chan struct{})
-	c.Query(ctx, &shardhost.QueryRequest{Kind: cache.KindSub, Query: q, Trace: tc}, reply, func() { close(done) })
-	<-done
-	return reply
-}
-
-// spanShape canonicalizes a span list to its structural shape: names in
-// emission order with a parent marker — the thing that must be
-// transport-independent even though every duration differs.
-func spanShape(spans []trace.Span) string {
-	if len(spans) == 0 {
-		return ""
-	}
-	root := spans[0].ID
-	var b strings.Builder
-	for i, s := range spans {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(s.Name)
-		if s.Parent == root {
-			b.WriteByte('*') // child of the shard root
-		}
-	}
-	return b.String()
-}
-
-// TestContractTracing: the tracing dimension of the contract. Where the
-// span subtree materializes is transport-specific — wire transports
-// piggyback it on the reply frame (built server-side, off the owner
-// goroutine), while the in-process transport leaves Spans nil and the
-// router synthesizes the subtree from the reply stats — but the
-// resulting tree must be identically shaped either way, an unsampled
-// request carries none, the queue wait is reported regardless, and a
-// mid-stream cancellation keeps its partial trace on the error reply.
+// TestContractTracing: the tracing dimension of the contract. The
+// router builds every span, so all that crosses the seam is a sampled
+// query's trace id, which the host cites as the exemplar on its
+// queue-wait histogram, and the measured queue wait, which comes back on
+// the reply for the router's queue span.
 func TestContractTracing(t *testing.T) {
 	hosts := newTestHosts(t, 1, shardhost.Config{})
-	qs := testQueries(genGraphs(t, 60, 7))
-
-	// replySpans resolves one reply to its span subtree the way the
-	// router would: wire replies carry their spans, in-process replies
-	// carry none and the subtree is synthesized from the reply stats.
-	replySpans := func(t *testing.T, kind string, reply *shardhost.QueryReply, tc trace.Context) []trace.Span {
-		t.Helper()
-		if kind == "local" {
-			if len(reply.Spans) != 0 {
-				t.Fatalf("in-process transport materialized %d spans on the reply", len(reply.Spans))
-			}
-			return shardhost.BuildShardSpans(tc, 0, time.Now().UnixNano(),
-				time.Duration(reply.QueueNanos), &reply.Stats, reply.Err, hosts[0].CacheEnabled())
+	q := testQueries(genGraphs(t, 60, 7))[0]
+	reg := obs.NewRegistry()
+	reg.RegisterHistogram("queue_wait_seconds", "shard queue wait", nil, hosts[0].QueueWaitHist())
+	id := uint64(0x5eed)
+	eachTransport(t, hosts, func(t *testing.T, kind string, clients []ShardClient) {
+		id++
+		// Hold the owner goroutine until the query has waited in the
+		// queue behind it for at least a millisecond.
+		running, gate := make(chan struct{}), make(chan struct{})
+		hosts[0].Enqueue(func() { close(running); <-gate })
+		<-running
+		reply := &shardhost.QueryReply{}
+		done := make(chan struct{})
+		clients[0].Query(context.Background(), &shardhost.QueryRequest{
+			Kind: cache.KindSub, Query: q, Opts: core.QueryOptions{TraceID: id},
+		}, reply, func() { close(done) })
+		for hosts[0].QueueLen() == 0 {
+			time.Sleep(100 * time.Microsecond)
 		}
-		if len(reply.Spans) == 0 {
-			t.Fatal("sampled query returned no spans over the wire")
+		time.Sleep(time.Millisecond)
+		close(gate)
+		<-done
+		if reply.Err != nil {
+			t.Fatal(reply.Err)
 		}
-		return reply.Spans
-	}
-
-	shapes := make(map[string]string)
-	for _, kind := range []string{"local", "loopback"} {
-		t.Run(kind, func(t *testing.T) {
-			clients := dialAll(t, kind, hosts)
-			tc := trace.Context{TraceID: trace.NewTraceID(), Parent: trace.NewSpanID(), Sampled: true}
-			reply := queryShardTraced(context.Background(), clients[0], qs[0], tc)
-			if reply.Err != nil {
-				t.Fatal(reply.Err)
-			}
-			spans := replySpans(t, kind, reply, tc)
-			root := spans[0]
-			if root.Name != "shard" || root.TraceID != tc.TraceID || root.Parent != tc.Parent {
-				t.Fatalf("root span not parented under the request context: %+v", root)
-			}
-			for _, s := range spans[1:] {
-				if s.Parent != root.ID || s.TraceID != tc.TraceID {
-					t.Fatalf("stage span detached from root: %+v", s)
-				}
-			}
-			shape := spanShape(spans)
-			for _, stage := range []string{"queue", "plan", "consistency", "hit", "verify"} {
-				if !strings.Contains(shape, stage) {
-					t.Fatalf("span set %q missing stage %q", shape, stage)
-				}
-			}
-			if reply.QueueNanos < 0 {
-				t.Fatalf("negative queue nanos %d", reply.QueueNanos)
-			}
-			shapes[kind] = shape
-
-			// Unsampled: the trace context rides along but no spans come
-			// back on any transport; the queue wait is still reported.
-			un := queryShardTraced(context.Background(), clients[0], qs[0],
-				trace.Context{TraceID: trace.NewTraceID(), Parent: trace.NewSpanID()})
-			if un.Err != nil {
-				t.Fatal(un.Err)
-			}
-			if len(un.Spans) != 0 {
-				t.Fatalf("unsampled query returned %d spans", len(un.Spans))
-			}
-
-			// Mid-stream cancel: the error reply keeps its partial trace.
-			gate := make(chan struct{})
-			hosts[0].Enqueue(func() { <-gate })
-			ctx, cancel := context.WithCancel(context.Background())
-			ctc := trace.Context{TraceID: trace.NewTraceID(), Parent: trace.NewSpanID(), Sampled: true}
-			creply := &shardhost.QueryReply{}
-			done := make(chan struct{})
-			clients[0].Query(ctx, &shardhost.QueryRequest{
-				Kind: cache.KindSub, Query: qs[0], Trace: ctc,
-			}, creply, func() { close(done) })
-			cancel()
-			if kind == "loopback" {
-				time.Sleep(20 * time.Millisecond) // let the CANCEL frame land
-			}
-			close(gate)
-			<-done
-			var ce *core.CancelError
-			if !errors.As(creply.Err, &ce) {
-				t.Fatalf("want CancelError, got %v", creply.Err)
-			}
-			cspans := replySpans(t, kind, creply, ctc)
-			if len(cspans) == 0 {
-				t.Fatal("cancelled query dropped its partial trace")
-			}
-			if cspans[0].Attr("error") == "" {
-				t.Fatalf("partial root span missing error attribute: %+v", cspans[0])
-			}
-		})
-	}
-	if shapes["local"] != shapes["loopback"] {
-		t.Fatalf("span shapes diverge across transports:\n local    %q\n loopback %q",
-			shapes["local"], shapes["loopback"])
-	}
+		if reply.QueueNanos < int64(time.Millisecond) || reply.QueueNanos > reply.HostNanos {
+			t.Fatalf("queue nanos %d for a query held ≥1ms behind the owner (host nanos %d)", reply.QueueNanos, reply.HostNanos)
+		}
+		var exp strings.Builder
+		if err := reg.WriteProm(&exp); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`trace_id="%016x"`, id); !strings.Contains(exp.String(), want) {
+			t.Fatalf("queue-wait histogram does not cite %s:\n%s", want, exp.String())
+		}
+	})
 }
 
 func equalInts(a, b []int) bool {

@@ -27,7 +27,6 @@ import (
 	"gcplus/internal/graph"
 	"gcplus/internal/persist"
 	"gcplus/internal/shardhost"
-	"gcplus/internal/trace"
 )
 
 // Golden on-wire bytes: every loopback frame kind, pinned in
@@ -78,15 +77,8 @@ func goldenSnapshot() *persist.ShardSnapshot {
 	}
 }
 
-var goldenSpans = []trace.Span{
-	{TraceID: 0xfeed, ID: 0x51, Parent: 0xbeef, Name: "shard", StartNanos: 1_700_000_000_000_000_000, DurNanos: 90_000,
-		Attrs: []trace.Attr{{Key: "shard", Value: "1"}, {Key: "cache", Value: "on"}}},
-	{TraceID: 0xfeed, ID: 0x52, Parent: 0x51, Name: "verify", StartNanos: 1_700_000_000_000_010_000, DurNanos: 70_000,
-		Events: []trace.Event{{UnixNanos: 1_700_000_000_000_020_000, Msg: "plan VF2+"}}},
-}
-
 var goldenStats = core.QueryStats{
-	Kind: cache.KindSub, CandidatesBefore: 30, SubIsoTests: 9, TestsSaved: 4,
+	Kind: cache.KindSub, CandidatesBefore: 30, SubIsoTests: 9, SearchStates: 1234, TestsSaved: 4,
 	ContainingHits: 1, ContainedHits: 2, IsoHits: 1, ExactHit: false, EmptyShortcut: true,
 	QueryTime: 310 * time.Microsecond, VerifyTime: 200 * time.Microsecond, VerifyCPUTime: 390 * time.Microsecond,
 	VerifyWorkers: 2, HitTime: 12 * time.Microsecond, HitScanned: 17, HitCandidates: 3,
@@ -119,9 +111,9 @@ func goldenScript() []goldenStep {
 	)
 	want1 := &shardhost.QueryReply{IDs: []int{2, 5, 11, 40}, Stats: goldenStats, HostNanos: 412_000, QueueNanos: 4200}
 	want2 := &shardhost.QueryReply{IDs: []int{7}, Stats: core.QueryStats{Kind: cache.KindSuper, CandidatesBefore: 1, SubIsoTests: 1},
-		HostNanos: 95_000, QueueNanos: 1000, Spans: goldenSpans}
+		HostNanos: 95_000, QueueNanos: 1000}
 	want8 := &shardhost.QueryReply{Err: &core.CancelError{Stage: "verify", Err: context.DeadlineExceeded},
-		HostNanos: 2_000_000, QueueNanos: 300, Spans: goldenSpans[:1]}
+		HostNanos: 2_000_000, QueueNanos: 300}
 	snap := goldenSnapshot()
 	snapPayload, err := persist.EncodeShardSnapshot(snap)
 	if err != nil {
@@ -140,7 +132,7 @@ func goldenScript() []goldenStep {
 		return func(t *testing.T) {
 			if fmt.Sprint(got.Err) != fmt.Sprint(want.Err) || StatusOf(got.Err) != StatusOf(want.Err) ||
 				!reflect.DeepEqual(got.IDs, want.IDs) || got.Stats != want.Stats ||
-				got.HostNanos != want.HostNanos || got.QueueNanos != want.QueueNanos || !reflect.DeepEqual(got.Spans, want.Spans) {
+				got.HostNanos != want.HostNanos || got.QueueNanos != want.QueueNanos {
 				t.Fatalf("query reply decoded as\n %+v\nwant\n %+v", got, want)
 			}
 		}
@@ -165,14 +157,13 @@ func goldenScript() []goldenStep {
 			call: queryCall(&q1, &shardhost.QueryRequest{Kind: cache.KindSub, Query: graph.Path(1, 2),
 				Opts: core.QueryOptions{Limit: 3, MaxVerifyParallelism: 2}}),
 			check: checkQuery(&q1, want1)},
-		{req: "query_traced", rep: "reply_query_spans", reply: appendReplyFrame(nil, 2, msgQuery, idle, func(d []byte) []byte { return AppendQueryReply(d, want2) }),
+		{req: "query_traced", rep: "reply_query_traced", reply: appendReplyFrame(nil, 2, msgQuery, idle, func(d []byte) []byte { return AppendQueryReply(d, want2) }),
 			call: queryCall(&q2, &shardhost.QueryRequest{Kind: cache.KindSuper, Query: graph.Star(2, 1, 3),
-				Opts: core.QueryOptions{BypassCache: true}, Trace: trace.Context{TraceID: 0xfeed, Parent: 0xbeef, Sampled: true}}),
+				Opts: core.QueryOptions{BypassCache: true, TraceID: 0xfeed}}),
 			check: checkQuery(&q2, want2)},
 		{req: "apply_op", rep: "reply_apply_op", reply: appendReplyFrame(nil, 3, msgApplyOp, idle, func(d []byte) []byte { return appendOpReply(d, &shardhost.OpReply{ID: 60}) }),
 			call: func(c *LoopbackClient, done func()) {
-				c.ApplyOp(&shardhost.OpRequest{Op: changeplan.AddOp(graph.Path(3, 1, 4)), GlobalID: 60,
-					Trace: trace.Context{TraceID: 0xabc, Parent: 0xdef, Sampled: true}}, &o3, done)
+				c.ApplyOp(&shardhost.OpRequest{Op: changeplan.AddOp(graph.Path(3, 1, 4)), GlobalID: 60}, &o3, done)
 			},
 			check: func(t *testing.T) {
 				if o3.ID != 60 || o3.Err != nil {
@@ -395,9 +386,6 @@ func TestGoldenServerReplies(t *testing.T) {
 			var r shardhost.QueryReply
 			if err := DecodeQueryReply(rep[13:], &r); err != nil || r.Err != nil {
 				t.Fatalf("%s: reply %v / %v", req, err, r.Err)
-			}
-			if (req == "query_traced") != (len(r.Spans) > 0) {
-				t.Fatalf("%s: %d spans piggybacked", req, len(r.Spans))
 			}
 		}
 	}

@@ -214,24 +214,13 @@ func (s *LoopbackServer) serveConn(conn net.Conn) {
 			inflight[id] = cancel
 			imu.Unlock()
 			pending.Add(1)
-			at := time.Now()
 			r := &shardhost.QueryReply{}
 			host.Query(ctx, req, r, func() {
 				imu.Lock()
 				delete(inflight, id)
 				imu.Unlock()
 				cancel()
-				reply(typ, id, func(dst []byte) []byte {
-					// The piggybacked span subtree is synthesized here, on
-					// the writer goroutine, so the shard owner never pays
-					// for span construction (the reply is final by the time
-					// the writer renders it).
-					if req.Trace.Sampled && req.Trace.Valid() {
-						r.Spans = shardhost.BuildShardSpans(req.Trace, host.ID(), at.UnixNano(),
-							time.Duration(r.QueueNanos), &r.Stats, r.Err, host.CacheEnabled())
-					}
-					return AppendQueryReply(dst, r)
-				})
+				reply(typ, id, func(dst []byte) []byte { return AppendQueryReply(dst, r) })
 			})
 
 		case msgApplyOp:

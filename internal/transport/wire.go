@@ -8,7 +8,6 @@ import (
 	"gcplus/internal/changeplan"
 	"gcplus/internal/graph"
 	"gcplus/internal/shardhost"
-	"gcplus/internal/trace"
 	"gcplus/internal/wire"
 )
 
@@ -46,23 +45,12 @@ const (
 
 // protocolVersion is the version the client announces in its HELLO
 // frame after the shard index; the server closes a connection whose
-// HELLO carries any other. QUERY and APPLY_OP requests may end in a
-// trace context (a self-describing trailing block); QUERY replies end
-// in the queue nanos and the piggybacked span block, APPEND_WAL replies
-// in the append nanos.
-const protocolVersion = 2
-
-// appendTraceCtx appends the trace-context block. Callers only append
-// it for a valid context; an absent block decodes as the zero context.
-func appendTraceCtx(dst []byte, tc trace.Context) []byte {
-	dst = wire.AppendUvarint(dst, uint64(tc.TraceID))
-	dst = wire.AppendUvarint(dst, uint64(tc.Parent))
-	return wire.AppendBool(dst, tc.Sampled)
-}
-
-func decodeTraceCtx(d *wire.Dec) trace.Context {
-	return trace.Context{TraceID: trace.ID(d.Uvarint()), Parent: trace.SpanID(d.Uvarint()), Sampled: d.Bool()}
-}
+// HELLO carries any other. A QUERY request ends in the sampled trace id
+// when it has one; QUERY replies end in the queue nanos, APPEND_WAL
+// replies in the append nanos. Shards build no spans: the router
+// synthesizes every trace from the reply stats, so no span data crosses
+// the wire.
+const protocolVersion = 3
 
 // MaxFramePayload bounds a frame payload. An oversized outbound frame
 // is rejected client-side with StatusBadRequest before anything is
@@ -81,8 +69,10 @@ func AppendQueryRequest(dst []byte, req *shardhost.QueryRequest, deadline time.D
 	dst = wire.AppendBool(dst, req.Opts.BypassCache)
 	dst = wire.AppendUvarint(dst, uint64(req.Opts.MaxVerifyParallelism))
 	dst = wire.AppendBytes(dst, graph.Marshal(req.Query))
-	if req.Trace.Valid() {
-		dst = appendTraceCtx(dst, req.Trace)
+	if req.Opts.TraceID != 0 {
+		// Trailing and optional, so an unsampled request's bytes do not
+		// depend on tracing at all.
+		dst = wire.AppendUvarint(dst, req.Opts.TraceID)
 	}
 	return dst
 }
@@ -98,7 +88,7 @@ func DecodeQueryRequest(data []byte) (*shardhost.QueryRequest, time.Duration, er
 	req.Opts.MaxVerifyParallelism = d.Int()
 	gb := d.Bytes()
 	if d.Len() > 0 {
-		req.Trace = decodeTraceCtx(&d)
+		req.Opts.TraceID = d.Uvarint()
 	}
 	if err := d.Finish("query request"); err != nil {
 		return nil, 0, badRequestf("%v", err)
@@ -120,14 +110,7 @@ func DecodeQueryRequest(data []byte) (*shardhost.QueryRequest, time.Duration, er
 // codec (which carries the graph for ADD ops).
 func AppendOpRequest(dst []byte, req *shardhost.OpRequest) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, uint64(req.GlobalID))
-	dst, err := req.Op.AppendBinary(dst)
-	if err != nil {
-		return dst, err
-	}
-	if req.Trace.Valid() {
-		dst = appendTraceCtx(dst, req.Trace)
-	}
-	return dst, nil
+	return req.Op.AppendBinary(dst)
 }
 
 // DecodeOpRequest is AppendOpRequest's inverse. Every failure is a
@@ -139,9 +122,6 @@ func DecodeOpRequest(data []byte) (*shardhost.OpRequest, error) {
 		d.Fail("global id %d out of range", gid)
 	}
 	req := &shardhost.OpRequest{GlobalID: int(gid), Op: changeplan.DecodeOp(&d)}
-	if d.Err() == nil && d.Len() > 0 {
-		req.Trace = decodeTraceCtx(&d)
-	}
 	if err := d.Finish("op request"); err != nil {
 		return nil, badRequestf("%v", err)
 	}
@@ -152,12 +132,10 @@ func DecodeOpRequest(data []byte) (*shardhost.OpRequest, error) {
 
 // AppendQueryReply encodes a QueryReply body: host nanos, the taxonomy-
 // classified error, and on success the ascending answer ids
-// (delta-coded) plus the full per-shard QueryStats — every field the
-// router aggregates or traces, so those are bit-identical across
-// transports (SearchStates, which nothing above the core reads yet, is
-// not carried). The body ends with the queue wait and the shard's
-// piggybacked span block — on error replies too, so a cancelled query
-// keeps its partial trace.
+// (delta-coded) plus every QueryStats field, so the stats the router
+// aggregates and traces are bit-identical across transports. The body
+// ends with the queue wait, on error replies too, so a cancelled
+// query's trace keeps its queue span.
 func AppendQueryReply(dst []byte, reply *shardhost.QueryReply) []byte {
 	dst = wire.AppendInt(dst, reply.HostNanos)
 	dst = appendWireError(dst, reply.Err)
@@ -172,6 +150,7 @@ func AppendQueryReply(dst []byte, reply *shardhost.QueryReply) []byte {
 		dst = append(dst, byte(st.Kind))
 		dst = wire.AppendUvarint(dst, uint64(st.CandidatesBefore))
 		dst = wire.AppendUvarint(dst, uint64(st.SubIsoTests))
+		dst = wire.AppendUvarint(dst, uint64(st.SearchStates))
 		dst = wire.AppendUvarint(dst, uint64(st.TestsSaved))
 		dst = wire.AppendUvarint(dst, uint64(st.ContainingHits))
 		dst = wire.AppendUvarint(dst, uint64(st.ContainedHits))
@@ -193,8 +172,7 @@ func AppendQueryReply(dst []byte, reply *shardhost.QueryReply) []byte {
 		dst = wire.AppendBool(dst, st.PlanCached)
 		dst = wire.AppendBool(dst, st.Truncated)
 	}
-	dst = wire.AppendInt(dst, reply.QueueNanos)
-	return wire.AppendBytes(dst, trace.AppendSpans(nil, reply.Spans))
+	return wire.AppendInt(dst, reply.QueueNanos)
 }
 
 // DecodeQueryReply is AppendQueryReply's inverse.
@@ -224,6 +202,7 @@ func DecodeQueryReply(data []byte, reply *shardhost.QueryReply) error {
 		st.Kind = cache.Kind(d.Byte())
 		st.CandidatesBefore = d.Int()
 		st.SubIsoTests = d.Int()
+		st.SearchStates = d.Int()
 		st.TestsSaved = d.Int()
 		st.ContainingHits = d.Int()
 		st.ContainedHits = d.Int()
@@ -246,13 +225,6 @@ func DecodeQueryReply(data []byte, reply *shardhost.QueryReply) error {
 		st.Truncated = d.Bool()
 	}
 	reply.QueueNanos = int64(d.Duration())
-	if sb := d.Bytes(); len(sb) > 0 {
-		spans, err := trace.DecodeSpans(sb)
-		if err != nil {
-			d.Fail("span block: %v", err)
-		}
-		reply.Spans = spans
-	}
 	if err := d.Finish("query reply"); err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
 	"gcplus/internal/shardhost"
-	"gcplus/internal/trace"
 	"gcplus/internal/wire"
 )
 
@@ -46,7 +45,7 @@ func FuzzWireQuery(f *testing.F) {
 		f.Add(AppendQueryRequest(nil, &shardhost.QueryRequest{
 			Kind:  cache.KindSub,
 			Query: g,
-			Trace: trace.Context{TraceID: 0xfeed, Parent: 0xbeef, Sampled: true},
+			Opts:  core.QueryOptions{TraceID: 0xfeed},
 		}, time.Second))
 	}
 	f.Add([]byte{})
@@ -76,8 +75,8 @@ func FuzzWireQuery(f *testing.F) {
 			req2.Opts.MaxVerifyParallelism != req.Opts.MaxVerifyParallelism {
 			t.Fatalf("round trip diverged: %+v/%v vs %+v/%v", req, deadline, req2, deadline2)
 		}
-		if req.Trace.Valid() && req2.Trace != req.Trace {
-			t.Fatalf("round trip diverged on trace context: %+v vs %+v", req.Trace, req2.Trace)
+		if req2.Opts.TraceID != req.Opts.TraceID {
+			t.Fatalf("round trip diverged on the trace id: %x vs %x", req.Opts.TraceID, req2.Opts.TraceID)
 		}
 		if !bytes.Equal(graph.Marshal(req.Query), graph.Marshal(req2.Query)) {
 			t.Fatal("round trip diverged on the query graph")
@@ -100,11 +99,7 @@ func FuzzWireOps(f *testing.F) {
 			f.Add(b)
 		}
 	}
-	if b, err := AppendOpRequest(nil, &shardhost.OpRequest{
-		Op:       changeplan.DeleteOp(2),
-		GlobalID: 2,
-		Trace:    trace.Context{TraceID: 0xabc, Parent: 0xdef, Sampled: true},
-	}); err == nil {
+	if b, err := AppendOpRequest(nil, &shardhost.OpRequest{Op: changeplan.DeleteOp(2), GlobalID: 2}); err == nil {
 		f.Add(b)
 	}
 	f.Add([]byte{})
@@ -132,9 +127,6 @@ func FuzzWireOps(f *testing.F) {
 			req2.Op.GraphID != req.Op.GraphID || req2.Op.U != req.Op.U || req2.Op.V != req.Op.V {
 			t.Fatalf("round trip diverged: %+v vs %+v", req, req2)
 		}
-		if req.Trace.Valid() && req2.Trace != req.Trace {
-			t.Fatalf("round trip diverged on trace context: %+v vs %+v", req.Trace, req2.Trace)
-		}
 	})
 }
 
@@ -149,21 +141,23 @@ func FuzzWireResult(f *testing.F) {
 		HostNanos: 99,
 	}))
 	// A protocol-v1 body ends after the error block, without the queue
-	// nanos and span block every reply now carries: it must not decode.
+	// nanos every reply now carries: it must not decode.
 	v1 := appendWireError(wire.AppendInt(nil, 0), &OverloadError{Kind: "query", Limit: 8})
 	if err := DecodeQueryReply(v1, &shardhost.QueryReply{}); err == nil {
 		f.Fatal("a v1 query reply without the trailing extension decoded")
 	}
 	f.Add(v1)
 	f.Add(AppendQueryReply(nil, &shardhost.QueryReply{}))
-	f.Add(AppendQueryReply(nil, &shardhost.QueryReply{
-		IDs:        []int{3},
+	// A protocol-v2 error reply is the v3 one followed by a span block
+	// (here one "shard" span): the trailing block must not decode.
+	v2 := wire.AppendBytes(AppendQueryReply(nil, &shardhost.QueryReply{
+		Err:        &core.CancelError{Stage: "verify", Err: nil},
 		QueueNanos: 4200,
-		Spans: []trace.Span{
-			{TraceID: 9, ID: 1, Name: "shard", Attrs: []trace.Attr{{Key: "shard", Value: "0"}}},
-			{TraceID: 9, ID: 2, Parent: 1, Name: "verify", DurNanos: 777},
-		},
-	}))
+	}), []byte{1, 9, 1, 0, 5, 's', 'h', 'a', 'r', 'd', 0, 0, 0, 0})
+	if err := DecodeQueryReply(v2, &shardhost.QueryReply{}); err == nil {
+		f.Fatal("a v2 query reply ending in a span block decoded")
+	}
+	f.Add(v2)
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -190,9 +184,6 @@ func FuzzWireResult(f *testing.F) {
 		if reply2.QueueNanos != reply.QueueNanos {
 			t.Fatalf("round trip diverged on queue nanos: %d vs %d", reply.QueueNanos, reply2.QueueNanos)
 		}
-		if !reflect.DeepEqual(reply.Spans, reply2.Spans) {
-			t.Fatalf("round trip diverged on spans:\n %+v\n %+v", reply.Spans, reply2.Spans)
-		}
 		if (reply.Err == nil) != (reply2.Err == nil) {
 			t.Fatalf("round trip diverged on error presence: %v vs %v", reply.Err, reply2.Err)
 		}
@@ -200,4 +191,38 @@ func FuzzWireResult(f *testing.F) {
 			t.Fatalf("round trip diverged on error text: %q vs %q", reply.Err, reply2.Err)
 		}
 	})
+}
+
+// TestQueryReplyCarriesEveryStat sets every QueryStats field to a
+// non-zero value by reflection and round-trips the reply, so a field
+// added to QueryStats and forgotten by the codec fails here rather than
+// silently reading zero over the loopback transport.
+func TestQueryReplyCarriesEveryStat(t *testing.T) {
+	var want shardhost.QueryReply
+	v := reflect.ValueOf(&want.Stats).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Uint8:
+			f.SetUint(uint64(cache.KindSuper))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString("VF2+")
+		default:
+			t.Fatalf("QueryStats.%s has kind %s, which this test cannot fill", v.Type().Field(i).Name, f.Kind())
+		}
+		if f.IsZero() {
+			t.Fatalf("QueryStats.%s left zero", v.Type().Field(i).Name)
+		}
+	}
+	var got shardhost.QueryReply
+	if err := DecodeQueryReply(AppendQueryReply(nil, &want), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats != want.Stats {
+		t.Fatalf("stats lost on the wire:\n got %+v\nwant %+v", got.Stats, want.Stats)
+	}
 }
