@@ -4,7 +4,7 @@ package gcplus
 // targets, one per figure/series, at the seconds-level "smoke" scale.
 // The interesting output is the custom metrics: ms/query, tests/query and
 // speedup-vs-M (the shapes behind Figures 4–6). For the full repro- or
-// paper-scale tables, use cmd/gcbench; EXPERIMENTS.md records both.
+// paper-scale tables, use cmd/gcbench; docs/paper.md maps both to the paper.
 
 import (
 	"fmt"

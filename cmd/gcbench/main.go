@@ -1,6 +1,6 @@
 // Command gcbench regenerates the evaluation of "Ensuring Consistency in
 // Graph Cache for Graph-Pattern Queries" (EDBT 2017): Figures 4–6, the
-// §7.2 insight statistics, and the ablation studies listed in DESIGN.md.
+// §7.2 insight statistics, and the ablation studies listed in docs/paper.md.
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 // benchmark/README.md).
 //
 // Absolute times depend on the host; the speedup shapes are what
-// reproduce the paper (see EXPERIMENTS.md).
+// reproduce the paper (see docs/paper.md).
 package main
 
 import (

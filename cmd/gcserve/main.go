@@ -77,6 +77,7 @@ import (
 	"gcplus"
 	"gcplus/internal/cache"
 	"gcplus/internal/persist"
+	"gcplus/internal/subiso"
 )
 
 func main() {
@@ -86,7 +87,7 @@ func main() {
 		datafile  = flag.String("dataset", "", "initial dataset file (text codec); mutually exclusive with -synthetic")
 		synthN    = flag.Int("synthetic", 0, "generate an AIDS-like synthetic dataset of this many graphs")
 		seed      = flag.Int64("seed", 42, "synthetic dataset seed")
-		method    = flag.String("method", "", "Method M verifier: empty = measured choice; VF2, VF2+ or GQL pins it")
+		method    = flag.String("method", "", "Method M verifier: VF2, VF2+ or GQL (empty = VF2+)")
 		modelName = flag.String("model", "CON", "cache consistency model: CON or EVI")
 		policy    = flag.String("policy", "HD", "cache replacement policy: HD, PIN, PINC, LRU or LFU")
 		cacheCap  = flag.Int("cache", 100, "per-shard cache capacity")
@@ -176,7 +177,7 @@ func main() {
 	}
 	methodName := *method
 	if methodName == "" {
-		methodName = "measured"
+		methodName = subiso.VF2Plus{}.Name()
 	}
 	logger.Info("serving",
 		"addr", *addr, "graphs", st.LiveGraphs, "shards", srv.Shards(),

@@ -135,21 +135,19 @@
 // matcher, both hit-discovery matchers, feature fingerprint, verdict
 // memo) and is cached per runtime under an O(V+E) structural digest
 // confirmed by an exact equality check, so a repeated query skips
-// compilation and planning entirely (256 plans per runtime;
+// compilation entirely (256 plans per runtime;
 // gcplus_plan_cache_hits_total counts the reuse). Options.Method names
-// Method M — "VF2", "VF2+" or "GQL" — and pins it, as the paper's
-// figures fix it per run. Left empty, the planner chooses: it measures
-// each algorithm's per-test cost per query kind, starting from VF2, and
-// runs the cheapest (all candidates are exact, so the choice affects
-// cost, never answers; QueryStats.PlanAlgorithm reports it). Either
-// way verification is forced sequential when the measured cost says a
-// worker pool would only add fan-out latency. Server queries can
+// Method M — "VF2", "VF2+" or "GQL" — fixed for the System's life, as
+// the paper's figures fix it per run; empty means VF2+. Queries and
+// background repair verify with the same algorithm, and
+// QueryStats.PlanAlgorithm reports it. All three are exact, so the
+// choice affects cost, never answers. Server queries can
 // additionally stream: SubgraphQueryLimit / SupergraphQueryLimit (HTTP:
 // ?limit=N) verify in ascending-id order and return exactly the N
 // smallest answer ids with a Truncated flag, leaving exact-answer mode
 // and cache contents untouched — a truncated answer is never admitted
-// to the cache. The differential oracle runs measured-choice, pinned
-// and streaming runtimes against cache-disabled ground truth to pin
+// to the cache. The differential oracle runs default, pinned and
+// streaming runtimes against cache-disabled ground truth to pin
 // bit-identical answers.
 //
 // # Durability and warm restart

@@ -84,14 +84,12 @@ type Metrics = core.Metrics
 
 // Options configures a System. The zero value gives the paper's defaults
 // — a CON cache of capacity 100 with a 20-query window and the HD
-// replacement policy — with Method M chosen by measurement.
+// replacement policy — with VF2+ as Method M.
 type Options struct {
-	// Method pins the sub-iso verifier (Method M): "VF2", "VF2+" or "GQL",
-	// as the paper's figures fix it per run. Empty (the default) leaves
-	// the choice to the query planner: every query runs under a compiled
-	// plan, and the planner measures each algorithm's per-test cost per
-	// query kind (starting from VF2), then runs the cheapest. Every
-	// algorithm is exact, so answers are identical either way.
+	// Method is the sub-iso verifier (Method M): "VF2", "VF2+" or "GQL",
+	// fixed for the System's life as the paper's figures fix it per run.
+	// Empty (the default) means VF2+. Every algorithm is exact, so the
+	// choice never changes an answer, only its cost.
 	Method string
 	// Model is the consistency model (default CON).
 	Model Model
@@ -547,7 +545,7 @@ func (s *Server) Recovered() (entries int, epoch uint64, ok bool) { return s.srv
 func (s *Server) Close() error { return s.srv.Close() }
 
 // GenerateAIDSLike synthesizes an AIDS-calibrated dataset of n labelled
-// graphs (see DESIGN.md §3 for the substitution rationale). Deterministic
+// graphs (see docs/paper.md for the substitution rationale). Deterministic
 // in seed.
 func GenerateAIDSLike(n int, seed int64) ([]*Graph, error) {
 	cfg := synthetic.Default().WithGraphs(n)

@@ -23,7 +23,7 @@ func TestOpenDefaults(t *testing.T) {
 	if sys.GraphCount() != 4 {
 		t.Fatalf("GraphCount = %d", sys.GraphCount())
 	}
-	if !strings.Contains(sys.String(), "M=measured") {
+	if !strings.Contains(sys.String(), "M=VF2+") {
 		t.Errorf("String() = %q", sys)
 	}
 	pinned, err := Open(testGraphs(), Options{Method: "GQL"})

@@ -7,7 +7,7 @@ import (
 	"gcplus/internal/cache"
 )
 
-// This file implements the ablation studies DESIGN.md commits to beyond
+// This file implements the ablation studies docs/paper.md lists beyond
 // the paper's figures: replacement policies, cache sizes, Algorithm 2's
 // validity optimizations, and dataset change rates. All are CON-centric,
 // since CON is the paper's headline contribution.

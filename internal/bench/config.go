@@ -8,7 +8,7 @@
 // Experiments are deterministic: a (Scale, WorkloadSpec, Method, System,
 // Seed) tuple fully determines the dataset, the query stream, the change
 // plan and hence every answer. Absolute times depend on the host; the
-// speedup *shapes* are what reproduce the paper (see EXPERIMENTS.md).
+// speedup *shapes* are what reproduce the paper (see docs/paper.md).
 package bench
 
 import (

@@ -82,7 +82,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 
-	// Dataset (AIDS-like; §3 substitution documented in DESIGN.md).
+	// Dataset (AIDS-like; the substitution is documented in docs/paper.md).
 	initial, err := generateDataset(cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err

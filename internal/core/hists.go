@@ -31,7 +31,7 @@ type StageHists struct {
 	// result (recorded at commit, one observation per repaired pair).
 	RepairVerify *obs.Histogram
 	// Plan is the planner's share of query time: plan-cache lookup plus,
-	// on a miss, compilation and algorithm choice.
+	// on a miss, compilation.
 	Plan *obs.Histogram
 }
 

@@ -45,9 +45,9 @@ type oracleSystem struct {
 
 // newOracleSystems builds the ground-truth runtime plus every cache
 // configuration over identical private copies of the initial graphs. A
-// nil method is the shipped default — the planner's measured choice, so
-// which algorithm verifies a given query depends on timing and every
-// system may run a different one; the answers must not.
+// nil method is the shipped default, VF2+; the systems pinned to each of
+// subiso.Names() verify with other algorithms, and the answers must not
+// differ.
 func newOracleSystems(t *testing.T, initial []*graph.Graph) (gt *oracleSystem, systems []*oracleSystem) {
 	t.Helper()
 	build := func(name string, cfg *cache.Config, repair bool, method subiso.Algorithm) *oracleSystem {
@@ -80,10 +80,14 @@ func newOracleSystems(t *testing.T, initial []*graph.Graph) (gt *oracleSystem, s
 			c.RepairQueue = 4096
 		}), true, nil),
 	}
-	// Pinning Method M, as the paper's figures do, must be just as
-	// answer-invisible as measuring it.
-	for _, algo := range subiso.PlannerAlgorithms() {
-		systems = append(systems, build("CON+"+algo.Name(), small(nil), false, algo))
+	// Pinning Method M, as the paper's figures do, must be
+	// answer-invisible whichever algorithm is pinned.
+	for _, name := range subiso.Names() {
+		algo, err := subiso.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, build("CON+"+name, small(nil), false, algo))
 	}
 	// Streaming variants answer every query through the streaming loop
 	// with a Limit one past the live graph count, so it never stops: the
@@ -286,9 +290,9 @@ func TestOracleConcurrentLoopback(t *testing.T) {
 }
 
 // TestOracleConcurrentPlanner is the same -race property at the shipped
-// default: every shard's planner measures and switches Method M while
-// repair keeps verifying with the base algorithm off the owner, and
-// concurrent plan reuse across repeated queries must never bend an answer.
+// default: every shard verifies with VF2+, queries on the owner and
+// repair off it, and concurrent plan reuse across repeated queries must
+// never bend an answer.
 func TestOracleConcurrentPlanner(t *testing.T) {
 	for _, seed := range oracleSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

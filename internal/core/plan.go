@@ -4,7 +4,6 @@ import (
 	"gcplus/internal/cache"
 	"gcplus/internal/feature"
 	"gcplus/internal/graph"
-	"gcplus/internal/stats"
 	"gcplus/internal/subiso"
 )
 
@@ -17,20 +16,9 @@ const planCacheSize = 256
 // minCostSampleTests is the fewest Method M tests a query must execute
 // before its per-test cost is admitted as an estimator sample: below
 // this, fixed per-query overhead (matcher compile, pool fan-out)
-// dominates the measurement and would skew both the HD/PINC admission
-// costEst and the planner's algorithm choice.
+// dominates the measurement and would skew the HD/PINC admission
+// costEst.
 const minCostSampleTests = 8
-
-// minPlanSamples is how many cost samples every candidate algorithm
-// must accumulate (per query kind) before the planner trusts the means:
-// until then it round-robins the least-sampled algorithm to explore.
-const minPlanSamples = 3
-
-// seqVerifyCost is the estimated fixed cost (seconds) of fanning the
-// verification pool out and joining it. When the measured per-test cost
-// says the whole candidate set verifies in less than this, the planner
-// forces sequential verification — parallelism would only add latency.
-const seqVerifyCost = 200e-6
 
 // maxPlanMemo bounds a plan's containment-verdict memo; on overflow the
 // memo is reset wholesale (verdicts are recomputable facts, never
@@ -42,19 +30,15 @@ const maxPlanMemo = 2048
 // invocations are GC+ overhead, never counted as Method M sub-iso tests.
 var hitAlgo subiso.Algorithm = subiso.VF2Plus{}
 
-// planner resolves every query's execution plan: it chooses the Method M
-// algorithm from measured per-kind, per-algorithm cost moments, and caches
-// compiled plans so structurally equal repeats skip compilation and
-// planning entirely. It is owned by a Runtime and shares its
-// single-threaded discipline.
+// planner is the compiled-plan cache: structurally equal repeats reuse
+// a compiled plan and skip compilation entirely. It decides nothing —
+// every plan verifies with the runtime's one Method M. It is owned by a
+// Runtime and shares its single-threaded discipline.
 type planner struct {
-	// algos are the candidate Method M algorithms: the single pinned one,
-	// or subiso.PlannerAlgorithms() when the choice is measured (the
-	// first runs until cost samples justify a switch). All candidates
-	// are exact, which is why algorithm choice can never change an answer.
-	algos []subiso.Algorithm
-	// cost holds per-test CPU-seconds moments indexed [kindIdx][algoIdx].
-	cost [2][]stats.Running
+	// algo is Method M, fixed when the runtime is built. It never
+	// changes, which is what lets VerifyRepairs read it off the owner
+	// goroutine.
+	algo subiso.Algorithm
 
 	// byKey caches at most planCacheSize plans under the canonical plan
 	// key; order is its FIFO eviction queue (plan compilation is cheap
@@ -74,10 +58,8 @@ type queryPlan struct {
 	gAsPattern *subiso.Matcher // query ⊆ cached query?
 	gAsTarget  *subiso.Matcher // cached query ⊆ query?
 
-	// verify is the Method M matcher for the chosen algorithm; algoIdx
-	// indexes planner.algos and the cost moments.
-	verify  *subiso.Matcher
-	algoIdx int
+	// verify is the Method M matcher.
+	verify *subiso.Matcher
 
 	// memo caches query-to-query containment verdicts (see the
 	// hitClassifier memo bits), keyed by cached-query graph pointer.
@@ -93,19 +75,8 @@ func (pl *queryPlan) verdicts() map[*graph.Graph]uint8 {
 	return pl.memo
 }
 
-func newPlanner(algos []subiso.Algorithm) *planner {
-	p := &planner{algos: algos, byKey: make(map[uint64]*queryPlan, planCacheSize)}
-	for k := range p.cost {
-		p.cost[k] = make([]stats.Running, len(algos))
-	}
-	return p
-}
-
-func kindIdx(k cache.Kind) int {
-	if k == cache.KindSub {
-		return 0
-	}
-	return 1
+func newPlanner(algo subiso.Algorithm) *planner {
+	return &planner{algo: algo, byKey: make(map[uint64]*queryPlan, planCacheSize)}
 }
 
 // planFor returns the plan for (g, kind), reusing a cached one when the
@@ -117,7 +88,6 @@ func (p *planner) planFor(g *graph.Graph, kind cache.Kind, st *QueryStats) *quer
 	key := planKey(g, kind)
 	if pl, ok := p.byKey[key]; ok && graphsEqual(pl.query, g) {
 		st.PlanCached = true
-		p.retune(pl)
 		return pl
 	}
 	pl := p.compile(g, kind)
@@ -126,15 +96,13 @@ func (p *planner) planFor(g *graph.Graph, kind cache.Kind, st *QueryStats) *quer
 }
 
 func (p *planner) compile(g *graph.Graph, kind cache.Kind) *queryPlan {
-	idx := p.chooseAlgo(kindIdx(kind))
 	return &queryPlan{
 		query:      g,
 		kind:       kind,
 		qf:         feature.Of(g),
 		gAsPattern: subiso.CompileSub(g, hitAlgo),
 		gAsTarget:  subiso.CompileSuper(g, hitAlgo),
-		verify:     compileVerify(g, kind, p.algos[idx]),
-		algoIdx:    idx,
+		verify:     compileVerify(g, kind, p.algo),
 		memo:       make(map[*graph.Graph]uint8),
 	}
 }
@@ -148,62 +116,6 @@ func compileVerify(g *graph.Graph, kind cache.Kind, algo subiso.Algorithm) *subi
 		return subiso.CompileSub(g, algo)
 	}
 	return subiso.CompileSuper(g, algo)
-}
-
-// chooseAlgo picks the algorithm index for one query kind: while any
-// candidate is under-sampled the least-sampled one runs next
-// (exploration; ties keep the earliest index, so choice is deterministic
-// and zero-test workloads never flip matchers), after which the lowest
-// measured mean per-test cost wins.
-func (p *planner) chooseAlgo(ki int) int {
-	least, leastN := 0, p.cost[ki][0].N()
-	for i := 1; i < len(p.algos); i++ {
-		if n := p.cost[ki][i].N(); n < leastN {
-			least, leastN = i, n
-		}
-	}
-	if leastN < minPlanSamples {
-		return least
-	}
-	best, bestMean := 0, p.cost[ki][0].Mean()
-	for i := 1; i < len(p.algos); i++ {
-		if m := p.cost[ki][i].Mean(); m < bestMean {
-			best, bestMean = i, m
-		}
-	}
-	return best
-}
-
-// retune re-evaluates the algorithm choice for a cached plan: cost
-// moments accumulated since it was compiled may have crowned a different
-// algorithm, in which case only the verify matcher is recompiled (the
-// hit-discovery artifacts and memo are algorithm-independent).
-func (p *planner) retune(pl *queryPlan) {
-	if idx := p.chooseAlgo(kindIdx(pl.kind)); idx != pl.algoIdx {
-		pl.algoIdx = idx
-		pl.verify = compileVerify(pl.query, pl.kind, p.algos[idx])
-	}
-}
-
-// note records one measured per-test cost sample (already gated by the
-// caller: no bypass runs, no tiny candidate sets).
-func (p *planner) note(kind cache.Kind, algoIdx int, perTest float64) {
-	p.cost[kindIdx(kind)][algoIdx].Add(perTest)
-}
-
-// parallelCap returns a cap on the verification worker pool for a
-// candidate set of the given size: 1 (force sequential) when the
-// measured per-test cost says the whole set verifies in less than the
-// pool's fan-out/join overhead, 0 (no planner opinion) otherwise.
-func (p *planner) parallelCap(kind cache.Kind, algoIdx, count int) int {
-	rs := &p.cost[kindIdx(kind)][algoIdx]
-	if rs.N() < minPlanSamples {
-		return 0
-	}
-	if rs.Mean()*float64(count) < seqVerifyCost {
-		return 1
-	}
-	return 0
 }
 
 // store inserts a freshly compiled plan under its canonical key,

@@ -21,7 +21,7 @@ import (
 // every query with at least one test polluted the estimator — a bypassed
 // query runs outside the cache books, and a 3-test query's per-test
 // "cost" is mostly matcher compilation, so both skewed the costEst used
-// by HD/PINC admission scoring and the planner's algorithm choice.
+// by HD/PINC admission scoring.
 func TestAvgTestCostGating(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pool := make([]*graph.Graph, 12)
@@ -178,9 +178,9 @@ func TestPlanCacheReuse(t *testing.T) {
 	}
 }
 
-// planStream is a query stream long enough for the planner to finish
-// exploring: every query runs against a dataset big enough to count as a
-// cost sample (>= minCostSampleTests tests on a cache-less runtime).
+// planStream is a query stream whose every query runs against a dataset
+// big enough to count as a cost sample (>= minCostSampleTests tests on a
+// cache-less runtime).
 func planStream(t *testing.T, seed int64) (*dataset.Dataset, []*graph.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -188,80 +188,70 @@ func planStream(t *testing.T, seed int64) (*dataset.Dataset, []*graph.Graph) {
 	for i := range pool {
 		pool[i] = testutil.RandomConnectedGraph(rng, 8+rng.Intn(8), 4, 0.15)
 	}
-	queries := make([]*graph.Graph, 4*minPlanSamples*len(subiso.PlannerAlgorithms()))
+	queries := make([]*graph.Graph, 36)
 	for i := range queries {
 		queries[i] = testutil.BFSExtract(rng, pool[rng.Intn(len(pool))], 0, 2+rng.Intn(4))
 	}
 	return dataset.New(pool), queries
 }
 
-// TestPinnedMethodNeverSwitches pins the one decision that must stay
-// expressible: a named Method runs every query, however many cost samples
-// accumulate, while an unset one explores each candidate (starting from
-// VF2) and from then on runs whichever measures cheapest.
+// TestPinnedMethodNeverSwitches pins Method M as a per-runtime constant:
+// a named Method runs every query, and an unset one is VF2+ — it reports
+// VF2+ on every subgraph and supergraph query and does exactly the work,
+// test for test and state for state, of a runtime pinned to VF2+.
 func TestPinnedMethodNeverSwitches(t *testing.T) {
-	for _, algo := range subiso.PlannerAlgorithms() {
-		ds, queries := planStream(t, 5)
+	newRT := func(ds *dataset.Dataset, algo subiso.Algorithm) *Runtime {
+		t.Helper()
 		r, err := NewRuntime(ds, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return r
+	}
+	for _, name := range subiso.Names() {
+		algo, err := subiso.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, queries := planStream(t, 5)
+		r := newRT(ds, algo)
 		for i, q := range queries {
 			res, err := r.SubgraphQuery(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats.PlanAlgorithm != algo.Name() {
-				t.Fatalf("pinned %s: query %d ran %s", algo.Name(), i, res.Stats.PlanAlgorithm)
+			if res.Stats.PlanAlgorithm != name {
+				t.Fatalf("pinned %s: query %d ran %s", name, i, res.Stats.PlanAlgorithm)
 			}
-		}
-		if n := r.planner.cost[0][0].N(); n < minPlanSamples {
-			t.Fatalf("pinned %s: stream too short, %d cost samples < minPlanSamples", algo.Name(), n)
 		}
 	}
 
 	ds, queries := planStream(t, 5)
-	r, err := NewRuntime(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exploration gives each candidate minPlanSamples samples (every
-	// query here is one); from then on the lowest measured mean runs.
-	explore := minPlanSamples * len(subiso.PlannerAlgorithms())
-	var ran []string
-	for i, q := range queries {
-		cheapest := ""
-		if i >= explore {
-			best := 0
-			for j := range r.planner.algos {
-				if r.planner.cost[0][j].Mean() < r.planner.cost[0][best].Mean() {
-					best = j
+	unpinned, pinned := newRT(ds, nil), newRT(ds, subiso.VF2Plus{})
+	for _, kind := range []cache.Kind{cache.KindSub, cache.KindSuper} {
+		for i, q := range queries {
+			run := func(r *Runtime) *Result {
+				t.Helper()
+				res, err := r.SubgraphQuery(q)
+				if kind == cache.KindSuper {
+					res, err = r.SupergraphQuery(q)
 				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			cheapest = r.planner.algos[best].Name()
-		}
-		res, err := r.SubgraphQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := testutil.GroundTruthSub(ds, q); !res.Answer.Equal(want) {
-			t.Fatalf("unpinned %s: answer %v != ground truth %v", res.Stats.PlanAlgorithm, res.AnswerIDs(), want.Indices())
-		}
-		if i >= explore && res.Stats.PlanAlgorithm != cheapest {
-			t.Fatalf("query %d ran %s, cheapest measured is %s", i, res.Stats.PlanAlgorithm, cheapest)
-		}
-		ran = append(ran, res.Stats.PlanAlgorithm)
-	}
-	if ran[0] != "VF2" {
-		t.Fatalf("unpinned runtime started from %s, want VF2", ran[0])
-	}
-	seen := map[string]int{}
-	for _, name := range ran[:explore] {
-		seen[name]++
-	}
-	for _, cand := range subiso.PlannerAlgorithms() {
-		if seen[cand.Name()] != minPlanSamples {
-			t.Fatalf("exploration ran %s %d times, want %d (sequence %v)", cand.Name(), seen[cand.Name()], minPlanSamples, ran[:explore])
+			got, want := run(unpinned), run(pinned)
+			if got.Stats.PlanAlgorithm != "VF2+" {
+				t.Fatalf("%s query %d: unpinned runtime ran %s, want VF2+", kind, i, got.Stats.PlanAlgorithm)
+			}
+			if !got.Answer.Equal(want.Answer) {
+				t.Fatalf("%s query %d: answer %v, pinned VF2+ %v", kind, i, got.AnswerIDs(), want.AnswerIDs())
+			}
+			if got.Stats.SubIsoTests != want.Stats.SubIsoTests || got.Stats.SearchStates != want.Stats.SearchStates {
+				t.Fatalf("%s query %d: tests/states %d/%d, pinned VF2+ %d/%d", kind, i,
+					got.Stats.SubIsoTests, got.Stats.SearchStates, want.Stats.SubIsoTests, want.Stats.SearchStates)
+			}
 		}
 	}
 }
@@ -420,8 +410,8 @@ func TestStreamingVerify(t *testing.T) {
 	}
 }
 
-// TestPlannerStreamingEquivalence cross-checks measured algorithm choice
-// and the streaming path against a runtime pinned to VF2 and the
+// TestPlannerStreamingEquivalence cross-checks the default Method M
+// (VF2+) and the streaming path against a runtime pinned to VF2 and the
 // brute-force ground truth on a randomized repeat-heavy workload: same
 // answers, in every combination.
 func TestPlannerStreamingEquivalence(t *testing.T) {
@@ -440,7 +430,7 @@ func TestPlannerStreamingEquivalence(t *testing.T) {
 		return r
 	}
 	pinned := newRT(Options{Algorithm: subiso.VF2{}, Cache: cfg()})
-	measured := newRT(Options{Cache: cfg()})
+	unpinned := newRT(Options{Cache: cfg()})
 	ctx := context.Background()
 	var issued []*graph.Graph
 	for step := 0; step < 60; step++ {
@@ -480,8 +470,8 @@ func TestPlannerStreamingEquivalence(t *testing.T) {
 		if !want.Answer.Equal(truth) {
 			t.Fatalf("step %d: pinned answer %v != ground truth %v", step, want.AnswerIDs(), truth.Indices())
 		}
-		if got := run(measured, QueryOptions{}); !got.Answer.Equal(truth) {
-			t.Fatalf("step %d: measured-choice (%s) answer %v != ground truth %v",
+		if got := run(unpinned, QueryOptions{}); !got.Answer.Equal(truth) {
+			t.Fatalf("step %d: unpinned (%s) answer %v != ground truth %v",
 				step, got.Stats.PlanAlgorithm, got.AnswerIDs(), truth.Indices())
 		}
 		// Streaming with a generous limit must reproduce the full answer
@@ -494,7 +484,7 @@ func TestPlannerStreamingEquivalence(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range []*Runtime{pinned, measured} {
+	for _, r := range []*Runtime{pinned, unpinned} {
 		if r.Metrics().PlanCacheHits == 0 {
 			t.Fatalf("%s: randomized repeat workload produced zero plan-cache hits", r)
 		}

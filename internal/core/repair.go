@@ -141,12 +141,12 @@ func (r *Runtime) VerifyRepairsCtx(ctx context.Context, jobs []RepairJob, parall
 	}
 	// One base matcher per distinct entry, compiled once up front to test
 	// the entry's recorded relation — the same shapes as the verification
-	// loop — with the runtime's immutable base algorithm; workers fork
+	// loop — with the runtime's Method M, as queries verify; workers fork
 	// for private scratch.
 	bases := make(map[*cache.Entry]*subiso.Matcher, 8)
 	for _, j := range jobs {
 		if _, ok := bases[j.entry]; !ok {
-			bases[j.entry] = compileVerify(j.entry.Query, j.entry.Kind, r.algo)
+			bases[j.entry] = compileVerify(j.entry.Query, j.entry.Kind, r.planner.algo)
 		}
 	}
 	results := make([]RepairResult, len(jobs))

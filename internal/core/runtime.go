@@ -33,12 +33,10 @@ import (
 
 // Options configures a Runtime.
 type Options struct {
-	// Algorithm pins Method M's sub-iso implementation: every query is
-	// verified with it, as the paper's figures fix Method M per run. Nil
-	// leaves the choice to the planner, which measures the per-test cost
-	// of each of subiso.PlannerAlgorithms() per query kind (starting from
-	// VF2) and then runs the cheapest. Every candidate is exact, so the
-	// choice can never change an answer.
+	// Algorithm is Method M's sub-iso implementation, fixed for the
+	// runtime's life as the paper fixes Method M per run (§7.1): every
+	// query and every background repair verifies with it. Nil means
+	// subiso.VF2Plus{}.
 	Algorithm subiso.Algorithm
 	// Cache configures the graph cache. Nil disables caching entirely,
 	// yielding the pure Method M baseline of the evaluation.
@@ -59,12 +57,7 @@ type Options struct {
 // dataset snapshot and graph values are immutable, so the only shared
 // mutable state is the per-worker answer bitsets, merged after the join.
 type Runtime struct {
-	ds *dataset.Dataset
-	// algo is the immutable base algorithm: the pinned Method M, or the
-	// planner's starting candidate when the choice is measured. Background
-	// repair compiles with it — VerifyRepairs runs off the owner goroutine
-	// and must never read the planner's cost moments.
-	algo      subiso.Algorithm
+	ds        *dataset.Dataset
 	cache     *cache.Cache // nil when caching is disabled
 	verifyPar int          // resolved VerifyParallelism (>= 1)
 
@@ -72,8 +65,8 @@ type Runtime struct {
 	// test; it seeds cost estimates for entries admitted with zero tests.
 	avgTestCost stats.Running
 
-	// planner resolves every query's compiled plan: the plan cache plus
-	// the measured (or pinned) Method M choice.
+	// planner is the compiled-plan cache; its algo is the runtime's
+	// Method M, which queries and background repair both verify with.
 	planner *planner
 
 	m     Metrics
@@ -85,15 +78,14 @@ func NewRuntime(ds *dataset.Dataset, opts Options) (*Runtime, error) {
 	if ds == nil {
 		return nil, errors.New("core: nil dataset")
 	}
-	algos := subiso.PlannerAlgorithms()
-	if opts.Algorithm != nil {
-		algos = []subiso.Algorithm{opts.Algorithm}
+	algo := opts.Algorithm
+	if algo == nil {
+		algo = subiso.VF2Plus{}
 	}
 	r := &Runtime{
 		ds:        ds,
-		algo:      algos[0],
 		verifyPar: opts.VerifyParallelism,
-		planner:   newPlanner(algos),
+		planner:   newPlanner(algo),
 		hists:     newStageHists(),
 	}
 	if r.verifyPar <= 0 {
@@ -198,10 +190,10 @@ type QueryStats struct {
 	// admission (degraded-mode serving).
 	CacheBypassed bool
 	// PlanTime is the planner's share of QueryTime: plan-cache lookup
-	// plus, on a miss, compilation and algorithm choice.
+	// plus, on a miss, compilation.
 	PlanTime time.Duration
 	// PlanAlgorithm names the Method M algorithm this query verified
-	// with: the pinned one, or the planner's measured choice.
+	// with: the runtime's Options.Algorithm, VF2+ when that is nil.
 	PlanAlgorithm string
 	// PlanCached reports that the query reused a cached compiled plan
 	// (a structurally equal repeat).
@@ -297,7 +289,7 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	st.CacheBypassed = r.cache != nil && opt.BypassCache
 
 	// Planning: resolve (or reuse) the compiled plan for this query. The
-	// plan carries the verify matcher for the chosen algorithm plus the
+	// plan carries the Method M verify matcher plus the
 	// hit-discovery artifacts (fingerprint, both query-to-query matchers,
 	// relation memo), so a plan-cache hit skips every per-query
 	// compilation below. Sound for bypassed queries too: plan artifacts
@@ -405,13 +397,7 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 
 	// Verification: Method M sub-iso tests over the pruned candidate set,
 	// through the compiled matcher and (when configured) the intra-query
-	// worker pool. The planner may cap the pool further: when the
-	// measured per-test cost says the whole candidate set verifies in
-	// less than the fan-out/join overhead, parallelism only adds latency.
-	maxPar := opt.MaxVerifyParallelism
-	if c := r.planner.parallelCap(kind, plan.algoIdx, csm.Count()); c > 0 && (maxPar == 0 || c < maxPar) {
-		maxPar = c
-	}
+	// worker pool.
 	var (
 		verified *bitset.Set
 		err      error
@@ -422,7 +408,7 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 		verified, err = r.streamVerify(ctx, plan, answerSure, csm, &st, opt)
 		answerSure = nil
 	} else {
-		verified, err = r.verify(ctx, plan, csm, &st, maxPar)
+		verified, err = r.verify(ctx, plan, csm, &st, opt.MaxVerifyParallelism)
 	}
 	if err != nil {
 		return nil, err
@@ -431,12 +417,9 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	// what it models: bypassed queries run outside the cache books, and
 	// tiny candidate sets are dominated by fixed per-query overhead
 	// (matcher compile, pool fan-out), so both would skew the costEst
-	// used for HD/PINC admission scoring and the planner's algorithm
-	// choice.
+	// used for HD/PINC admission scoring.
 	if !st.CacheBypassed && st.SubIsoTests >= minCostSampleTests {
-		perTest := st.VerifyCPUTime.Seconds() / float64(st.SubIsoTests)
-		r.avgTestCost.Add(perTest)
-		r.planner.note(kind, plan.algoIdx, perTest)
+		r.avgTestCost.Add(st.VerifyCPUTime.Seconds() / float64(st.SubIsoTests))
 	}
 
 	// Formula (3): final answer = verified ∪ sure positives.
@@ -968,9 +951,5 @@ func (r *Runtime) String() string {
 		mode = fmt.Sprintf("%s/%s cap=%d win=%d",
 			r.cache.Model(), r.cache.Config().Policy, r.cache.Config().Capacity, r.cache.Config().WindowSize)
 	}
-	method := "measured"
-	if len(r.planner.algos) == 1 {
-		method = r.algo.Name()
-	}
-	return fmt.Sprintf("Runtime(M=%s %s)", method, mode)
+	return fmt.Sprintf("Runtime(M=%s %s)", r.planner.algo.Name(), mode)
 }

@@ -43,9 +43,9 @@ func TestNewRuntimeValidation(t *testing.T) {
 	}
 	unpinned, err := NewRuntime(ds, Options{})
 	if err != nil {
-		t.Fatalf("nil algorithm (measured choice) rejected: %v", err)
+		t.Fatalf("nil algorithm (default VF2+) rejected: %v", err)
 	}
-	if got := unpinned.String(); got != "Runtime(M=measured no-cache)" {
+	if got := unpinned.String(); got != "Runtime(M=VF2+ no-cache)" {
 		t.Errorf("unpinned String() = %q", got)
 	}
 	r, err := NewRuntime(ds, Options{Algorithm: subiso.VF2{}})

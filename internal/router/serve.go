@@ -99,14 +99,13 @@ func validTransport(t string) bool {
 
 // Options configures a Server. The zero value gives 4 shards with the
 // paper-default CON cache (capacity 100, window 20, HD policy) and
-// Method M chosen by measurement.
+// VF2+ as Method M.
 type Options struct {
 	// Shards is the number of runtime shards (default 4).
 	Shards int
-	// Method pins Method M's sub-iso verifier on every shard: "VF2",
-	// "VF2+" or "GQL". Empty (the default) leaves the choice to each
-	// shard's planner, which measures the candidates' per-test cost per
-	// query kind and runs the cheapest; answers are identical either way.
+	// Method is Method M's sub-iso verifier on every shard: "VF2",
+	// "VF2+" or "GQL". Empty (the default) means VF2+. Every algorithm
+	// is exact, so the choice never changes an answer.
 	Method string
 	// Cache configures each shard's GC+ cache — capacity, window,
 	// model, policy, repair queue. Nil means the default CON cache; use
@@ -695,7 +694,7 @@ func (s *Server) buildClients() error {
 
 // shardCoreOptions builds one shard runtime's options (each shard gets
 // its own copy of the cache config). An empty Method leaves Algorithm
-// nil: the shard's planner measures and chooses.
+// nil, which the runtime resolves to VF2+.
 func (s *Server) shardCoreOptions() (core.Options, error) {
 	coreOpts := core.Options{VerifyParallelism: s.opts.VerifyParallelism}
 	if s.opts.Method != "" {

@@ -31,8 +31,9 @@ type Algorithm interface {
 	Contains(pattern, target *graph.Graph) bool
 }
 
-// New returns the algorithm with the given name: "VF2", "VF2+", "GQL" or
-// "BRUTE" (case sensitive, matching the paper's names).
+// New returns the production algorithm with the given name, one of
+// Names() (case sensitive, matching the paper's names). Brute is a test
+// oracle, never a Method M, so New does not build it.
 func New(name string) (Algorithm, error) {
 	switch name {
 	case "VF2":
@@ -41,22 +42,12 @@ func New(name string) (Algorithm, error) {
 		return VF2Plus{}, nil
 	case "GQL":
 		return GraphQL{}, nil
-	case "BRUTE":
-		return Brute{}, nil
 	}
-	return nil, fmt.Errorf("subiso: unknown algorithm %q (want VF2, VF2+, GQL or BRUTE)", name)
+	return nil, fmt.Errorf("subiso: unknown algorithm %q (want VF2, VF2+ or GQL)", name)
 }
 
 // Names lists the production algorithm names in the paper's order.
 func Names() []string { return []string{"VF2", "VF2+", "GQL"} }
-
-// PlannerAlgorithms returns the algorithms a cost-based planner may
-// choose among — the paper's three Method M implementations, all exact,
-// so choosing among them can never change an answer. Brute is excluded:
-// it exists as a test oracle, never a production choice.
-func PlannerAlgorithms() []Algorithm {
-	return []Algorithm{VF2{}, VF2Plus{}, GraphQL{}}
-}
 
 // profileContains reports whether sorted multiset a is contained in sorted
 // multiset b.

@@ -16,8 +16,8 @@
 //     filters selective — the property underlying both the feature
 //     prefilter and Method M's pruning rules.
 //
-// DESIGN.md §3 documents this substitution; the generator's moments are
-// reported next to AIDS's in EXPERIMENTS.md.
+// docs/paper.md documents this substitution and reports the generator's
+// moments next to AIDS's.
 package synthetic
 
 import (

@@ -104,8 +104,8 @@ func TestLabelSkew(t *testing.T) {
 		}
 	}
 	share := float64(top) / float64(total)
-	// carbon-like dominance without drowning selectivity (§3 of
-	// DESIGN.md): the top label covers a large plurality
+	// carbon-like dominance without drowning selectivity (see
+	// docs/paper.md): the top label covers a large plurality
 	if share < 0.25 || share > 0.8 {
 		t.Errorf("top label share = %.2f, want 0.25–0.8", share)
 	}
