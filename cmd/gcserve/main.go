@@ -6,10 +6,11 @@
 // consistent dataset version.
 //
 // With -data-dir the daemon is durable: update batches are written to a
-// per-shard WAL and dataset + cache state is snapshotted periodically,
-// so a restart warm-starts from the persisted state (the dataset flags
-// are only used when the directory holds no state yet) with every
-// warmed cache entry intact. SIGINT/SIGTERM trigger a graceful
+// per-shard WAL and each shard's dataset is snapshotted periodically,
+// so a restart comes back with the persisted dataset at the last
+// acknowledged epoch (the dataset flags are only used when the
+// directory holds no state yet); the cache starts empty and re-warms
+// from queries. SIGINT/SIGTERM trigger a graceful
 // shutdown: in-flight requests drain, shard queues flush, and a final
 // snapshot is written before the process exits 0.
 //
@@ -18,7 +19,7 @@
 //	gcserve -synthetic 2000 -shards 8            # serve a generated dataset
 //	gcserve -dataset graphs.txt -model EVI       # serve graphs from a file
 //	gcserve -synthetic 2000 -data-dir /var/lib/gcplus   # durable serving
-//	gcserve -data-dir /var/lib/gcplus            # warm restart from state
+//	gcserve -data-dir /var/lib/gcplus            # restart from state
 //
 // API:
 //
@@ -95,7 +96,7 @@ func main() {
 		nocache   = flag.Bool("nocache", false, "disable GC+ caching (raw Method M baseline)")
 		verifyPar = flag.Int("verify-parallelism", 0, "per-shard intra-query verification workers (0 = auto: GOMAXPROCS/shards, 1 = sequential)")
 		repairPar = flag.Int("repair-parallelism", 0, "per-shard background cache-repair workers (0 = default of 1)")
-		dataDir   = flag.String("data-dir", "", "durability directory: WAL + snapshots for crash-safe warm restarts (empty = no persistence)")
+		dataDir   = flag.String("data-dir", "", "durability directory: WAL + dataset snapshots for crash-safe restarts (empty = no persistence)")
 		snapEvery = flag.Int("snapshot-every", 0, "update batches between automatic snapshots (0 = default; needs -data-dir)")
 		nowal     = flag.Bool("nowal", false, "disable the write-ahead log, keeping snapshots only (a crash loses batches since the last snapshot)")
 		slowThr   = flag.Duration("slowlog-threshold", 0, "capture queries at/above this wall time into GET /debug/slowlog (0 = off)")
@@ -168,8 +169,8 @@ func main() {
 
 	// Repair only runs for CON caches; report the resolved state.
 	repairOn := !*nocache && opts.Model == cache.ModelCON
-	if entries, epoch, ok := srv.Recovered(); ok {
-		logger.Info("warm restart", "data_dir", *dataDir, "cache_entries", entries, "epoch", epoch)
+	if graphs, epoch, ok := srv.Recovered(); ok {
+		logger.Info("restarted from data directory; the cache re-warms", "data_dir", *dataDir, "live_graphs", graphs, "epoch", epoch)
 	}
 	st, err := srv.Stats()
 	if err != nil {

@@ -258,12 +258,12 @@ type ServeOptions struct {
 	// leaves nothing to repair.
 	RepairParallelism int
 	// DataDir enables the durability subsystem: update batches are
-	// written to a per-shard WAL and dataset + cache state is
-	// snapshotted periodically under this directory, so a restarted
-	// server warm-restarts — same dataset, same warmed cache entries —
-	// instead of rebuilding from zero. A boot that finds recoverable
-	// state in DataDir ignores the initial graphs. Empty disables
-	// persistence.
+	// written to a per-shard WAL and each shard's dataset is snapshotted
+	// periodically under this directory, so a restarted server comes
+	// back with the dataset it was serving, at the last acknowledged
+	// epoch. The cache is not persisted: it is derived state and
+	// re-warms from queries. A boot that finds recoverable state in
+	// DataDir ignores the initial graphs. Empty disables persistence.
 	DataDir string
 	// SnapshotEvery is the number of update batches between automatic
 	// snapshots (0 = the serving layer's default).
@@ -529,14 +529,14 @@ func (s *Server) Handler() http.Handler { return s.srv.Handler() }
 // Shards returns the number of runtime shards.
 func (s *Server) Shards() int { return s.srv.Shards() }
 
-// Snapshot forces a durable snapshot of dataset and cache state (only
-// meaningful with ServeOptions.DataDir; errors otherwise).
+// Snapshot forces a durable snapshot of the dataset (only meaningful
+// with ServeOptions.DataDir; errors otherwise).
 func (s *Server) Snapshot() error { return s.srv.Snapshot() }
 
-// Recovered reports whether this server warm-restarted from persisted
-// state, with the number of cache entries restored and the epoch
-// recovery reached.
-func (s *Server) Recovered() (entries int, epoch uint64, ok bool) { return s.srv.Recovered() }
+// Recovered reports whether this server restarted from persisted state,
+// with the number of live graphs recovered and the epoch recovery
+// reached.
+func (s *Server) Recovered() (graphs int, epoch uint64, ok bool) { return s.srv.Recovered() }
 
 // Close shuts the server down gracefully — with persistence enabled, a
 // final snapshot is flushed first; subsequent calls fail. The returned

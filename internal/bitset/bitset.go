@@ -265,29 +265,6 @@ func (s *Set) Indices() []int {
 	return out
 }
 
-// Words returns a copy of the set's backing words (64 bits each, little
-// bit-endian within a word), trimmed of trailing zero words — the
-// canonical serialized form the durability subsystem persists. The
-// trimming makes the representation independent of the set's growth
-// history, so equal sets serialize identically.
-func (s *Set) Words() []uint64 {
-	n := len(s.words)
-	for n > 0 && s.words[n-1] == 0 {
-		n--
-	}
-	out := make([]uint64, n)
-	copy(out, s.words)
-	return out
-}
-
-// FromWords builds a set from backing words as produced by Words. The
-// slice is copied.
-func FromWords(ws []uint64) *Set {
-	s := &Set{words: make([]uint64, len(ws))}
-	copy(s.words, ws)
-	return s
-}
-
 // ComplementWithin returns universe \ s as a new set. It is the paper's
 // "complementary set of CGvalid against the state-of-the-art dataset"
 // (formula (4)), where universe is the set of live dataset graph ids.

@@ -364,29 +364,3 @@ func BenchmarkAnd(b *testing.B) {
 		c.And(y)
 	}
 }
-
-func TestWordsRoundTrip(t *testing.T) {
-	s := FromIndices(0, 63, 64, 200)
-	r := FromWords(s.Words())
-	if !r.Equal(s) || r.Count() != 4 {
-		t.Fatalf("round trip: %v vs %v", r, s)
-	}
-	// Trailing zero words are trimmed: growth history does not leak
-	// into the serialized form.
-	grown := FromIndices(1)
-	grown.Set(500)
-	grown.Clear(500)
-	if len(grown.Words()) != 1 {
-		t.Fatalf("want 1 word after trimming, got %d", len(grown.Words()))
-	}
-	if len(New(0).Words()) != 0 {
-		t.Fatal("empty set should serialize to no words")
-	}
-	// FromWords copies: mutating the source slice must not alias.
-	ws := []uint64{7}
-	c := FromWords(ws)
-	ws[0] = 0
-	if c.Count() != 3 {
-		t.Fatal("FromWords aliased its input")
-	}
-}

@@ -147,7 +147,8 @@ func (c *Cache) WindowLen() int { return len(c.window) }
 func (c *Cache) AppliedSeq() uint64 { return c.appliedSeq }
 
 // SetAppliedSeq records seq as reflected. Used with Purge by the EVI
-// model, where clearing the cache trivially reconciles any log suffix.
+// model, where clearing the cache trivially reconciles any log suffix,
+// and to start an empty cache over a dataset that already has history.
 func (c *Cache) SetAppliedSeq(seq uint64) { c.appliedSeq = seq }
 
 // Tick advances and returns the logical clock used for recency.

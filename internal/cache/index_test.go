@@ -9,6 +9,7 @@ import (
 	"gcplus/internal/bitset"
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
+	"gcplus/internal/subiso"
 )
 
 // requireIndex is the in-package form of testutil.RequireCacheIndex
@@ -92,6 +93,49 @@ func TestIndexAcrossAdmitEvictPurge(t *testing.T) {
 
 // repairPair is one repair-queue element as (entry ID, graph id).
 type repairPair struct{ entry, graph int }
+
+// buildRelatedCache fills a cache the way the runtime does: every
+// admission carries its true hit classification against the live
+// same-kind entries (brute-force containment ground truth), so the
+// relation graph is complete and the repeated-query fast path is live.
+func buildRelatedCache(t *testing.T, cfg Config, n int, seed int64) *Cache {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c := New(cfg)
+	oracle := subiso.Brute{}
+	for i := 0; i < n; i++ {
+		e := randomQueryEntry(rng)
+		e.R = float64(rng.Intn(50))
+		e.Hits = int64(rng.Intn(5))
+		e.LastUsed = c.Tick()
+		var containing, contained []*Entry
+		c.ForEach(func(o *Entry) bool {
+			if o.Kind != e.Kind {
+				return true
+			}
+			if oracle.Contains(o.Query, e.Query) {
+				containing = append(containing, o)
+			}
+			if oracle.Contains(e.Query, o.Query) {
+				contained = append(contained, o)
+			}
+			return true
+		})
+		c.AddWithRelations(e, containing, contained)
+	}
+	return c
+}
+
+// TestCheckIndexCatchesSweepOrder: CheckIndex rejects a cache whose
+// stores are out of ascending ID order, the order Validate relies on.
+func TestCheckIndexCatchesSweepOrder(t *testing.T) {
+	c := buildRelatedCache(t, Config{Capacity: 10, WindowSize: 4}, 6, 9)
+	requireIndex(t, c)
+	c.entries[0], c.entries[1] = c.entries[1], c.entries[0]
+	if err := c.CheckIndex(); err == nil {
+		t.Fatal("CheckIndex accepted entries out of ID order")
+	}
+}
 
 // validateAgainstReference runs c.Validate(ctrs, seq) and checks it
 // against the per-entry Algorithm 2 reference: every live entry's Valid

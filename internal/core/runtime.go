@@ -73,7 +73,11 @@ type Runtime struct {
 	hists *StageHists
 }
 
-// NewRuntime builds a Runtime over the dataset.
+// NewRuntime builds a Runtime over the dataset. A cached runtime starts
+// its cache empty at the dataset's current sequence number, so a dataset
+// rebuilt by dataset.Restore serves as well as a fresh one. It also
+// trims the dataset's update log as it reads it: a dataset has at most
+// one cached runtime, though any number of cache-less ones may share it.
 func NewRuntime(ds *dataset.Dataset, opts Options) (*Runtime, error) {
 	if ds == nil {
 		return nil, errors.New("core: nil dataset")
@@ -98,6 +102,7 @@ func NewRuntime(ds *dataset.Dataset, opts Options) (*Runtime, error) {
 			return nil, err
 		}
 		r.cache = cache.New(*opts.Cache)
+		r.cache.SetAppliedSeq(ds.Seq())
 	}
 	return r, nil
 }
@@ -696,7 +701,8 @@ func (r *Runtime) finish(g *graph.Graph, kind cache.Kind, answer, live *bitset.S
 
 // syncCache reconciles the cache with the dataset log: EVI purges, CON
 // analyzes the log suffix (Algorithm 1) and refreshes validity indicators
-// (Algorithm 2). The time spent is the ConsistencyTime share of Overhead.
+// (Algorithm 2). The records read are then dropped from the log. The
+// time spent is the ConsistencyTime share of Overhead.
 func (r *Runtime) syncCache(st *QueryStats) {
 	if r.cache == nil {
 		return
@@ -715,11 +721,11 @@ func (r *Runtime) syncCache(st *QueryStats) {
 	if r.cache.Model() == cache.ModelEVI {
 		r.cache.Purge()
 		r.cache.SetAppliedSeq(seq)
-		return
+	} else {
+		r.cache.Validate(dataset.Analyze(recs), seq)
+		r.cache.NoteValidation()
 	}
-	ctrs := dataset.Analyze(recs)
-	r.cache.Validate(ctrs, seq)
-	r.cache.NoteValidation()
+	r.ds.TrimLog(seq)
 }
 
 // Sync reconciles the cache with the dataset log outside the query path —

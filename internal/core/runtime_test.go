@@ -508,3 +508,24 @@ func TestEVIPurgesOnChange(t *testing.T) {
 		t.Fatalf("cache holds %d entries after purge, want 1", got)
 	}
 }
+
+// Repair drains the pending repair queue through plan → verify → commit
+// until it is empty, processing at most batch pairs per round (0 means
+// a sensible default) with the given verification parallelism. It is
+// the synchronous, owner-context form of the pipeline, used by
+// single-threaded runtimes (and the differential oracle tests); serving
+// shards run the three phases themselves so verification leaves the
+// owner goroutine. Returns the total number of bits restored.
+func (r *Runtime) Repair(batch, parallelism int) int {
+	if batch <= 0 {
+		batch = DefaultRepairBatch
+	}
+	total := 0
+	for {
+		jobs := r.PlanRepairs(batch)
+		if len(jobs) == 0 {
+			return total
+		}
+		total += r.CommitRepairs(r.VerifyRepairs(jobs, parallelism))
+	}
+}

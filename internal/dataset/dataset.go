@@ -83,13 +83,15 @@ type Dataset struct {
 	mu     sync.RWMutex
 	graphs []*graph.Graph // id -> current version; nil after DEL
 	live   *bitset.Set
-	log    []Record
 	seq    uint64
-	// logBase is the sequence number the (possibly empty) log starts
-	// after: record with Seq s sits at index s-1-logBase. It is 0 for a
-	// fresh dataset and the snapshot's sequence number for a dataset
-	// rebuilt by Restore, whose pre-snapshot history is not retained.
-	logBase uint64
+	// log holds the records with Seq > logStart: record s sits at index
+	// s-1-logStart. logBase ≥ logStart is the cursor RecordsSince answers
+	// from; the records in (logStart, logBase] were dropped by TrimLog
+	// and wait for compaction. Both are 0 for a fresh dataset and the
+	// snapshot's sequence number for a dataset rebuilt by Restore, whose
+	// pre-snapshot history is not retained.
+	log               []Record
+	logStart, logBase uint64
 }
 
 // New builds a dataset from the initial graphs, assigning ids 0..n-1.
@@ -236,9 +238,9 @@ func (d *Dataset) Seq() uint64 {
 // RecordsSince returns a copy of all log records with Seq > after, i.e.
 // the "incremental records R extracted from L" of Algorithm 1 line 5.
 // after must not precede the log's base (the snapshot sequence number
-// for a Restored dataset): records before the base are gone, so such a
-// call could not be answered soundly and panics instead of silently
-// dropping history.
+// for a Restored dataset, or the last TrimLog): records before the base
+// are gone, so such a call could not be answered soundly and panics
+// instead of silently dropping history.
 func (d *Dataset) RecordsSince(after uint64) []Record {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -248,12 +250,30 @@ func (d *Dataset) RecordsSince(after uint64) []Record {
 	if after < d.logBase {
 		panic(fmt.Sprintf("dataset: RecordsSince(%d) precedes the retained log (base %d)", after, d.logBase))
 	}
-	// Seq is 1-based and dense above the base: record with Seq s sits at
-	// index s-1-logBase.
-	recs := d.log[after-d.logBase:]
+	recs := d.log[after-d.logStart:]
 	out := make([]Record, len(recs))
 	copy(out, recs)
 	return out
+}
+
+// TrimLog drops the log records with Seq ≤ seq, moving the log's base
+// to seq: the log's one reader, the cache, calls it once it has
+// reconciled through seq, so the log holds only what the cache has yet
+// to read instead of every change ever made. The slice is compacted in
+// place only once the dropped prefix is at least half of it, so a trim
+// after every update batch copies each record at most once.
+func (d *Dataset) TrimLog(seq uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	seq = min(seq, d.seq)
+	if seq <= d.logBase {
+		return
+	}
+	d.logBase = seq
+	if dead := seq - d.logStart; 2*dead >= uint64(len(d.log)) {
+		d.log = append(d.log[:0], d.log[dead:]...)
+		d.logStart = seq
+	}
 }
 
 // Snapshot is an exported point-in-time dataset state: the full id →
@@ -268,9 +288,8 @@ type Snapshot struct {
 }
 
 // Export snapshots the dataset state. The update log itself is not
-// exported: callers snapshot at a reconciliation point (cache
-// AppliedSeq == Seq), after which the log's only consumers are future
-// records.
+// exported: a runtime built over the restored dataset starts its cache
+// at Seq, so it never reads a record from before the snapshot.
 func (d *Dataset) Export() *Snapshot {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -281,15 +300,16 @@ func (d *Dataset) Export() *Snapshot {
 
 // Restore rebuilds a dataset from an exported snapshot. The restored
 // dataset continues sequence numbering at s.Seq with an empty log
-// (RecordsSince can answer any cursor ≥ s.Seq, which is where a
-// restored cache's AppliedSeq starts), and ids beyond the snapshot are
+// (RecordsSince can answer any cursor ≥ s.Seq, which is where the cache
+// of a runtime built over it starts), and ids beyond the snapshot are
 // assigned exactly as the original would have.
 func Restore(s *Snapshot) *Dataset {
 	d := &Dataset{
-		graphs:  make([]*graph.Graph, len(s.Graphs)),
-		live:    bitset.New(len(s.Graphs)),
-		seq:     s.Seq,
-		logBase: s.Seq,
+		graphs:   make([]*graph.Graph, len(s.Graphs)),
+		live:     bitset.New(len(s.Graphs)),
+		seq:      s.Seq,
+		logStart: s.Seq,
+		logBase:  s.Seq,
 	}
 	copy(d.graphs, s.Graphs)
 	for id, g := range d.graphs {

@@ -164,6 +164,70 @@ func TestLogRecords(t *testing.T) {
 	}
 }
 
+// TestTrimLog: a trim moves the log's base forward. RecordsSince answers
+// every cursor at or past the base exactly like an untrimmed log and
+// refuses cursors below it, and the slice shrinks once the dropped
+// prefix is half of it.
+func TestTrimLog(t *testing.T) {
+	d, ref := New(threeGraphs()), New(threeGraphs())
+	toggle := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			for _, ds := range []*Dataset{d, ref} {
+				var err error
+				if ds.Graph(0).HasEdge(0, 1) {
+					err = ds.UpdateRemoveEdge(0, 0, 1)
+				} else {
+					err = ds.UpdateAddEdge(0, 0, 1)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	requireSame := func(from uint64) {
+		t.Helper()
+		for c := from; c <= d.Seq(); c++ {
+			got, want := d.RecordsSince(c), ref.RecordsSince(c)
+			if len(got) != len(want) {
+				t.Fatalf("RecordsSince(%d): %d records, want %d", c, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("RecordsSince(%d)[%d] = %+v, want %+v", c, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	toggle(10)
+	d.TrimLog(3) // 3 of 10 dropped: not yet compacted
+	if len(d.log) != 10 {
+		t.Fatalf("log holds %d records after a small trim, want 10", len(d.log))
+	}
+	requireSame(3)
+	d.TrimLog(6)
+	if len(d.log) != 4 {
+		t.Fatalf("log holds %d records after trimming through 6 of 10, want 4", len(d.log))
+	}
+	requireSame(6)
+	d.TrimLog(2) // behind the base: no-op
+	toggle(2)
+	requireSame(6)
+	d.TrimLog(99) // clamps to the newest record
+	if len(d.log) != 0 || d.RecordsSince(d.Seq()) != nil {
+		t.Fatalf("log holds %d records after trimming everything", len(d.log))
+	}
+	toggle(1)
+	requireSame(12)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RecordsSince below the trimmed base did not panic")
+		}
+	}()
+	d.RecordsSince(11)
+}
+
 func TestOpTypeString(t *testing.T) {
 	cases := map[OpType]string{
 		OpAdd: "ADD", OpDelete: "DEL", OpUpdateAddEdge: "UA", OpUpdateRemoveEdge: "UR",

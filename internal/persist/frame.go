@@ -22,7 +22,7 @@ var ErrTornFrame = wire.ErrBadFrame
 // epoch so a misplaced file fails loudly instead of replaying into the
 // wrong shard.
 
-const formatVersion = 1
+const formatVersion = 2
 
 var (
 	walMagic  = [4]byte{'G', 'C', 'W', 'L'}

@@ -3,15 +3,11 @@ package persist
 import (
 	"bytes"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"gcplus/internal/bitset"
-	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
-	"gcplus/internal/core"
 	"gcplus/internal/dataset"
 	"gcplus/internal/graph"
 )
@@ -66,44 +62,6 @@ func goldenShardSnapshot() *ShardSnapshot {
 			Seq:    13,
 		},
 		LocalToGlobal: []int{0, 4, 300},
-		State: &core.RuntimeState{
-			AvgTestCostN:    5,
-			AvgTestCostMean: 1.5e-6,
-			AvgTestCostM2:   math.Pi,
-			Cache: &cache.Snapshot{
-				Entries: []cache.EntrySnapshot{
-					{
-						ID: 0, Query: testGraph("q0"), Kind: cache.KindSub,
-						Answer: bitset.FromIndices(0, 2, 70), Valid: bitset.FromIndices(0, 70), Seq: 13,
-						R: 12.5, CostEst: 3e-6, Hits: 4, LastUsed: 99,
-						RelKnown: true, Sup: []int{1, 2},
-					},
-					{
-						ID: 1, Query: testGraph("q1"), Kind: cache.KindSuper,
-						Answer: bitset.New(0), Valid: bitset.FromIndices(1), Seq: 13,
-						R: 0.25, Hits: 1, LastUsed: 140,
-						RelKnown: true, Sub: []int{0},
-					},
-					{
-						ID: 200, Query: testGraph("q2"), Kind: cache.KindSub,
-						Answer: bitset.FromIndices(2), Valid: bitset.FromIndices(0, 1, 2), Seq: 12,
-						Sub: []int{0},
-					},
-				},
-				WindowStart:   2,
-				NextID:        201,
-				Clock:         141,
-				AppliedSeq:    13,
-				Admitted:      3,
-				Evicted:       1,
-				Purges:        2,
-				Validates:     6,
-				RepairedBits:  3,
-				RepairDropped: 1,
-				RelIncomplete: true,
-				RepairQueue:   []cache.RepairRef{{EntryIdx: 0, GraphID: 2}, {EntryIdx: 2, GraphID: 1}},
-			},
-		},
 	}
 }
 
@@ -153,8 +111,8 @@ func TestGoldenWALFile(t *testing.T) {
 	}
 }
 
-// TestGoldenSnapshotFile pins a shard snapshot file whose cache holds
-// entries, Answer/Valid bitsets, relation lists and a repair queue.
+// TestGoldenSnapshotFile pins a shard snapshot file: a dataset table
+// with a deleted id, its log position and the local → global id map.
 func TestGoldenSnapshotFile(t *testing.T) {
 	snap := goldenShardSnapshot()
 	payload, err := EncodeShardSnapshot(snap)
@@ -183,14 +141,9 @@ func TestGoldenSnapshotFile(t *testing.T) {
 	if err != nil || !bytes.Equal(re, payload) {
 		t.Fatalf("golden snapshot does not re-encode to itself (%v)", err)
 	}
-	c := back.State.Cache
-	want := snap.State.Cache
-	for i := range want.Entries {
-		if !c.Entries[i].Answer.Equal(want.Entries[i].Answer) || !c.Entries[i].Valid.Equal(want.Entries[i].Valid) {
-			t.Fatalf("entry %d bitsets did not restore exactly", i)
-		}
-	}
-	if len(c.RepairQueue) != 2 || c.RepairQueue[1] != want.RepairQueue[1] || !c.RelIncomplete {
-		t.Fatalf("repair state did not restore: %+v", c)
+	if back.Epoch != snap.Epoch || back.Dataset.Seq != snap.Dataset.Seq ||
+		len(back.Dataset.Graphs) != 3 || back.Dataset.Graphs[1] != nil || back.Dataset.Graphs[2].Name() != "g2" ||
+		len(back.LocalToGlobal) != 3 || back.LocalToGlobal[2] != 300 {
+		t.Fatalf("golden snapshot did not decode to its input: %+v", back)
 	}
 }

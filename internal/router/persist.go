@@ -12,7 +12,7 @@ import (
 
 // This file is the router side of the durability subsystem
 // (internal/persist): WAL-append fan-out, snapshot generations, and
-// warm-restart recovery. The per-shard mechanics — batch accumulation,
+// recovery. The per-shard mechanics — batch accumulation,
 // append retries, rotation, replay — live in internal/shardhost; the
 // router sequences them across shards and owns the generation's files.
 // See the persist package comment for the on-disk layout and the
@@ -180,11 +180,11 @@ func (s *Server) enqueueSnapshotLocked(epoch uint64) <-chan error {
 	return done
 }
 
-// Recovered reports whether this server booted via warm-restart
-// recovery, and if so how many cache entries were restored and the
-// epoch recovery reached after WAL replay.
-func (s *Server) Recovered() (entries int, epoch uint64, ok bool) {
-	return s.recoveredEntries, s.recoveredEpoch, s.recovered
+// Recovered reports whether this server booted by recovering a data
+// directory, and if so how many live graphs it recovered and the epoch
+// recovery reached after WAL replay.
+func (s *Server) Recovered() (graphs int, epoch uint64, ok bool) {
+	return s.recoveredGraphs, s.recoveredEpoch, s.recovered
 }
 
 // replayFrame is one decoded WAL batch plus where it lives on disk, so
@@ -196,12 +196,13 @@ type replayFrame struct {
 	end     int64 // offset just past the frame within its segment
 }
 
-// recover performs the warm restart: load the newest complete snapshot
-// generation, replay each shard's WAL chain up to the newest batch
-// durable on every shard, truncate the torn remainder, and rebuild the
-// router-level id map and epoch. Recovery always drives the hosts
-// directly — it is boot-time construction, before any transport client
-// or host goroutine exists.
+// recover restarts from the data directory: load the newest complete
+// snapshot generation, replay each shard's WAL chain up to the newest
+// batch durable on every shard, truncate the torn remainder, and rebuild
+// the router-level id map and epoch. Every shard's cache starts empty
+// and re-warms from queries. Recovery always drives the hosts directly —
+// it is boot-time construction, before any transport client or host
+// goroutine exists.
 func (s *Server) recover() error {
 	snaps, err := s.loadSnapshots()
 	if err != nil {
@@ -219,10 +220,6 @@ func (s *Server) recover() error {
 		if err != nil {
 			return err
 		}
-		if err := h.Runtime().RestoreState(snap.State); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.recoveredEntries += h.Runtime().CacheSize() + h.Runtime().CacheStats().Window
 		s.hosts[i] = h
 	}
 
@@ -283,6 +280,9 @@ func (s *Server) recover() error {
 		s.shardNextLocal[sid] = len(l2g)
 	}
 	s.nextAdd = total
+	for _, h := range s.hosts {
+		s.recoveredGraphs += h.Dataset().LiveCount()
+	}
 	s.epoch = safe
 	s.recoveredEpoch = safe
 	s.recovered = true

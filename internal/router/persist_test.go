@@ -111,12 +111,12 @@ func awaitRepairDrain(t *testing.T, srv *Server) *Stats {
 }
 
 // TestWarmRestartDifferential is the end-to-end recovery oracle: a
-// durable server takes queries and update batches, shuts down
-// gracefully, and is rebooted from its data directory; a cold replica
-// applies the identical batches from scratch. The recovered server must
-// answer every probe bit-identically to the cold rebuild — and keep
-// doing so as further updates and queries land on both — while having
-// restored its cache entries rather than recomputed them.
+// durable server warms its caches with queries and update batches,
+// shuts down gracefully, and is rebooted from its data directory; a cold
+// replica applies the identical batches from scratch. The recovered
+// server must come back at the same epoch with every graph and an empty
+// cache, answer every probe bit-identically to the cold rebuild, and
+// keep doing so as further updates and queries land on both.
 func TestWarmRestartDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		initial := genGraphs(t, 36, seed)
@@ -172,10 +172,19 @@ func TestWarmRestartDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		entries, epoch, ok := srv2.Recovered()
-		if !ok || entries != warmEntries || epoch != uint64(len(batches)) {
+		graphs, epoch, ok := srv2.Recovered()
+		if !ok || graphs != st.LiveGraphs || epoch != uint64(len(batches)) {
 			t.Fatalf("seed %d: recovered (%d,%d,%v), want (%d,%d,true)",
-				seed, entries, epoch, ok, warmEntries, len(batches))
+				seed, graphs, epoch, ok, st.LiveGraphs, len(batches))
+		}
+		restarted, err := srv2.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ss := range restarted.PerShard {
+			if n := ss.Cache.Entries + ss.Cache.Window; n != 0 {
+				t.Fatalf("seed %d: shard %d restarted with %d cache entries, want none", seed, i, n)
+			}
 		}
 		requireSameAnswers(t, "after restart",
 			probeAnswers(t, cold, queries), probeAnswers(t, srv2, queries))
@@ -203,7 +212,7 @@ func TestWarmRestartDifferential(t *testing.T) {
 		requireSameAnswers(t, "after post-restart updates",
 			probeAnswers(t, cold, queries), probeAnswers(t, srv2, queries))
 		drained := awaitRepairDrain(t, srv2)
-		if !drained.PersistEnabled || drained.RecoveredEntries != warmEntries {
+		if !drained.PersistEnabled || drained.RecoveredEpoch != uint64(len(batches)) {
 			t.Fatalf("seed %d: stats %+v", seed, drained)
 		}
 		srv2.Close()
@@ -543,7 +552,7 @@ func TestStatsOpsFields(t *testing.T) {
 	if st1.ModuleVersion == "" {
 		t.Fatal("empty module version")
 	}
-	if st1.PersistEnabled || st1.RecoveredEntries != 0 {
+	if st1.PersistEnabled || st1.RecoveredEpoch != 0 {
 		t.Fatalf("persistence fields set without a data dir: %+v", st1)
 	}
 	time.Sleep(5 * time.Millisecond)

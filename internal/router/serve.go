@@ -129,12 +129,12 @@ type Options struct {
 	RepairParallelism int
 	// DataDir enables the durability subsystem (internal/persist): a
 	// per-shard write-ahead log of update batches plus periodic
-	// snapshots of dataset and cache state under this directory. A boot
-	// that finds recoverable state there performs a warm restart —
-	// the initial graph slice is ignored in that case — loading the
-	// newest complete snapshot generation, replaying the WAL tail and
-	// queueing replay-touched validity bits for background repair.
-	// Empty (the default) disables persistence entirely.
+	// snapshots of each shard's dataset under this directory. A boot
+	// that finds recoverable state there restarts from it — the initial
+	// graph slice is ignored in that case — loading the newest complete
+	// snapshot generation and replaying the WAL tail; the caches start
+	// empty and re-warm. Empty (the default) disables persistence
+	// entirely.
 	DataDir string
 	// SnapshotEvery is the number of update batches between automatic
 	// snapshot generations (default DefaultSnapshotEvery). Snapshots
@@ -368,7 +368,7 @@ type Server struct {
 	loc []location
 	// nextAdd round-robins ADD placement across shards. Invariant:
 	// nextAdd == len(loc), which is what makes ADD placement replayable
-	// after a warm restart.
+	// after a restart.
 	nextAdd int
 	// shardNextLocal is the next local id each shard will assign to an
 	// ADD — placement bookkeeping, maintained writer-side at enqueue
@@ -385,11 +385,11 @@ type Server struct {
 	snapMu            sync.Mutex
 	lastSnapshotEpoch atomic.Uint64
 	snapshotsWritten  atomic.Int64
-	// recoveredEntries/recoveredEpoch describe the warm restart this
-	// server booted from (zero on a cold boot); written once in New.
-	recoveredEntries int
-	recoveredEpoch   uint64
-	recovered        bool
+	// recoveredGraphs/recoveredEpoch describe the recovery this server
+	// booted from (zero on a cold boot); written once in New.
+	recoveredGraphs int
+	recoveredEpoch  uint64
+	recovered       bool
 
 	// Observability (built once in New, before the shards start).
 	log      *slog.Logger
@@ -491,9 +491,9 @@ var buildVersion = func() string {
 // shards. The graphs are treated as immutable and owned by the Server.
 //
 // With Options.DataDir set, New first looks for recoverable state: if a
-// snapshot generation exists there, the server warm-restarts from it —
-// the initial slice is ignored — replaying the WAL tail and scheduling
-// background repair for replay-touched validity bits (see Recovered).
+// snapshot generation exists there, the server restarts from it — the
+// initial slice is ignored — replaying the WAL tail, with every shard's
+// cache empty (see Recovered).
 // On a cold boot with persistence, New writes the initial snapshot
 // generation (anchoring the WAL chain) before returning.
 func New(initial []*graph.Graph, opts Options) (*Server, error) {
@@ -565,7 +565,7 @@ func New(initial []*graph.Graph, opts Options) (*Server, error) {
 	}
 	if s.store != nil && s.store.HasState() {
 		if err := s.recover(); err != nil {
-			return fail(fmt.Errorf("serve: warm-restart recovery: %w", err))
+			return fail(fmt.Errorf("serve: recovery: %w", err))
 		}
 	} else if err := s.buildCold(initial); err != nil {
 		return fail(err)
@@ -591,23 +591,14 @@ func New(initial []*graph.Graph, opts Options) (*Server, error) {
 		s.press.start(iv)
 	}
 	if s.recovered {
-		s.log.Info("warm restart complete",
-			"epoch", s.recoveredEpoch, "cache_entries", s.recoveredEntries,
+		s.log.Info("recovered from data directory; caches start empty",
+			"epoch", s.recoveredEpoch, "live_graphs", s.recoveredGraphs,
 			"shards", len(s.hosts), "transport", s.transportKind)
 	} else {
 		s.log.Info("cold boot", "shards", len(s.hosts), "graphs", len(s.loc),
 			"persist", s.store != nil, "transport", s.transportKind)
 	}
-	if s.recovered {
-		// Reconcile each shard cache with the replayed log suffix off
-		// the query path: the CON validation sweep clears the validity
-		// bit of every replay-touched (entry, graph) pair and hands the
-		// pairs to the background repair pipeline, so recovery never
-		// trusts validity bits the replay may have invalidated.
-		for _, c := range s.clients {
-			c.Sync(nil)
-		}
-	} else if s.store != nil {
+	if !s.recovered && s.store != nil {
 		if err := s.Snapshot(); err != nil {
 			s.closeImpl(false)
 			return nil, fmt.Errorf("serve: initial snapshot: %w", err)
@@ -1312,15 +1303,13 @@ type Stats struct {
 	WALAppendErrors int64 `json:"wal_append_errors"`
 	// LastSnapshotEpoch is the epoch of the newest durable snapshot
 	// generation written by this process (the recovered generation's
-	// epoch right after a warm restart).
+	// epoch right after a restart).
 	LastSnapshotEpoch uint64 `json:"last_snapshot_epoch"`
 	// SnapshotsWritten counts snapshot generations this process wrote.
 	SnapshotsWritten int64 `json:"snapshots_written"`
-	// RecoveredEntries is the number of cache entries restored by this
-	// boot's warm restart (0 on a cold boot) and RecoveredEpoch the
-	// epoch recovery reached after WAL replay.
-	RecoveredEntries int    `json:"recovered_entries"`
-	RecoveredEpoch   uint64 `json:"recovered_epoch"`
+	// RecoveredEpoch is the epoch this boot's recovery reached after WAL
+	// replay (0 on a cold boot).
+	RecoveredEpoch uint64 `json:"recovered_epoch"`
 	// DurableEpoch is the newest epoch the server can currently prove
 	// durable: the last snapshot generation, advanced by the WAL to the
 	// minimum per-shard epoch whose frames were acknowledged by a
@@ -1413,7 +1402,6 @@ func (s *Server) Stats() (*Stats, error) {
 		out.PersistEnabled = true
 		out.LastSnapshotEpoch = s.lastSnapshotEpoch.Load()
 		out.SnapshotsWritten = s.snapshotsWritten.Load()
-		out.RecoveredEntries = s.recoveredEntries
 		out.RecoveredEpoch = s.recoveredEpoch
 		out.WALPolicy = s.opts.WALPolicy
 		out.DurableEpoch = s.lastSnapshotEpoch.Load()

@@ -324,25 +324,22 @@ func (h *Host) noteWALGap(epoch uint64, cause error) {
 }
 
 // Snapshot exports the shard's state for a snapshot generation at
-// epoch, doing three things back to back in owner context: reconcile
-// the cache with the shard log (so the exported cache's AppliedSeq
-// equals the dataset's sequence number — the precondition for not
-// persisting the log itself), export dataset + runtime state (cheap:
-// graph pointers are shared, bitsets cloned), and rotate the WAL so the
-// new segment's frames are exactly the batches after this generation.
-// Encoding and file IO happen off the owner — collector-side for
-// in-process transports, writer-side for wire transports.
+// epoch, doing two things back to back in owner context: export the
+// dataset and id map (cheap: graph pointers are shared), and rotate the
+// WAL so the new segment's frames are exactly the batches after this
+// generation. The cache is not exported: a restarted shard starts with
+// an empty one. Encoding and file IO happen off the owner —
+// collector-side for in-process transports, writer-side for wire
+// transports.
 func (h *Host) Snapshot(epoch uint64, reply *SnapshotReply, done func()) {
 	h.Enqueue(func() {
 		defer done()
-		h.rt.Sync()
 		l2g := make([]int, len(h.localToGlobal))
 		copy(l2g, h.localToGlobal)
 		reply.Snap = &persist.ShardSnapshot{
 			Epoch:         epoch,
 			Dataset:       h.ds.Export(),
 			LocalToGlobal: l2g,
-			State:         h.rt.ExportState(),
 		}
 		if h.cfg.WAL {
 			// Rotation also heals a missing or poisoned segment from an

@@ -36,9 +36,9 @@ func (r *Running) N() int64 { return r.n }
 func (r *Running) Mean() float64 { return r.mean }
 
 // Variance returns the population variance. A negative m2 — reachable
-// through floating-point cancellation in the Welford update, or a
-// corrupted RestoreState — clamps to 0 so Std can never return NaN
-// (NaN is not valid JSON and would poison every serialized snapshot).
+// through floating-point cancellation in the Welford update — clamps to
+// 0 so Std can never return NaN (NaN is not valid JSON and would poison
+// every serialized snapshot).
 func (r *Running) Variance() float64 {
 	if r.n == 0 || r.m2 <= 0 {
 		return 0
@@ -51,20 +51,6 @@ func (r *Running) Std() float64 { return math.Sqrt(r.Variance()) }
 
 // Sum returns mean*n.
 func (r *Running) Sum() float64 { return r.mean * float64(r.n) }
-
-// State returns the accumulator's internal moments (count, mean, sum of
-// squared deviations) so the durability subsystem can persist a running
-// accumulator across restarts.
-func (r *Running) State() (n int64, mean, m2 float64) {
-	return r.n, r.mean, r.m2
-}
-
-// RestoreState overwrites the accumulator with previously exported
-// moments; Add continues the Welford recurrence exactly where the
-// exported accumulator left off.
-func (r *Running) RestoreState(n int64, mean, m2 float64) {
-	r.n, r.mean, r.m2 = n, mean, m2
-}
 
 // CoV2 returns the squared coefficient of variation σ²/μ². For an all-zero
 // or empty sample it returns 0 (deemed low variability, matching the HD

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -19,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"gcplus/internal/bitset"
 	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
 	"gcplus/internal/core"
@@ -62,18 +60,6 @@ func goldenSnapshot() *persist.ShardSnapshot {
 		Epoch:         7,
 		Dataset:       &dataset.Snapshot{Graphs: []*graph.Graph{graph.Path(1, 2), nil}, Seq: 4},
 		LocalToGlobal: []int{1, 3},
-		State: &core.RuntimeState{
-			AvgTestCostN: 2, AvgTestCostMean: 2.5e-6, AvgTestCostM2: math.E,
-			Cache: &cache.Snapshot{
-				Entries: []cache.EntrySnapshot{{
-					ID: 0, Query: graph.Path(1), Kind: cache.KindSub,
-					Answer: bitset.FromIndices(0), Valid: bitset.FromIndices(0, 1), Seq: 4,
-					R: 1.5, CostEst: 1e-6, Hits: 2, LastUsed: 5, RelKnown: true,
-				}},
-				NextID: 1, Clock: 5, AppliedSeq: 4, Admitted: 1, Validates: 1,
-				RepairQueue: []cache.RepairRef{{EntryIdx: 0, GraphID: 1}},
-			},
-		},
 	}
 }
 

@@ -4,8 +4,8 @@
 //
 //	u32 payload length | u32 CRC-32 (IEEE) of the payload | payload
 //
-// both little-endian. Values are uvarints, single bytes, fixed 8-byte
-// little-endian words and uvarint-length-prefixed byte strings. The
+// both little-endian. Values are uvarints, single bytes and
+// uvarint-length-prefixed byte strings. The
 // decoder latches its first error and returns zero values afterwards,
 // and every length it reads is bounded by the bytes that remain, so
 // hostile input yields an error — never a panic, never an allocation
@@ -134,23 +134,6 @@ func (d *Dec) Byte() byte {
 // Bool reads one byte; any non-zero value is true.
 func (d *Dec) Bool() bool { return d.Byte() != 0 }
 
-// Uint64 reads one fixed 8-byte little-endian word.
-func (d *Dec) Uint64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) < 8 {
-		d.Fail("truncated 8-byte word")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.data)
-	d.data = d.data[8:]
-	return v
-}
-
-// Float64 reads a float64 bit pattern.
-func (d *Dec) Float64() float64 { return math.Float64frombits(d.Uint64()) }
-
 // Bytes reads a length-prefixed byte string. The result aliases the
 // payload.
 func (d *Dec) Bytes() []byte {
@@ -184,12 +167,6 @@ func AppendBool(dst []byte, b bool) []byte {
 	}
 	return append(dst, 0)
 }
-
-// AppendUint64 appends v as a fixed 8-byte little-endian word.
-func AppendUint64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-
-// AppendFloat64 appends v's bit pattern.
-func AppendFloat64(dst []byte, v float64) []byte { return AppendUint64(dst, math.Float64bits(v)) }
 
 // AppendBytes appends a length-prefixed byte string.
 func AppendBytes(dst, b []byte) []byte {
