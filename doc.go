@@ -152,22 +152,21 @@
 //
 // # Durability and warm restart
 //
-// With ServeOptions.DataDir set, the Server persists its state: every
-// update batch is appended to a per-shard write-ahead log (epoch-
-// stamped, CRC-checked frames, fsynced before the batch is
-// acknowledged) and dataset + cache state — entry queries, Answer and
-// CGvalid bitsets, replacement-policy bookkeeping, the relation graph
-// and the pending repair queue — is snapshotted periodically and at
-// graceful Close. A reboot on the same directory warm-restarts: the
-// newest complete snapshot generation loads, the WAL tail replays
-// through the ordinary executor up to the newest batch durable on
+// Dataset + WAL are durable; the cache re-warms. With
+// ServeOptions.DataDir set, the Server appends every update batch to a
+// per-shard write-ahead log (epoch-stamped, CRC-checked frames, fsynced
+// before the batch is acknowledged) and snapshots each shard's dataset
+// periodically and at graceful Close. A reboot on the same directory
+// loads the newest complete snapshot generation and replays the WAL
+// tail through the ordinary executor up to the newest batch durable on
 // every shard (torn tails and half-acknowledged batches are truncated
-// away), and instead of trusting validity bits the replay may have
-// invalidated, recovery queues every replay-touched (entry, graph)
-// pair for the background repair pipeline. Answers are bit-identical
-// to a cold rebuild from the first post-restart query, and the cache
-// arrives warm — the kill-point and warm-restart differential tests pin
-// both properties, and the ledger's recovery_s metric times it.
+// away). The cache is not persisted: it is derived state, since
+// consistency is defined against the dataset and Method M can recompute
+// any cached answer, so every shard restarts with an empty cache and
+// re-warms from the queries it serves. Answers are bit-identical to a
+// cold rebuild from the first post-restart query — the kill-point and
+// warm-restart differential tests pin it, and the ledger's recovery_s
+// metric times the restart.
 //
 // # Observability
 //

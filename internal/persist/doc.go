@@ -1,9 +1,12 @@
 // Package persist is GC+'s durability subsystem: a per-shard write-ahead
 // log of resolved dataset change operations plus periodic snapshots of
-// each shard's dataset and cache state, giving the serving layer
-// (internal/router) crash-safe warm restarts — a rebooted server resumes
-// with the dataset it was serving and every warmed cache entry, instead
-// of paying the full sub-iso cost from zero.
+// each shard's dataset, giving the serving layer (internal/router)
+// crash-safe restarts — a rebooted server resumes with the dataset it
+// was serving, at the last acknowledged epoch. Dataset + WAL are
+// durable; the cache re-warms. It is derived state (consistency is
+// defined against the dataset, and Method M can recompute any cached
+// answer), so it is not persisted and a restarted shard starts with an
+// empty one.
 //
 // # On-disk layout
 //
@@ -46,12 +49,10 @@
 //
 // # Recovery contract
 //
-// Replaying the WAL restores the dataset bit-for-bit, but the restored
-// cache's validity indicators reflect the snapshot's epoch, not the
-// replayed tail. Recovery therefore does not trust them: the serving
-// layer runs a CON validation sweep over the replayed log suffix, which
-// clears the validity bit of every replay-touched (entry, graph) pair
-// and queues the pairs for the background repair pipeline (PR-3), so
-// consistency is restored off the query path and answers are
-// bit-identical to a cold rebuild from the first post-restart query on.
+// Replaying the WAL restores the dataset bit-for-bit. Each shard's cache
+// starts empty at the restored dataset's log position, so no validity
+// bit predates the replay and answers are bit-identical to a cold
+// rebuild from the first post-restart query on. A snapshot written in
+// an older format (version 1 also held the cache) is refused, not
+// misread.
 package persist

@@ -278,11 +278,9 @@ func (s *Server) recover() error {
 			s.loc[gid] = location{shard: int32(sid), local: int32(local)}
 		}
 		s.shardNextLocal[sid] = len(l2g)
-	}
-	s.nextAdd = total
-	for _, h := range s.hosts {
 		s.recoveredGraphs += h.Dataset().LiveCount()
 	}
+	s.nextAdd = total
 	s.epoch = safe
 	s.recoveredEpoch = safe
 	s.recovered = true

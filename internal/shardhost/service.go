@@ -392,7 +392,7 @@ func (h *Host) Stats(reply *StatsReply, done func()) {
 	})
 }
 
-// ReplayBatch applies one logged batch to the shard during warm-restart
+// ReplayBatch applies one logged batch to the shard during
 // recovery: ops run through the existing executor against the shard
 // dataset, in shard-local id space, and ADDs extend the local→global
 // map with their logged global ids. Every logged op applied once
