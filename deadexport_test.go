@@ -18,23 +18,36 @@ import (
 // — another package, test or not, or a non-test file of its own package;
 // every .go file in the repository counts as a caller, including the
 // benchmark/ module's. An unexported one must be referenced from a
-// non-test file of its own package. References are matched by
-// identifier name alone, which can only over-count callers, so the rule
-// never flags a live identifier. Methods the standard library calls
+// non-test file of its own package.
+//
+// A package-level function, type, variable or constant is referenced
+// only by a qualified pkg.Name through an import of its declaring
+// package, or by a bare Name inside that package's directory, so an
+// unrelated identifier that shares its name (binary.LittleEndian's
+// AppendUint64 for wire.AppendUint64) does not keep it alive. Methods
+// and struct fields are matched by name alone: which type x.Name
+// selects needs the type checker, and matching every selector and
+// composite-literal key of that name can only over-count callers, so
+// the rule never flags a live method. Methods the standard library calls
 // through an interface without naming them (Unwrap for errors.Is/As, and
 // the like) are live by construction. Delete a flagged identifier, or
 // unexport it; code that only tests need belongs in a _test.go file.
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		dir, name string
+		method    bool
 		pos       token.Position
 	}
-	// callers maps an identifier name to the files referencing it, keyed
-	// by directory, with "#test" appended for _test.go files. declPos
-	// holds the declaring identifiers, which are not references.
-	callers := make(map[string]map[string]bool)
+	type parsed struct {
+		f        *ast.File
+		dir, key string
+	}
+	// Parse everything first: resolving an import to its package name
+	// needs the imported directory's package clause.
+	var files []parsed
 	var decls []decl
 	declPos := make(map[token.Pos]bool)
+	pkgName := make(map[string]string) // internal directory → package name
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -56,9 +69,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		isTest := strings.HasSuffix(path, "_test.go")
 		if !isTest && strings.HasPrefix(dir, "internal/") {
+			pkgName[dir] = f.Name.Name
 			for _, id := range topLevelDecls(f) {
 				declPos[id.Pos()] = true
-				decls = append(decls, decl{dir: dir, name: id.Name, pos: fset.Position(id.Pos())})
+				decls = append(decls, decl{dir: dir, name: id.Name, method: isMethod(f, id), pos: fset.Position(id.Pos())})
 			}
 		}
 		// A test file's references count for every directory but its
@@ -67,29 +81,72 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if isTest {
 			key = dir + "#test"
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declPos[id.Pos()] {
-				if callers[id.Name] == nil {
-					callers[id.Name] = make(map[string]bool)
-				}
-				callers[id.Name][key] = true
-			}
-			return true
-		})
+		files = append(files, parsed{f, dir, key})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// byName maps an identifier name to the caller keys referencing it
+	// anywhere (methods are matched this way); qualified maps
+	// "dir.Name" to the caller keys naming the package-level Name of dir,
+	// qualified through an import or bare inside dir.
+	byName := make(map[string]map[string]bool)
+	qualified := make(map[string]map[string]bool)
+	note := func(m map[string]map[string]bool, name, key string) {
+		if m[name] == nil {
+			m[name] = make(map[string]bool)
+		}
+		m[name][key] = true
+	}
+	for _, p := range files {
+		imports := make(map[string]string) // local name → internal directory
+		for _, spec := range p.f.Imports {
+			dir, ok := strings.CutPrefix(strings.Trim(spec.Path.Value, `"`), "gcplus/")
+			if !ok || pkgName[dir] == "" {
+				continue
+			}
+			local := pkgName[dir]
+			if spec.Name != nil {
+				local = spec.Name.Name
+			}
+			imports[local] = dir
+		}
+		// Selector names are not bare references to the file's own
+		// package-level identifiers.
+		selected := make(map[token.Pos]bool)
+		ast.Inspect(p.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel.Pos()] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					note(qualified, imports[x.Name]+"."+n.Sel.Name, p.key)
+				}
+			case *ast.Ident:
+				if declPos[n.Pos()] {
+					return true
+				}
+				note(byName, n.Name, p.key)
+				if !selected[n.Pos()] {
+					note(qualified, p.dir+"."+n.Name, p.key)
+				}
+			}
+			return true
+		})
+	}
 	var dead []string
 	for _, d := range decls {
-		live := callers[d.name][d.dir]
+		callers := qualified[d.dir+"."+d.name]
+		if d.method {
+			callers = byName[d.name]
+		}
+		live := callers[d.dir]
 		if ast.IsExported(d.name) {
-			for key := range callers[d.name] {
+			for key := range callers {
 				live = live || key != d.dir+"#test"
 			}
 		}
-		if !live && !implicitMethods[d.name] {
+		if !live && !(d.method && implicitMethods[d.name]) {
 			dead = append(dead, d.pos.String()+": "+d.name)
 		}
 	}
@@ -97,6 +154,16 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, s := range dead {
 		t.Errorf("%s is referenced only by tests", s)
 	}
+}
+
+// isMethod reports whether id names a method declared in f.
+func isMethod(f *ast.File, id *ast.Ident) bool {
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name == id {
+			return fd.Recv != nil
+		}
+	}
+	return false
 }
 
 // implicitMethods are method names the standard library invokes through

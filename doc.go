@@ -121,7 +121,9 @@
 // of internal/feature, and only a passing direction gets a
 // query-to-query sub-iso test, whose verdict the query's plan memoizes.
 // A memoized relation graph lets a repeated (isomorphic) query replay a
-// cached entry's hit classification with zero pairwise tests. A
+// cached entry's hit classification with zero pairwise tests, and a
+// fully valid exact repeat skips hit discovery altogether: its plan
+// remembers the isomorphic entry and answers from it directly. A
 // differential property test pins the classification to a
 // prefilter-free reference kept in the test suite, so answers are
 // bit-identical to testing every entry. QueryStats.HitCandidates and

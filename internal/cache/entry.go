@@ -114,6 +114,11 @@ func (e *Entry) FullyValid(live *bitset.Set) bool {
 	return live.IsSubsetOf(e.Valid)
 }
 
+// Resident reports whether the entry is still held by its cache, in the
+// window or admitted: eviction and purge retire an entry for good, and
+// the validator stops maintaining a retired entry's bitsets.
+func (e *Entry) Resident() bool { return !e.dead }
+
 // ValidAnswer returns CGvalid(e) ∩ Answer(e): the dataset graphs whose
 // positive relation with the cached query is still guaranteed. The result
 // is freshly allocated.

@@ -92,15 +92,6 @@ func Generate(cfg Config) (*Plan, error) {
 	return p, nil
 }
 
-// MustGenerate is Generate that panics on error.
-func MustGenerate(cfg Config) *Plan {
-	p, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Op is one fully resolved dataset change operation: the operation type
 // plus its concrete target. It is the reusable currency between change
 // plans, the serving layer's update API (POST /update on gcserve) and

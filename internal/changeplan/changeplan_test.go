@@ -45,7 +45,7 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestGenerateOpMix(t *testing.T) {
-	p := MustGenerate(Config{Queries: 1000, Batches: 100, OpsPerBatch: 20, Seed: 2})
+	p := mustGenerate(Config{Queries: 1000, Batches: 100, OpsPerBatch: 20, Seed: 2})
 	counts := map[dataset.OpType]int{}
 	for _, b := range p.Batches {
 		for _, op := range b.Ops {
@@ -95,7 +95,7 @@ func testDataset(t *testing.T, n int) (*dataset.Dataset, []*graph.Graph) {
 
 func TestExecutorAppliesInOrder(t *testing.T) {
 	ds, initial := testDataset(t, 20)
-	p := MustGenerate(Config{Queries: 50, Batches: 10, OpsPerBatch: 3, Seed: 3})
+	p := mustGenerate(Config{Queries: 50, Batches: 10, OpsPerBatch: 3, Seed: 3})
 	ex := NewExecutor(p, initial, 4)
 	totalApplied := 0
 	for q := 0; q < 50; q++ {
@@ -122,7 +122,7 @@ func TestExecutorAppliesInOrder(t *testing.T) {
 
 func TestExecutorIdempotentPerQueryIndex(t *testing.T) {
 	ds, initial := testDataset(t, 10)
-	p := MustGenerate(Config{Queries: 10, Batches: 4, OpsPerBatch: 2, Seed: 5})
+	p := mustGenerate(Config{Queries: 10, Batches: 4, OpsPerBatch: 2, Seed: 5})
 	ex := NewExecutor(p, initial, 6)
 	n1 := ex.ApplyDue(ds, 9)
 	n2 := ex.ApplyDue(ds, 9)
@@ -136,7 +136,7 @@ func TestExecutorIdempotentPerQueryIndex(t *testing.T) {
 
 func TestExecutorDatasetStaysUsable(t *testing.T) {
 	ds, initial := testDataset(t, 15)
-	p := MustGenerate(Config{Queries: 30, Batches: 30, OpsPerBatch: 4, Seed: 7})
+	p := mustGenerate(Config{Queries: 30, Batches: 30, OpsPerBatch: 4, Seed: 7})
 	ex := NewExecutor(p, initial, 8)
 	for q := 0; q < 30; q++ {
 		ex.ApplyDue(ds, q)
@@ -154,7 +154,7 @@ func TestExecutorDatasetStaysUsable(t *testing.T) {
 func TestExecutorDeterminism(t *testing.T) {
 	run := func() uint64 {
 		ds, initial := testDataset(t, 10)
-		p := MustGenerate(Config{Queries: 20, Batches: 8, OpsPerBatch: 3, Seed: 9})
+		p := mustGenerate(Config{Queries: 20, Batches: 8, OpsPerBatch: 3, Seed: 9})
 		ex := NewExecutor(p, initial, 10)
 		for q := 0; q < 20; q++ {
 			ex.ApplyDue(ds, q)
@@ -180,4 +180,13 @@ func (p *Plan) TotalOps() int {
 		n += len(b.Ops)
 	}
 	return n
+}
+
+// mustGenerate is Generate that fails loudly on a config error.
+func mustGenerate(cfg Config) *Plan {
+	p, err := Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

@@ -64,6 +64,14 @@ type queryPlan struct {
 	// memo caches query-to-query containment verdicts (see the
 	// hitClassifier memo bits), keyed by cached-query graph pointer.
 	memo map[*graph.Graph]uint8
+
+	// iso is the isomorphic entry findHits last returned for this plan,
+	// nil when it found none. Isomorphism between immutable graphs does
+	// not depend on the dataset, and admission never keeps two
+	// isomorphic entries, so while iso is resident it is the entry the
+	// scan would find: a fully valid one answers a repeat without hit
+	// discovery (Runtime.process).
+	iso *cache.Entry
 }
 
 // verdicts returns the plan's verdict memo, resetting it when it has

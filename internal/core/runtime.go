@@ -176,12 +176,15 @@ type QueryStats struct {
 	// HitTime is the hit-discovery portion of QueryTime.
 	HitTime time.Duration
 	// HitScanned is the number of cache+window entries present at hit
-	// discovery, the entries its fingerprint scan walks.
+	// discovery, the entries its fingerprint scan walks; 0 when a fully
+	// valid exact repeat went straight to its plan's remembered entry.
 	HitScanned int
 	// HitCandidates is the number of entries that passed the fingerprint
 	// prefilter and so reached a containment verdict (memoized or
 	// tested); on the replay path, the probed entries plus the related
-	// ones. HitCandidates/HitScanned is the prefilter's selectivity.
+	// ones; 1 on the exact-repeat fast path, which also counts its entry
+	// as one iso, one containing and one contained hit.
+	// HitCandidates/HitScanned is the prefilter's selectivity.
 	HitCandidates int
 	// Overhead is cache-maintenance time: consistency (log analysis +
 	// validation or purge) plus window/cache updates. Figure 6's
@@ -326,15 +329,28 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	if !useCache {
 		csm = live.Clone() // CS_M(g): Method M tests the whole dataset
 	} else {
+		// A repeat whose plan remembers a resident, fully valid
+		// isomorphic entry goes straight to it: the exact-hit branch
+		// below reads only iso, so the scan and its relation replay
+		// would be wasted. Any other query scans and re-arms the memo,
+		// which also drops a retired entry.
 		ht0 := time.Now()
-		direct, restrict, iso = r.findHits(plan, &st)
+		var exact bool
+		if e := plan.iso; e != nil && e.Resident() && e.FullyValid(live) {
+			iso, exact = e, true
+			st.HitCandidates, st.IsoHits, st.ContainingHits, st.ContainedHits = 1, 1, 1, 1
+		} else {
+			direct, restrict, iso = r.findHits(plan, &st)
+			plan.iso = iso
+			exact = iso != nil && iso.FullyValid(live)
+		}
 		st.HitTime = time.Since(ht0)
 
 		// §6.3 optimal case 1: isomorphic hit. Equal vertex and edge
 		// counts plus one-directional containment force an isomorphism,
 		// so if the entry is fully valid its cached answer (restricted
 		// to live graphs) is g's answer.
-		if iso != nil && iso.FullyValid(live) {
+		if exact {
 			st.ExactHit = true
 			iso.Credit(st.CandidatesBefore, r.cache.Tick())
 			ans := iso.Answer.Clone()

@@ -80,8 +80,3 @@ func (z *Zipf) Prob(k int) float64 {
 	}
 	return z.cum[k] - z.cum[k-1]
 }
-
-// Shuffle permutes xs deterministically under rng.
-func Shuffle[T any](rng *rand.Rand, xs []T) {
-	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}

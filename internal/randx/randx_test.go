@@ -96,23 +96,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestShuffleAndChoice(t *testing.T) {
-	rng := New(3)
-	xs := []int{1, 2, 3, 4, 5}
-	orig := append([]int(nil), xs...)
-	Shuffle(rng, xs)
-	if len(xs) != 5 {
-		t.Fatal("shuffle changed length")
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 15 {
-		t.Fatalf("shuffle lost elements: %v vs %v", xs, orig)
-	}
-}
-
 func TestMustZipfPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -951,14 +951,12 @@ func (s *Server) query(ctx context.Context, kind cache.Kind, q *graph.Graph, lim
 		Epoch: epoch, Kind: kind.String(),
 		PerShard: make([]core.QueryStats, len(s.clients)),
 	}
-	total := 0
 	for i := range replies {
 		if err := replies[i].Err; err != nil {
 			s.noteDeadline(err)
 			qt.finishReplyErr(s, err, replies, rtts, start)
 			return nil, err
 		}
-		total += len(replies[i].IDs)
 	}
 	lists := make([][]int, 0, len(replies))
 	for i := range replies {
@@ -976,7 +974,7 @@ func (s *Server) query(ctx context.Context, kind cache.Kind, q *graph.Graph, lim
 			out.Truncated = true
 		}
 	}
-	out.IDs = mergeSorted(lists, total)
+	out.IDs = mergeSorted(lists)
 	if limit > 0 && len(out.IDs) > limit {
 		// Exact cut: every shard contributed its limit smallest local
 		// answers, which always covers the global top-limit prefix.
@@ -1444,22 +1442,42 @@ func (s *Server) Stats() (*Stats, error) {
 	return out, nil
 }
 
-// mergeSorted k-way merges the per-shard answer lists. Each list is
-// already ascending: shard-local ids are assigned in global-id order
-// (round-robin initial partition, then round-robin ADDs), so the local →
-// global translation is monotone.
-func mergeSorted(lists [][]int, total int) []int {
-	out := make([]int, 0, total)
-	pos := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for i, l := range lists {
-			if pos[i] < len(l) && (best < 0 || l[pos[i]] < lists[best][pos[best]]) {
-				best = i
+// mergeSorted merges the per-shard answer lists into one ascending
+// list. Each list is already ascending: shard-local ids are assigned in
+// global-id order (round-robin initial partition, then round-robin
+// ADDs), so the local → global translation is monotone, and the shards'
+// id sets are disjoint. The lists are merged pairwise in rounds, each
+// round one linear pass over the ids, so a query pays
+// O(total·⌈log₂ shards⌉) instead of a scan of every shard per id. lists
+// is reused as scratch.
+func mergeSorted(lists [][]int) []int {
+	for len(lists) > 1 {
+		next := lists[:0]
+		for i := 0; i < len(lists); i += 2 {
+			if i+1 == len(lists) {
+				next = append(next, lists[i])
+			} else {
+				next = append(next, merge2(lists[i], lists[i+1]))
 			}
 		}
-		out = append(out, lists[best][pos[best]])
-		pos[best]++
+		lists = next
 	}
-	return out
+	return lists[0]
+}
+
+// merge2 merges two disjoint ascending lists into a fresh one.
+func merge2(a, b []int) []int {
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

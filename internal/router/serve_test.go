@@ -456,3 +456,32 @@ func TestStressConcurrentQueriesWithSerializedUpdates(t *testing.T) {
 	}
 	t.Logf("verified %d concurrent answers against ground truth across %d epochs", total, batches+1)
 }
+
+// TestMergeSortedAnyShardCount: the pairwise merge of the per-shard
+// answer lists equals the sorted union for every shard count, with
+// empty lists among them and ids placed round-robin as the router
+// places graphs.
+func TestMergeSortedAnyShardCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for shards := 1; shards <= 7; shards++ {
+		for trial := 0; trial < 20; trial++ {
+			lists := make([][]int, shards)
+			var want []int
+			for id := 0; id < 200; id++ {
+				if rng.Intn(3) == 0 && (shards == 1 || id%shards != trial%shards) {
+					lists[id%shards] = append(lists[id%shards], id)
+					want = append(want, id)
+				}
+			}
+			got := mergeSorted(lists)
+			if len(got) != len(want) {
+				t.Fatalf("%d shards: merged %d ids, want %d", shards, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d shards: merged %v, want %v", shards, got, want)
+				}
+			}
+		}
+	}
+}

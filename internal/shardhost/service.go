@@ -155,11 +155,13 @@ func (h *Host) Query(ctx context.Context, req *QueryRequest, reply *QueryReply, 
 			reply.Err = err
 			return
 		}
-		locals := res.AnswerIDs()
-		ids := make([]int, len(locals))
-		for j, l := range locals {
-			ids[j] = h.localToGlobal[l]
-		}
+		// Global ids straight from the answer bitset: local ids ascend,
+		// and so do their global ids, so the reply needs no sort.
+		ids := make([]int, 0, res.Answer.Count())
+		res.Answer.ForEach(func(l int) bool {
+			ids = append(ids, h.localToGlobal[l])
+			return true
+		})
 		reply.IDs = ids
 		reply.Stats = res.Stats
 	})

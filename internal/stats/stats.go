@@ -62,24 +62,3 @@ func (r *Running) CoV2() float64 {
 	}
 	return r.Variance() / (r.mean * r.mean)
 }
-
-// Mean returns the arithmetic mean of xs (0 for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	return r.Std()
-}

@@ -71,14 +71,14 @@ func TestCoV2Constant(t *testing.T) {
 }
 
 func TestMeanStd(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
+	if mean(nil) != 0 {
+		t.Fatal("mean(nil) != 0")
 	}
-	if !almost(Mean([]float64{1, 2, 3}), 2, 1e-12) {
-		t.Fatal("Mean wrong")
+	if !almost(mean([]float64{1, 2, 3}), 2, 1e-12) {
+		t.Fatal("mean wrong")
 	}
-	if !almost(Std([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2, 1e-12) {
-		t.Fatal("Std wrong")
+	if !almost(std([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2, 1e-12) {
+		t.Fatal("std wrong")
 	}
 }
 
@@ -92,8 +92,8 @@ func TestQuickRunningMatchesBatch(t *testing.T) {
 			xs[i] = rng.NormFloat64()*10 + 5
 			r.Add(xs[i])
 		}
-		return almost(r.Mean(), Mean(xs), 1e-9) &&
-			almost(r.Std(), Std(xs), 1e-9) &&
+		return almost(r.Mean(), mean(xs), 1e-9) &&
+			almost(r.Std(), std(xs), 1e-9) &&
 			almost(r.CoV2(), CoV2Of(xs), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -140,4 +140,29 @@ func CoV2Of(xs []float64) float64 {
 		r.Add(x)
 	}
 	return r.CoV2()
+}
+
+// mean and std are the two-pass batch references the Running
+// accumulator is checked against: the arithmetic mean and the
+// population standard deviation of xs (both 0 for empty).
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+func std(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m, ss := mean(xs), 0.0
+	for _, x := range xs {
+		ss += (x - m) * (x - m)
+	}
+	return math.Sqrt(ss / float64(len(xs)))
 }
