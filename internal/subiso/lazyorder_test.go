@@ -1,13 +1,9 @@
 package subiso_test
 
 import (
-	"math/rand"
 	"testing"
 
-	"gcplus/internal/graph"
 	"gcplus/internal/subiso"
-	"gcplus/internal/synthetic"
-	"gcplus/internal/workload"
 )
 
 // TestLazyOrderSameSearch pins the lazily built visit order to the search
@@ -19,26 +15,15 @@ import (
 // The ledger's audit oracle runs this very Matcher, so it cannot catch a
 // kernel change; this test and TestMatcherAgreesWithOracle can.
 func TestLazyOrderSameSearch(t *testing.T) {
-	ds, err := synthetic.Generate(synthetic.Default().WithGraphs(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := workload.TypeA(ds, workload.TypeAConfig{Queries: 60, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	supers := make([]*graph.Graph, 12)
-	for i := range supers {
-		supers[i] = subiso.SuperQueryOf(rng, ds[rng.Intn(len(ds))])
-	}
+	ds, queries := pinCorpus(t)
 	for _, algo := range []subiso.Algorithm{subiso.VF2{}, subiso.VF2Plus{}} {
 		var matchers []*subiso.Matcher
-		for _, q := range wl.Queries {
-			matchers = append(matchers, subiso.CompileSub(q, algo))
-		}
-		for _, q := range supers {
-			matchers = append(matchers, subiso.CompileSuper(q, algo))
+		for i, q := range queries {
+			if i < len(queries)-12 {
+				matchers = append(matchers, subiso.CompileSub(q, algo))
+			} else {
+				matchers = append(matchers, subiso.CompileSuper(q, algo))
+			}
 		}
 		positives, states := 0, 0
 		for i, m := range matchers {
