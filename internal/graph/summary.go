@@ -155,6 +155,20 @@ func (s *Summary) Profile(v int) []Label {
 	return s.profLab[s.profOff[v]:s.profOff[v+1]]
 }
 
+// LabelRun returns the vertices carrying label l, ascending: l's run of
+// ByLabel, empty when no vertex carries l. The caller must not modify it.
+func (s *Summary) LabelRun(l Label) []int32 {
+	k := s.labelIndex(l)
+	if k == len(s.labels) || s.labels[k].Label != l {
+		return nil
+	}
+	off := int32(0)
+	for _, lc := range s.labels[:k] {
+		off += lc.Count
+	}
+	return s.byLabel[off : off+s.labels[k].Count]
+}
+
 // LabelFreq returns the number of vertices carrying label l.
 func (s *Summary) LabelFreq(l Label) int32 {
 	if i := s.labelIndex(l); i < len(s.labels) && s.labels[i].Label == l {
@@ -188,11 +202,6 @@ func (s *Summary) SubsumedBy(o *Summary) bool {
 	if s.vertices > o.vertices || s.edges > o.edges || s.maxDegree > o.maxDegree {
 		return false
 	}
-	for k, d := range s.degrees {
-		if d > o.degrees[k] {
-			return false
-		}
-	}
 	i, j := 0, 0
 	for i < len(s.labels) {
 		if j == len(o.labels) || s.labels[i].Label < o.labels[j].Label {
@@ -207,6 +216,11 @@ func (s *Summary) SubsumedBy(o *Summary) bool {
 		}
 		i++
 		j++
+	}
+	for k, d := range s.degrees {
+		if d > o.degrees[k] {
+			return false
+		}
 	}
 	return true
 }

@@ -28,16 +28,15 @@ type Matcher struct {
 	// refineLevels is GraphQL's global-refinement sweep bound.
 	refineLevels int
 
-	// subOrder/subAnchor are VF2's precompiled visit order and anchors:
-	// vanilla VF2 orders by vertex index, which is target-independent, so
-	// a sub-mode compile pins them once for every candidate. Every other
-	// VF2/VF2+ order depends on the pattern of the call (super mode) or
-	// on target label rarity (VF2+), so it is built lazily per call, one
-	// depth at a time as the search first reaches it (nextInOrder); GQL
-	// orders by candidate-set size, built in full per call. All on
-	// scratch, without allocating.
-	subOrder  []int32
-	subAnchor []int32
+	// subOrder is VF2's precompiled visit order: vanilla VF2 orders by
+	// vertex index, which is target-independent, so a sub-mode compile
+	// pins it once for every candidate. Every other VF2/VF2+ order
+	// depends on the pattern of the call (super mode) or on target label
+	// rarity (VF2+), so it is built lazily per call, one depth at a time
+	// as the search first reaches it (extendOrder); GQL orders by
+	// candidate-set size, built in full per call. All on scratch,
+	// without allocating.
+	subOrder *visitOrder
 
 	sc scratch
 
@@ -48,11 +47,27 @@ type Matcher struct {
 	// search methods; kept on the Matcher so recursion allocates nothing).
 	cp, ct   *graph.Graph
 	cps, cts *graph.Summary
-	order    []int32
-	anchor   []int32
-	built    int     // order[:built] and anchor[:built] are decided
-	freq     []int32 // VF2+ rarity keys per pattern vertex; nil for VF2
-	plus     bool    // VF2+ pruning rules active
+	np       int         // pattern vertices: the search depth
+	vo       *visitOrder // subOrder, or the scratch order being built
+	built    int         // vo's depths [0, built) are decided
+	freq     []int32     // VF2+ rarity keys per pattern vertex once depth 1 is built; nil for VF2
+	plus     bool        // VF2+ pruning rules active
+}
+
+// visitOrder is a VF2/VF2+ visit order with what each depth's
+// feasibility check needs, fixed once the depth is placed. At depth d:
+//   - order[d] is the pattern vertex placed there;
+//   - anchor[d] is the depth of its earliest placed neighbour, or -1 for
+//     a component root. The candidates are that depth's image's target
+//     neighbours, or for a root the target's run of order[d]'s label;
+//   - back[backOff[d]:backOff[d+1]] are its other neighbours placed
+//     before d, the edges every candidate must also have;
+//   - free[d] counts its neighbours placed after d, the pattern side of
+//     VF2+'s look-ahead.
+//
+// GQL fills only order and anchor.
+type visitOrder struct {
+	order, anchor, free, backOff, back []int32
 }
 
 // engineKind selects the compiled code path for one Algorithm.
@@ -87,7 +102,7 @@ func kindOf(algo Algorithm) engineKind {
 func CompileSub(pattern *graph.Graph, algo Algorithm) *Matcher {
 	m := newMatcher(pattern, algo, false)
 	if m.kind == kindVF2 && pattern.NumVertices() > 0 {
-		m.subOrder, m.subAnchor = fullOrder(pattern)
+		m.subOrder = fullOrder(pattern)
 	}
 	return m
 }
@@ -133,7 +148,6 @@ func (m *Matcher) Fork() *Matcher {
 		fsum:         m.fsum,
 		refineLevels: m.refineLevels,
 		subOrder:     m.subOrder,
-		subAnchor:    m.subAnchor,
 	}
 }
 
@@ -168,7 +182,7 @@ func (m *Matcher) Contains(other *graph.Graph) bool {
 			return false
 		}
 		m.cp, m.ct = p, t
-		m.prepare(np, t.NumVertices())
+		m.prepare(np, 0, t.NumVertices())
 		return m.bruteMatch(0)
 	}
 
@@ -181,25 +195,20 @@ func (m *Matcher) Contains(other *graph.Graph) bool {
 	if !ps.SubsumedBy(ts) {
 		return false
 	}
-	m.cp, m.ct, m.cps, m.cts = p, t, ps, ts
-	nt := t.NumVertices()
-	m.prepare(np, nt)
-	sc := &m.sc
+	m.cp, m.ct, m.cps, m.cts, m.np = p, t, ps, ts, np
+	m.prepare(np, p.NumEdges(), t.NumVertices())
 
 	if m.kind == kindGQL {
 		return m.gql()
 	}
 	m.plus = m.kind == kindVF2Plus
 	if m.subOrder != nil {
-		m.order, m.anchor, m.built = m.subOrder, m.subAnchor, np
+		m.vo, m.built = m.subOrder, np
 		return m.vf2Match(0)
 	}
 	m.freq = nil
-	if m.plus {
-		m.freq = sc.rarityKeys(ps, ts)
-	}
-	m.order, m.anchor, m.built = sc.order[:np], sc.anchor[:np], 0
-	sc.startOrder(np)
+	m.vo, m.built = &m.sc.vo, 0
+	m.sc.startOrder(np)
 	return m.vf2Match(0)
 }
 
@@ -223,45 +232,79 @@ func (sc *scratch) rarityKeys(ps, ts *graph.Summary) []int32 {
 	return freq
 }
 
-// prepare sizes the scratch for an (np, nt) test and resets the search
-// state (core mapping and used marks).
-func (m *Matcher) prepare(np, nt int) {
-	sc := &m.sc
-	sc.growPattern(np)
-	sc.used = growBool(sc.used, nt)
-	core := sc.core[:np]
-	for i := range core {
-		core[i] = -1
+// rarestRoot returns VF2+'s first vertex, the least pattern vertex in
+// betterRoot's order (rarer target label, then higher degree, then lower
+// index), without rarity keys: the same merge walk as rarityKeys prices
+// each pattern label once, and only the runs of the rarest labels are
+// scanned. A test that fails at the root never builds the keys.
+func (m *Matcher) rarestRoot() int {
+	p := m.cp
+	tl, byLabel := m.cts.LabelCounts(), m.cps.ByLabel()
+	best, bestFreq := -1, int32(0)
+	j := 0
+	for _, lc := range m.cps.LabelCounts() {
+		for tl[j].Label != lc.Label {
+			j++
+		}
+		run := byLabel[:lc.Count]
+		byLabel = byLabel[lc.Count:]
+		f := tl[j].Count
+		if best >= 0 && f > bestFreq {
+			continue
+		}
+		for _, v := range run {
+			switch {
+			case best == -1, f < bestFreq,
+				p.Degree(int(v)) > p.Degree(best),
+				p.Degree(int(v)) == p.Degree(best) && int(v) < best:
+				best, bestFreq = int(v), f
+			}
+		}
 	}
-	used := sc.used[:nt]
-	for i := range used {
-		used[i] = false
+	return best
+}
+
+// prepare sizes the scratch for a test of an np-vertex, ne-edge pattern
+// against an nt-vertex target. A VF2, VF2+ or GQL search unwinds its
+// mapping before it returns, so the core mapping (all -1) and the used
+// marks (all false) are left clean for the next test and are set only
+// where the scratch grows. Brute's search returns with its embedding in
+// place, so a Brute matcher clears them on every test.
+func (m *Matcher) prepare(np, ne, nt int) {
+	sc := &m.sc
+	sc.growPattern(np, ne)
+	if len(sc.used) < nt {
+		sc.used = make([]bool, max(nt, 2*len(sc.used)))
+	}
+	if m.kind == kindBrute {
+		for i := range sc.core[:np] {
+			sc.core[i] = -1
+		}
+		clear(sc.used[:nt])
 	}
 }
 
-// scratch is the pooled, reusable search state. Slices grow to the
-// largest pattern/target seen and are never shrunk, so steady-state
-// Contains calls allocate nothing.
+// scratch is the pooled, reusable search state. Slices grow, at least
+// doubling, to the largest pattern/target seen and are never shrunk, so
+// steady-state Contains calls allocate nothing; pattern-sized slices are
+// as long as the capacity they were carved with, and callers index them
+// below the pattern's size.
 type scratch struct {
+	// vo is the visit order being built; back is pattern-edge-sized,
+	// backOff one longer than the pattern, the rest pattern-sized
+	vo visitOrder
 	// pattern-sized
-	order, anchor, pos, ordered, freq, core []int32
-	frontier                                []int32
-	inOrder                                 []bool
-	gdone, gadj                             []bool
-	cand                                    [][]int32
-	inCand                                  [][]bool
+	pos, ordered, freq, core []int32
+	frontier                 []int32
+	inOrder                  []bool
+	gdone, gadj              []bool
+	cand                     [][]int32
+	inCand                   [][]bool
 	// target-sized; bm is GraphQL's alone and grows only on its path, so
 	// a cached VF2/VF2+ matcher does not retain matching buffers it never
 	// touches
 	used []bool
 	bm   bipartiteMatcher
-}
-
-func grow32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 func growBool(s []bool, n int) []bool {
@@ -271,23 +314,32 @@ func growBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
-func (sc *scratch) growPattern(np int) {
-	sc.order = grow32(sc.order, np)
-	sc.anchor = grow32(sc.anchor, np)
-	sc.pos = grow32(sc.pos, np)
-	sc.ordered = grow32(sc.ordered, np)
-	sc.freq = grow32(sc.freq, np)
-	sc.core = grow32(sc.core, np)
-	sc.frontier = grow32(sc.frontier, np)
-	sc.inOrder = growBool(sc.inOrder, np)
-	sc.gdone = growBool(sc.gdone, np)
-	sc.gadj = growBool(sc.gadj, np)
-	for len(sc.cand) < np {
-		sc.cand = append(sc.cand, nil)
+// growPattern sizes the pattern-side scratch for an np-vertex, ne-edge
+// pattern. The pattern-sized int32 and bool slices are carved out of one
+// allocation each; a fresh core mapping starts all -1.
+func (sc *scratch) growPattern(np, ne int) {
+	if ne > len(sc.vo.back) {
+		sc.vo.back = make([]int32, max(ne, 2*len(sc.vo.back)))
 	}
-	for len(sc.inCand) < np {
-		sc.inCand = append(sc.inCand, nil)
+	if np <= len(sc.core) {
+		return
 	}
+	n := max(np, 2*len(sc.core))
+	buf := make([]int32, 9*n+1)
+	carve := func(k int) []int32 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	sc.vo.order, sc.vo.anchor, sc.vo.free = carve(n), carve(n), carve(n)
+	sc.vo.backOff = carve(n + 1)
+	sc.pos, sc.ordered, sc.freq, sc.core = carve(n), carve(n), carve(n), carve(n)
+	sc.frontier = buf[:0:n]
+	for i := range sc.core {
+		sc.core[i] = -1
+	}
+	bools := make([]bool, 3*n)
+	sc.inOrder, sc.gdone, sc.gadj = bools[:n:n], bools[n:2*n:2*n], bools[2*n:]
 }
 
 // startOrder resets the visit-order builder for an np-vertex pattern.
@@ -295,16 +347,17 @@ func (sc *scratch) startOrder(np int) {
 	clear(sc.inOrder[:np])
 	clear(sc.ordered[:np])
 	sc.frontier = sc.frontier[:0]
+	sc.vo.backOff[0] = 0
 }
 
-// nextInOrder decides order[d] and anchor[d] of VF2/VF2+'s connected
-// visit order, in which each vertex after the first of its component has
-// an earlier neighbour. The pick is the unplaced vertex with the most
-// placed neighbours; ties, and component roots, go to betterRoot. Only
-// frontier vertices (unplaced, with a placed neighbour, counted in
-// ordered) can have any, so it scans all unplaced vertices only to root a
-// new component. A frontier vertex's anchor — the earliest position of a
-// placed neighbour — is where it joined the frontier (kept in pos).
+// nextInOrder decides depth d of VF2/VF2+'s connected visit order, in
+// which each vertex after the first of its component has an earlier
+// neighbour. The pick is the unplaced vertex with the most placed
+// neighbours; ties, and component roots, go to betterRoot. Only frontier
+// vertices (unplaced, with a placed neighbour, counted in ordered) can
+// have any, so it scans all unplaced vertices only to root a new
+// component. A frontier vertex's anchor — the earliest depth of a placed
+// neighbour — is where it joined the frontier (kept in pos).
 func (sc *scratch) nextInOrder(p *graph.Graph, freq []int32, d int) {
 	best, at := -1, -1
 	for i, v := range sc.frontier {
@@ -327,10 +380,28 @@ func (sc *scratch) nextInOrder(p *graph.Graph, freq []int32, d int) {
 			}
 		}
 	}
-	sc.inOrder[best] = true
-	sc.order[d], sc.anchor[d] = int32(best), anchor
-	for _, w := range p.Neighbors(best) {
+	sc.place(p, best, anchor, d)
+}
+
+// place puts pattern vertex v at depth d with the given anchor, records
+// the depth's back edges and look-ahead count, and moves v's unplaced
+// neighbours onto the frontier.
+func (sc *scratch) place(p *graph.Graph, v int, anchor int32, d int) {
+	vo := &sc.vo
+	sc.inOrder[v] = true
+	vo.order[d], vo.anchor[d] = int32(v), anchor
+	vo.free[d] = int32(p.Degree(v)) - sc.ordered[v]
+	av := int32(-1)
+	if anchor >= 0 {
+		av = vo.order[anchor]
+	}
+	k := vo.backOff[d]
+	for _, w := range p.Neighbors(v) {
 		if sc.inOrder[w] {
+			if w != av {
+				vo.back[k] = w
+				k++
+			}
 			continue
 		}
 		if sc.ordered[w] == 0 {
@@ -339,23 +410,29 @@ func (sc *scratch) nextInOrder(p *graph.Graph, freq []int32, d int) {
 		}
 		sc.ordered[w]++
 	}
+	vo.backOff[d+1] = k
 }
 
 // fullOrder runs the builder to completion with VF2's index tie-break,
 // for the order CompileSub fixes per pattern, on fresh buffers holding
 // only what the builder touches.
-func fullOrder(p *graph.Graph) (order, anchor []int32) {
+func fullOrder(p *graph.Graph) *visitOrder {
 	n := p.NumVertices()
-	out, tmp := make([]int32, 2*n), make([]int32, 3*n)
+	out, tmp := make([]int32, 4*n+1+p.NumEdges()), make([]int32, 3*n)
 	sc := scratch{
-		order: out[:n:n], anchor: out[n:],
+		vo: visitOrder{
+			order: out[:n:n], anchor: out[n : 2*n : 2*n], free: out[2*n : 3*n : 3*n],
+			backOff: out[3*n : 4*n+1 : 4*n+1], back: out[4*n+1:],
+		},
 		pos: tmp[:n], ordered: tmp[n : 2*n], frontier: tmp[2*n : 2*n : 3*n],
 		inOrder: make([]bool, n),
 	}
 	for d := 0; d < n; d++ {
 		sc.nextInOrder(p, nil, d)
 	}
-	return sc.order, sc.anchor
+	vo := sc.vo
+	vo.back = vo.back[:vo.backOff[n]]
+	return &vo
 }
 
 // betterRoot orders candidate vertices for nextInOrder: a nil freq gives
@@ -381,7 +458,7 @@ func betterRoot(p *graph.Graph, freq []int32, a, b int) bool {
 func (sc *scratch) buildAnchors(p *graph.Graph, order []int32) []int32 {
 	n := len(order)
 	pos := sc.pos
-	anchor := sc.anchor[:n]
+	anchor := sc.vo.anchor[:n]
 	for i, v := range order {
 		pos[v] = int32(i)
 	}
@@ -400,81 +477,97 @@ func (sc *scratch) buildAnchors(p *graph.Graph, order []int32) []int32 {
 	return anchor
 }
 
-// vf2Match is the shared VF2/VF2+ search over the compiled state.
+// extendOrder decides depth d of a lazily built order. VF2+'s root is
+// picked per label run (rarestRoot); its rarity keys, which every later
+// tie-break reads, are built when the search first reaches depth 1.
+func (m *Matcher) extendOrder(d int) {
+	sc := &m.sc
+	if m.plus && d == 0 {
+		sc.place(m.cp, m.rarestRoot(), -1, 0)
+	} else {
+		if m.plus && m.freq == nil {
+			m.freq = sc.rarityKeys(m.cps, m.cts)
+		}
+		sc.nextInOrder(m.cp, m.freq, d)
+	}
+	m.built++
+}
+
+// vf2Match is the shared VF2/VF2+ search over the compiled state. The
+// pattern side of every feasibility check is fixed per depth, so it is
+// read once before the candidate loop, which tests only the target side:
+// label, degree, the back edges, and for VF2+ the neighbourhood profile
+// and the look-ahead.
 func (m *Matcher) vf2Match(d int) bool {
-	if d == len(m.order) {
+	if d == m.np {
 		return true
 	}
 	if d == m.built {
-		m.sc.nextInOrder(m.cp, m.freq, d)
-		m.built++
+		m.extendOrder(d)
 	}
-	pv := int(m.order[d])
-	if a := m.anchor[d]; a >= 0 {
-		tAnchor := int(m.sc.core[m.order[a]])
-		for _, tv := range m.ct.Neighbors(tAnchor) {
-			if m.vf2Feasible(pv, int(tv)) && m.vf2Extend(d, pv, int(tv)) {
-				return true
+	vo, sc, t := m.vo, &m.sc, m.ct
+	pv := int(vo.order[d])
+	label, degree := m.cp.Label(pv), m.cp.Degree(pv)
+	var cands []int32
+	if a := vo.anchor[d]; a >= 0 {
+		cands = t.Neighbors(int(sc.core[vo.order[a]]))
+	} else {
+		cands = m.cts.LabelRun(label)
+	}
+	back := vo.back[vo.backOff[d]:vo.backOff[d+1]]
+	var profile []graph.Label
+	free := 0
+	if m.plus {
+		profile, free = m.cps.Profile(pv), int(vo.free[d])
+	}
+next:
+	for _, c := range cands {
+		tv := int(c)
+		if sc.used[tv] || t.Label(tv) != label || t.Degree(tv) < degree {
+			continue
+		}
+		for _, pn := range back {
+			if !t.HasEdge(int(sc.core[pn]), tv) {
+				continue next
 			}
 		}
-		return false
-	}
-	nt := m.ct.NumVertices()
-	for tv := 0; tv < nt; tv++ {
-		if m.vf2Feasible(pv, tv) && m.vf2Extend(d, pv, tv) {
+		if m.plus && !m.lookAhead(profile, free, d, tv) {
+			continue
+		}
+		m.states++
+		sc.core[pv] = c
+		sc.used[tv] = true
+		ok := m.vf2Match(d + 1)
+		sc.core[pv] = -1
+		sc.used[tv] = false
+		if ok {
 			return true
 		}
 	}
 	return false
 }
 
-func (m *Matcher) vf2Extend(d, pv, tv int) bool {
-	m.states++
-	m.sc.core[pv] = int32(tv)
-	m.sc.used[tv] = true
-	ok := m.vf2Match(d + 1)
-	m.sc.core[pv] = -1
-	m.sc.used[tv] = false
-	return ok
-}
-
-func (m *Matcher) vf2Feasible(pv, tv int) bool {
-	sc := &m.sc
-	if sc.used[tv] || m.cp.Label(pv) != m.ct.Label(tv) {
+// lookAhead is VF2+'s pruning of target vertex tv for a depth-d pattern
+// vertex with neighbourhood label profile and free unplaced neighbours.
+func (m *Matcher) lookAhead(profile []graph.Label, free, d, tv int) bool {
+	// Neighbourhood label containment via the precomputed sorted
+	// profiles (the map-free form of VF2+'s per-label count check).
+	if !profileContains(profile, m.cts.Profile(tv)) {
 		return false
 	}
-	if m.cp.Degree(pv) > m.ct.Degree(tv) {
-		return false
+	// Monomorphism-safe 1-look-ahead. Only d target vertices are used, so
+	// at least Degree(tv) - d of tv's neighbours are free.
+	t := m.ct
+	if free <= t.Degree(tv)-d {
+		return true
 	}
-	for _, pn := range m.cp.Neighbors(pv) {
-		if c := sc.core[pn]; c >= 0 && !m.ct.HasEdge(int(c), tv) {
-			return false
-		}
-	}
-	if m.plus {
-		// Neighbourhood label containment via the precomputed sorted
-		// profiles (the map-free form of VF2+'s per-label count check).
-		if !profileContains(m.cps.Profile(pv), m.cts.Profile(tv)) {
-			return false
-		}
-		// Monomorphism-safe 1-look-ahead.
-		pFree := 0
-		for _, pn := range m.cp.Neighbors(pv) {
-			if sc.core[pn] < 0 {
-				pFree++
-			}
-		}
-		tFree := 0
-		for _, tn := range m.ct.Neighbors(tv) {
-			if !sc.used[tn] {
-				tFree++
-			}
-		}
-		if pFree > tFree {
-			return false
+	tFree := 0
+	for _, tn := range t.Neighbors(tv) {
+		if !m.sc.used[tn] {
+			tFree++
 		}
 	}
-	return true
+	return free <= tFree
 }
 
 // gql is GraphQL's three stages on compiled state: local pruning from the
@@ -485,6 +578,10 @@ func (m *Matcher) gql() bool {
 	np, nt := p.NumVertices(), t.NumVertices()
 	sc := &m.sc
 	sc.bm.grow(nt)
+	for len(sc.cand) < np {
+		sc.cand = append(sc.cand, nil)
+		sc.inCand = append(sc.inCand, nil)
+	}
 
 	// Stage 1: local pruning into pooled candidate rows.
 	for u := 0; u < np; u++ {
@@ -540,8 +637,8 @@ func (m *Matcher) gql() bool {
 	}
 
 	// Stage 3: search-order optimization + DFS.
-	m.order = sc.gqlOrder(p)
-	m.anchor = sc.buildAnchors(p, m.order)
+	sc.buildAnchors(p, sc.gqlOrder(p))
+	m.vo = &sc.vo
 	return m.gqlSearch(0)
 }
 
@@ -549,7 +646,7 @@ func (m *Matcher) gql() bool {
 // ordered set) with the smallest candidate list, on scratch.
 func (sc *scratch) gqlOrder(p *graph.Graph) []int32 {
 	n := p.NumVertices()
-	order := sc.order[:n]
+	order := sc.vo.order[:n]
 	done := sc.gdone[:n]
 	adjacent := sc.gadj[:n]
 	for i := range done {
@@ -580,12 +677,12 @@ func (sc *scratch) gqlOrder(p *graph.Graph) []int32 {
 }
 
 func (m *Matcher) gqlSearch(d int) bool {
-	if d == len(m.order) {
+	if d == m.np {
 		return true
 	}
-	pv := int(m.order[d])
-	if a := m.anchor[d]; a >= 0 {
-		tAnchor := int(m.sc.core[m.order[a]])
+	pv := int(m.vo.order[d])
+	if a := m.vo.anchor[d]; a >= 0 {
+		tAnchor := int(m.sc.core[m.vo.order[a]])
 		for _, tv := range m.ct.Neighbors(tAnchor) {
 			if m.gqlTry(d, pv, int(tv)) {
 				return true

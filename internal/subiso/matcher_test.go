@@ -241,14 +241,40 @@ func refOrder(p *graph.Graph, freq []int32) (order, anchor []int32) {
 		}
 	}
 	var sc scratch
-	sc.growPattern(n)
+	sc.growPattern(n, 0)
 	return order, slices.Clone(sc.buildAnchors(p, order))
 }
 
+// refChecks derives a finished order's per-depth checks from the order
+// alone, independently of the builder that records them as it places
+// each depth: a neighbour placed later counts towards free, one placed
+// earlier other than the anchor's vertex goes on the depth's back list.
+func refChecks(p *graph.Graph, order, anchor []int32) *visitOrder {
+	n := len(order)
+	pos := make([]int, n)
+	for d, v := range order {
+		pos[v] = d
+	}
+	vo := &visitOrder{order: order, anchor: anchor, free: make([]int32, n), backOff: make([]int32, n+1)}
+	for d, v := range order {
+		for _, w := range p.Neighbors(int(v)) {
+			switch {
+			case pos[w] > d:
+				vo.free[d]++
+			case anchor[d] < 0 || w != order[anchor[d]]:
+				vo.back = append(vo.back, w)
+			}
+		}
+		vo.backOff[d+1] = int32(len(vo.back))
+	}
+	return vo
+}
+
 // containsEager is Contains for a VF2/VF2+ Matcher with the whole visit
-// order prebuilt by refOrder and the rarity keys looked up per vertex
-// with LabelFreq: only how the order is built differs from Contains, so
-// verdicts and States() must agree exactly.
+// order prebuilt by refOrder, its per-depth checks derived by refChecks,
+// and the rarity keys looked up per vertex with LabelFreq: only how the
+// order and its checks are built differs from Contains, so verdicts and
+// States() must agree exactly.
 func containsEager(m *Matcher, other *graph.Graph) bool {
 	p, t, ps, ts := m.fixed, other, m.fsum, other.Summary()
 	if m.super {
@@ -257,8 +283,8 @@ func containsEager(m *Matcher, other *graph.Graph) bool {
 	if !ps.SubsumedBy(ts) {
 		return false
 	}
-	m.cp, m.ct, m.cps, m.cts = p, t, ps, ts
-	m.prepare(p.NumVertices(), t.NumVertices())
+	m.cp, m.ct, m.cps, m.cts, m.np = p, t, ps, ts, p.NumVertices()
+	m.prepare(p.NumVertices(), p.NumEdges(), t.NumVertices())
 	m.plus = m.kind == kindVF2Plus
 	var freq []int32
 	if m.plus {
@@ -267,8 +293,9 @@ func containsEager(m *Matcher, other *graph.Graph) bool {
 			freq[v] = ts.LabelFreq(p.Label(v))
 		}
 	}
-	m.order, m.anchor = refOrder(p, freq)
-	m.built = len(m.order)
+	order, anchor := refOrder(p, freq)
+	m.vo = refChecks(p, order, anchor)
+	m.built = m.np
 	return m.vf2Match(0)
 }
 
@@ -276,7 +303,8 @@ func containsEager(m *Matcher, other *graph.Graph) bool {
 // byte sizes it, byte pairs after it are edges (self loops and repeats
 // skipped, so isolated vertices and several components are common). With
 // rarity the same bytes also give each vertex a key from a 4-value
-// alphabet, so key ties are the rule; without, keys are nil (VF2).
+// alphabet, so key ties are the rule, and the key is also the vertex's
+// label; without, keys are nil (VF2) and every label is 0.
 func fuzzPattern(data []byte, rarity bool) (*graph.Graph, []int32) {
 	n := 1
 	if len(data) > 0 {
@@ -289,9 +317,13 @@ func fuzzPattern(data []byte, rarity bool) (*graph.Graph, []int32) {
 		freq = make([]int32, n)
 	}
 	for v := 0; v < n; v++ {
-		b.AddVertex(0)
 		if rarity && v < len(data) {
 			freq[v] = int32(data[v] % 4)
+		}
+		if rarity {
+			b.AddVertex(graph.Label(freq[v]))
+		} else {
+			b.AddVertex(0)
 		}
 	}
 	seen := map[[2]int]bool{}
@@ -308,9 +340,10 @@ func fuzzPattern(data []byte, rarity bool) (*graph.Graph, []int32) {
 	return b.MustBuild(), freq
 }
 
-// FuzzVisitOrder checks the lazy visit-order builder against refOrder:
-// built one depth at a time from the frontier, on scratch that already
-// built another order, it must produce the same order and anchors.
+// FuzzVisitOrder checks the lazy visit-order builder against refOrder
+// and refChecks: built one depth at a time from the frontier, on scratch
+// that already built another order, it must produce the same order,
+// anchors, back lists and look-ahead counts.
 func FuzzVisitOrder(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 3, 4}, false)
 	f.Add([]byte{5, 0, 1, 1, 2, 3, 4}, true)
@@ -319,24 +352,64 @@ func FuzzVisitOrder(f *testing.F) {
 	f.Add([]byte{23, 0, 1, 1, 2, 2, 0, 5, 6, 6, 7, 7, 5, 9, 12}, false)
 	f.Fuzz(func(t *testing.T, data []byte, rarity bool) {
 		p, freq := fuzzPattern(data, rarity)
-		want, wantAnchor := refOrder(p, freq)
+		order, anchor := refOrder(p, freq)
+		want := refChecks(p, order, anchor)
 		n := p.NumVertices()
 		var sc scratch
 		// start dirty: scratch that already built a 24-vertex path's order
 		dirty := graph.Path(make([]graph.Label, 24)...)
-		sc.growPattern(24)
+		sc.growPattern(24, dirty.NumEdges())
 		sc.startOrder(24)
 		for d := 0; d < 24; d++ {
 			sc.nextInOrder(dirty, nil, d)
 		}
-		sc.growPattern(n)
+		sc.growPattern(n, p.NumEdges())
 		sc.startOrder(n)
 		for d := 0; d < n; d++ {
 			sc.nextInOrder(p, freq, d)
 		}
-		if !slices.Equal(sc.order[:n], want) || !slices.Equal(sc.anchor[:n], wantAnchor) {
+		got := sc.vo
+		if !slices.Equal(got.order[:n], want.order) || !slices.Equal(got.anchor[:n], want.anchor) {
 			t.Fatalf("lazy order %v anchors %v, eager %v anchors %v (keys %v)",
-				sc.order[:n], sc.anchor[:n], want, wantAnchor, freq)
+				got.order[:n], got.anchor[:n], want.order, want.anchor, freq)
+		}
+		if !slices.Equal(got.free[:n], want.free) || !slices.Equal(got.backOff[:n+1], want.backOff) ||
+			!slices.Equal(got.back[:got.backOff[n]], want.back) {
+			t.Fatalf("order %v: lazy free %v back %v at %v, reference free %v back %v at %v",
+				want.order, got.free[:n], got.back[:got.backOff[n]], got.backOff[:n+1], want.free, want.back, want.backOff)
+		}
+	})
+}
+
+// FuzzMatcherAgreesWithBrute decodes a pattern of 1–6 vertices and a
+// target of 1–12 with fuzzPattern (labelled from a 4-letter alphabet, or
+// all alike) and checks every production matcher against Brute in both
+// compile directions: CompileSub(pattern) and CompileSuper(target) must
+// each report pattern ⊆ target exactly when Brute does. The sizes keep
+// Brute's exhaustive search fast on any input.
+func FuzzMatcherAgreesWithBrute(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 1, 2}, []byte{5, 0, 1, 1, 2, 2, 3, 3, 4}, false)
+	f.Add([]byte{2, 0, 1, 1, 2, 2, 0}, []byte{3, 0, 1, 1, 2, 2, 3, 3, 0}, false) // triangle vs square
+	f.Add([]byte{3, 1, 2, 3, 1, 0, 1, 1, 2, 2, 3}, []byte{9, 1, 2, 3, 1, 2, 3, 1, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6}, true)
+	f.Add([]byte{1}, []byte{4, 3, 3, 3}, true)
+	f.Fuzz(func(t *testing.T, pat, tgt []byte, labelled bool) {
+		clip := func(data []byte, n byte) []byte {
+			if len(data) == 0 {
+				return data
+			}
+			return append([]byte{data[0] % n}, data[1:]...)
+		}
+		p, _ := fuzzPattern(clip(pat, 6), labelled)
+		tg, _ := fuzzPattern(clip(tgt, 12), labelled)
+		want := Brute{}.Contains(p, tg)
+		for _, name := range Names() {
+			algo, _ := New(name)
+			if got := CompileSub(p, algo).Contains(tg); got != want {
+				t.Fatalf("%s CompileSub: %v, brute %v\npattern %v\ntarget %v", name, got, want, p, tg)
+			}
+			if got := CompileSuper(tg, algo).Contains(p); got != want {
+				t.Fatalf("%s CompileSuper: %v, brute %v\npattern %v\ntarget %v", name, got, want, p, tg)
+			}
 		}
 	})
 }

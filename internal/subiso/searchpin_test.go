@@ -70,6 +70,36 @@ func TestSearchPinned(t *testing.T) {
 	}
 }
 
+// TestContainsAllocs pins the engine's steady state: once a matcher's
+// scratch has grown over the corpus, a second pass of Contains calls
+// allocates nothing, for every production algorithm in both compile
+// directions.
+func TestContainsAllocs(t *testing.T) {
+	ds, queries := pinCorpus(t)
+	ds = ds[:60]
+	for _, name := range subiso.Names() {
+		algo, err := subiso.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []*graph.Graph{queries[0], queries[len(queries)-1]} {
+			for dir, m := range map[string]*subiso.Matcher{
+				"sub": subiso.CompileSub(q, algo), "super": subiso.CompileSuper(q, algo),
+			} {
+				pass := func() {
+					for _, g := range ds {
+						m.Contains(g)
+					}
+				}
+				pass()
+				if a := testing.AllocsPerRun(5, pass); a != 0 {
+					t.Errorf("%s %s: %.1f allocs per pass of %d tests after warm-up", name, dir, a, len(ds))
+				}
+			}
+		}
+	}
+}
+
 // pinCorpus is the search pin's fixed corpus: 300 AIDS-like graphs, 60
 // Type A queries at seed 1, then 12 supergraph queries (a dataset graph
 // plus three vertices) at seed 1.
@@ -88,4 +118,61 @@ func pinCorpus(t testing.TB) (ds, queries []*graph.Graph) {
 		queries = append(queries, subiso.SuperQueryOf(rng, ds[rng.Intn(len(ds))]))
 	}
 	return ds, queries
+}
+
+// BenchmarkVerifyScan is the kernel shape of the ledger's cold_scan
+// workload under VF2+, the server's default Method M: 400 distinct Type A
+// queries over 1 200 AIDS-like graphs (every 10th query replaced by a
+// supergraph query, compiled CompileSuper), each tested against every
+// graph as a cache-less verification loop would, plus hit discovery's
+// query-to-query tests among the first 120 queries in both directions.
+// It reports the mean cost and search states per test; states/test is
+// exact, so a kernel change that keeps the search must leave it equal.
+func BenchmarkVerifyScan(b *testing.B) {
+	ds, err := synthetic.Generate(synthetic.Default().WithGraphs(1200))
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl, err := workload.TypeA(ds, workload.TypeAConfig{Queries: 400, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range ds {
+		g.Summary()
+	}
+	rng := rand.New(rand.NewSource(1))
+	queries := wl.Queries
+	algo := subiso.VF2Plus{}
+	var verify, pairSub, pairSuper []*subiso.Matcher
+	for i := range queries {
+		if i%10 == 9 {
+			queries[i] = subiso.SuperQueryOf(rng, ds[rng.Intn(len(ds))])
+			verify = append(verify, subiso.CompileSuper(queries[i], algo))
+		} else {
+			verify = append(verify, subiso.CompileSub(queries[i], algo))
+		}
+		queries[i].Summary()
+	}
+	for _, q := range queries[:120] {
+		pairSub = append(pairSub, subiso.CompileSub(q, algo))
+		pairSuper = append(pairSuper, subiso.CompileSuper(q, algo))
+	}
+	tests, states := 0, 0
+	run := func(ms []*subiso.Matcher, gs []*graph.Graph) {
+		for _, m := range ms {
+			s0 := m.States()
+			for _, g := range gs {
+				m.Contains(g)
+			}
+			tests += len(gs)
+			states += m.States() - s0
+		}
+	}
+	for b.Loop() {
+		run(verify, ds)
+		run(pairSub, queries[:120])
+		run(pairSuper, queries[:120])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tests), "ns/test")
+	b.ReportMetric(float64(states)/float64(tests), "states/test")
 }
