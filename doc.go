@@ -48,15 +48,18 @@
 // nothing in steady state. A visit order that depends on the candidate
 // (VF2+'s rarity order, and any order in a supergraph test) is built
 // lazily, one depth at a time as the search first reaches it, so a
-// test that rejects early never pays for the rest of the order. Every
-// dataset graph carries a memoized structural
-// summary (sorted label counts, degree sequence, per-vertex neighbour
-// profiles) computed at insert/update time, making the per-candidate
-// quick-reject a map-free slice comparison. The surviving candidates
+// test that rejects early never pays for the rest of the order. A
+// depth's pattern-side checks are fixed when the depth is placed, and a
+// component root is tried only on the target's vertices of its label.
+// Every dataset graph carries a memoized structural summary (sorted
+// label counts, degree sequence, per-vertex neighbour profiles)
+// computed at insert/update time, making the per-candidate quick-reject
+// a map-free slice comparison. The surviving candidates
 // can additionally be verified by a bounded worker pool inside one
-// query — Options.VerifyParallelism, default GOMAXPROCS — with answers
-// bit-identical to sequential verification (checked by a randomized
-// -race stress test).
+// query — Options.VerifyParallelism, default GOMAXPROCS for a System;
+// a Server resolves a zero to GOMAXPROCS divided by the shard count
+// (min 1) — with answers bit-identical to sequential verification
+// (checked by a randomized -race stress test).
 //
 // # Concurrent serving
 //

@@ -8,15 +8,17 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
 )
 
 // TestDocReferencesResolve keeps the code map honest: every backticked
-// Go reference in docs/paper.md and in README.md's package map
-// ("## Layout") must still name something in the module, so a rename or
-// deletion cannot leave the docs pointing at nothing.
+// Go reference in docs/paper.md, in README.md's package map ("## Layout")
+// and in its verification and Method M sections must still name
+// something in the module, so a rename or deletion cannot leave the docs
+// pointing at nothing.
 //
 //   - pkg.Name, pkg.Type.Member: pkg is a package of this module; Name
 //     is a top-level declaration or test of it, Member a method or field.
@@ -25,15 +27,20 @@ import (
 //     words starting lower-case (commands, prose) and all-capital ones
 //     (workload and algorithm names) are not references.
 //   - A trailing `*` matches a prefix, a trailing `()` is ignored.
-//   - Paths (anything with a slash, or a .go file name) must exist.
+//   - A leading slash names an HTTP route: its path, up to any `?`,
+//     must be registered with a HandleFunc or Handle call.
+//   - Other paths (anything with a slash, or a .go file name) must exist.
 //
 // A dotted reference whose first part is neither a package nor a type
 // of this module (testing.B) is left to the standard library.
 func TestDocReferencesResolve(t *testing.T) {
 	idx := indexModule(t)
+	readme := readDoc(t, "README.md")
 	sources := map[string]string{
 		"docs/paper.md": readDoc(t, "docs/paper.md"),
-		"README.md":     markdownSection(t, readDoc(t, "README.md"), "## Layout"),
+	}
+	for _, h := range []string{"## Layout", "## Compiled-matcher verification engine", "## Compiled query plans & Method M"} {
+		sources["README.md "+h] = markdownSection(t, readme, h)
 	}
 	tick := regexp.MustCompile("`([^`\n]+)`")
 	ident := regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\*?$`)
@@ -44,6 +51,10 @@ func TestDocReferencesResolve(t *testing.T) {
 			switch {
 			case strings.ContainsAny(ref, " \t"):
 				continue
+			case strings.HasPrefix(ref, "/"):
+				if route, _, _ := strings.Cut(ref, "?"); !idx.routes[route] {
+					t.Errorf("%s: `%s` names no registered HTTP route", doc, m[1])
+				}
 			case strings.Contains(ref, "/") || strings.HasSuffix(ref, ".go"):
 				if !idx.hasPath(ref) {
 					t.Errorf("%s: `%s` names no file or directory in the module", doc, m[1])
@@ -93,6 +104,7 @@ func markdownSection(t *testing.T, text, heading string) string {
 
 // moduleIndex holds the names declared in the module's Go files.
 type moduleIndex struct {
+	routes   map[string]bool                       // HTTP route paths registered with Handle/HandleFunc
 	files    map[string]bool                       // base names of .go files
 	names    map[string]bool                       // every declared name, method and field
 	pkgDecls map[string]map[string]bool            // package → top-level names
@@ -102,7 +114,7 @@ type moduleIndex struct {
 func indexModule(t *testing.T) *moduleIndex {
 	t.Helper()
 	idx := &moduleIndex{
-		files: map[string]bool{}, names: map[string]bool{},
+		routes: map[string]bool{}, files: map[string]bool{}, names: map[string]bool{},
 		pkgDecls: map[string]map[string]bool{}, members: map[string]map[string]map[string]bool{},
 	}
 	fset := token.NewFileSet()
@@ -146,6 +158,23 @@ func (idx *moduleIndex) add(pkg string, f *ast.File) {
 		idx.members[pkg][typ][name] = true
 		idx.names[name] = true
 	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		lit, isLit := call.Args[0].(*ast.BasicLit)
+		if !ok || !isLit || lit.Kind != token.STRING || (sel.Sel.Name != "HandleFunc" && sel.Sel.Name != "Handle") {
+			return true
+		}
+		pattern, err := strconv.Unquote(lit.Value)
+		// "GET /stats" or "/stats": the path is the last field
+		if fields := strings.Fields(pattern); err == nil && len(fields) > 0 {
+			idx.routes[fields[len(fields)-1]] = true
+		}
+		return true
+	})
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:

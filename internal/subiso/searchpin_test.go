@@ -76,7 +76,6 @@ func TestSearchPinned(t *testing.T) {
 // directions.
 func TestContainsAllocs(t *testing.T) {
 	ds, queries := pinCorpus(t)
-	ds = ds[:60]
 	for _, name := range subiso.Names() {
 		algo, err := subiso.New(name)
 		if err != nil {
