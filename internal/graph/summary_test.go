@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -68,7 +69,14 @@ func TestSummaryMatchesGraph(t *testing.T) {
 					t.Fatalf("ByLabel run of label %d out of order: %v", c.Label, byLabel)
 				}
 			}
+			// LabelRun is that run
+			if !slices.Equal(s.LabelRun(c.Label), byLabel[k:k+int(c.Count)]) {
+				t.Fatalf("LabelRun(%d) = %v, ByLabel run %v", c.Label, s.LabelRun(c.Label), byLabel[k:k+int(c.Count)])
+			}
 			k += int(c.Count)
+		}
+		if s.LabelRun(graph.Label(999)) != nil {
+			t.Fatal("absent label should have an empty run")
 		}
 		// degree sequence: descending, and a permutation of the degrees
 		degs := make([]int, g.NumVertices())

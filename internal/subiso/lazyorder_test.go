@@ -19,7 +19,7 @@ func TestLazyOrderSameSearch(t *testing.T) {
 	for _, algo := range []subiso.Algorithm{subiso.VF2{}, subiso.VF2Plus{}} {
 		var matchers []*subiso.Matcher
 		for i, q := range queries {
-			if i < len(queries)-12 {
+			if i < len(queries)-pinSupers {
 				matchers = append(matchers, subiso.CompileSub(q, algo))
 			} else {
 				matchers = append(matchers, subiso.CompileSuper(q, algo))

@@ -25,9 +25,9 @@ type searchPin struct {
 // both ways (CompileSub and CompileSuper) for each production algorithm
 // and tested against every graph, and each test's verdict and States()
 // must match the committed digest. TestLazyOrderSameSearch compares two
-// searches that share vf2Match and vf2Feasible, so it cannot see a
-// change in that shared code; this test can. A kernel change that alters
-// the explored tree on purpose must re-pin it and say why.
+// searches that share vf2Match, so it cannot see a change in that shared
+// code; this test can. A kernel change that alters the explored tree on
+// purpose must re-pin it and say why.
 func TestSearchPinned(t *testing.T) {
 	want := map[string]searchPin{
 		"VF2":  {2186, 786516, 0x1be804c7bffac7fc},
@@ -99,9 +99,12 @@ func TestContainsAllocs(t *testing.T) {
 	}
 }
 
+// pinSupers is the number of supergraph queries that end pinCorpus.
+const pinSupers = 12
+
 // pinCorpus is the search pin's fixed corpus: 300 AIDS-like graphs, 60
-// Type A queries at seed 1, then 12 supergraph queries (a dataset graph
-// plus three vertices) at seed 1.
+// Type A queries at seed 1, then pinSupers supergraph queries (a dataset
+// graph plus three vertices) at seed 1.
 func pinCorpus(t testing.TB) (ds, queries []*graph.Graph) {
 	ds, err := synthetic.Generate(synthetic.Default().WithGraphs(300))
 	if err != nil {
@@ -113,7 +116,7 @@ func pinCorpus(t testing.TB) (ds, queries []*graph.Graph) {
 	}
 	queries = append(queries, wl.Queries...)
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 12; i++ {
+	for i := 0; i < pinSupers; i++ {
 		queries = append(queries, subiso.SuperQueryOf(rng, ds[rng.Intn(len(ds))]))
 	}
 	return ds, queries
