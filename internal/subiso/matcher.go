@@ -36,7 +36,7 @@ type Matcher struct {
 	// as the search first reaches it (extendOrder); GQL orders by
 	// candidate-set size, built in full per call. All on scratch,
 	// without allocating.
-	subOrder visitOrder
+	subOrder *visitOrder
 
 	sc scratch
 
@@ -48,7 +48,7 @@ type Matcher struct {
 	cp, ct   *graph.Graph
 	cps, cts *graph.Summary
 	np       int         // pattern vertices: the search depth
-	vo       *visitOrder // &subOrder, or the scratch order being built
+	vo       *visitOrder // subOrder, or the scratch order being built
 	built    int         // vo's depths [0, built) are decided
 	freq     []int32     // VF2+ rarity keys per pattern vertex once depth 1 is built; nil for VF2
 	plus     bool        // VF2+ pruning rules active
@@ -202,8 +202,8 @@ func (m *Matcher) Contains(other *graph.Graph) bool {
 		return m.gql()
 	}
 	m.plus = m.kind == kindVF2Plus
-	if m.subOrder.order != nil {
-		m.vo, m.built = &m.subOrder, np
+	if m.subOrder != nil {
+		m.vo, m.built = m.subOrder, np
 		return m.vf2Match(0)
 	}
 	m.freq = nil
@@ -416,7 +416,7 @@ func (sc *scratch) place(p *graph.Graph, v int, anchor int32, d int) {
 // fullOrder runs the builder to completion with VF2's index tie-break,
 // for the order CompileSub fixes per pattern, on fresh buffers holding
 // only what the builder touches.
-func fullOrder(p *graph.Graph) visitOrder {
+func fullOrder(p *graph.Graph) *visitOrder {
 	n := p.NumVertices()
 	out, tmp := make([]int32, 4*n+1+p.NumEdges()), make([]int32, 3*n)
 	sc := scratch{
@@ -430,8 +430,9 @@ func fullOrder(p *graph.Graph) visitOrder {
 	for d := 0; d < n; d++ {
 		sc.nextInOrder(p, nil, d)
 	}
-	sc.vo.back = sc.vo.back[:sc.vo.backOff[n]]
-	return sc.vo
+	vo := sc.vo
+	vo.back = vo.back[:vo.backOff[n]]
+	return &vo
 }
 
 // betterRoot orders candidate vertices for nextInOrder: a nil freq gives
