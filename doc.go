@@ -122,9 +122,10 @@
 // GC+sub/GC+super processors do over a 100-entry cache (§6, §7.1). Each
 // same-kind entry is screened with the containment-monotone fingerprint
 // of internal/feature, and only a passing direction gets a
-// query-to-query sub-iso test, whose verdict the query's plan memoizes.
-// A memoized relation graph lets a repeated (isomorphic) query replay a
-// cached entry's hit classification with zero pairwise tests, and a
+// query-to-query sub-iso test, run by Method M through the query's
+// compiled plan. A memoized relation graph lets a repeated (isomorphic)
+// query replay a cached entry's hit classification with zero pairwise
+// tests, and a
 // fully valid exact repeat skips hit discovery altogether: its plan
 // remembers the isomorphic entry and answers from it directly. A
 // differential property test pins the classification to a
@@ -136,19 +137,21 @@
 // # Compiled query plans and streaming verification
 //
 // Every query executes under a compiled plan — there is no unplanned
-// path. The plan holds the query's compiled artifacts (Method M
-// matcher, both hit-discovery matchers, feature fingerprint, verdict
-// memo) and is cached per runtime under an O(V+E) structural digest
-// confirmed by an exact equality check, so a repeated query skips
+// path. The plan holds the query's compiled artifacts (feature
+// fingerprint, and the query compiled with Method M once as pattern and
+// once as target, which hit discovery and verification share) and is
+// cached per runtime under an O(V+E) structural digest confirmed by an
+// exact equality check, so a repeated query skips
 // compilation entirely (256 plans per runtime;
 // gcplus_plan_cache_hits_total counts the reuse). Options.Method names
 // Method M — "VF2", "VF2+" or "GQL" — fixed for the System's life, as
 // the paper's figures fix it per run; empty means VF2+. Queries and
-// background repair verify with the same algorithm, and
-// QueryStats.PlanAlgorithm reports it. All three are exact, so the
+// background repair verify with the same algorithm, hit discovery
+// tests with it, and QueryStats.PlanAlgorithm reports it. All three are exact, so the
 // choice affects cost, never answers. Server queries can
 // additionally stream: SubgraphQueryLimit / SupergraphQueryLimit (HTTP:
-// ?limit=N) verify in ascending-id order and return exactly the N
+// ?limit=N) verify in ascending-id order, through the same candidate
+// loop as full and pooled verification, and return exactly the N
 // smallest answer ids with a Truncated flag, leaving exact-answer mode
 // and cache contents untouched — a truncated answer is never admitted
 // to the cache. The differential oracle runs default, pinned and

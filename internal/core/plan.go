@@ -8,8 +8,8 @@ import (
 )
 
 // planCacheSize is the compiled-plan cache capacity (plans, both query
-// kinds combined). Plans are small (a few compiled matchers plus a
-// verdict memo), so it comfortably covers the repeat sets of the paper's
+// kinds combined). Plans are small (a fingerprint and two compiled
+// matchers), so it comfortably covers the repeat sets of the paper's
 // Zipf workloads.
 const planCacheSize = 256
 
@@ -20,20 +20,10 @@ const planCacheSize = 256
 // costEst.
 const minCostSampleTests = 8
 
-// maxPlanMemo bounds a plan's containment-verdict memo; on overflow the
-// memo is reset wholesale (verdicts are recomputable facts, never
-// required for correctness).
-const maxPlanMemo = 2048
-
-// hitAlgo decides containment between *query* graphs during hit
-// discovery: queries are small, and VF2+ is robustly fast on them. Its
-// invocations are GC+ overhead, never counted as Method M sub-iso tests.
-var hitAlgo subiso.Algorithm = subiso.VF2Plus{}
-
 // planner is the compiled-plan cache: structurally equal repeats reuse
 // a compiled plan and skip compilation entirely. It decides nothing —
-// every plan verifies with the runtime's one Method M. It is owned by a
-// Runtime and shares its single-threaded discipline.
+// every plan runs the runtime's one Method M. It is owned by a Runtime
+// and shares its single-threaded discipline.
 type planner struct {
 	// algo is Method M, fixed when the runtime is built. It never
 	// changes, which is what lets VerifyRepairs read it off the owner
@@ -53,17 +43,14 @@ type queryPlan struct {
 	query *graph.Graph
 	kind  cache.Kind
 
-	// Hit-discovery artifacts (always compiled with the hit algorithm).
-	qf         *feature.Fingerprint
-	gAsPattern *subiso.Matcher // query ⊆ cached query?
-	gAsTarget  *subiso.Matcher // cached query ⊆ query?
+	qf *feature.Fingerprint
 
-	// verify is the Method M matcher.
-	verify *subiso.Matcher
-
-	// memo caches query-to-query containment verdicts (see the
-	// hitClassifier memo bits), keyed by cached-query graph pointer.
-	memo map[*graph.Graph]uint8
+	// The query compiled once in each direction with Method M. Hit
+	// discovery tests both ways against cached queries; verification
+	// runs the one its kind needs (verifier). Both run on the owner
+	// goroutine, one after the other, so they share the scratch.
+	gAsPattern *subiso.Matcher // query ⊆ other
+	gAsTarget  *subiso.Matcher // other ⊆ query
 
 	// iso is the isomorphic entry findHits last returned for this plan,
 	// nil when it found none. Isomorphism between immutable graphs does
@@ -74,13 +61,13 @@ type queryPlan struct {
 	iso *cache.Entry
 }
 
-// verdicts returns the plan's verdict memo, resetting it when it has
-// outgrown maxPlanMemo.
-func (pl *queryPlan) verdicts() map[*graph.Graph]uint8 {
-	if len(pl.memo) > maxPlanMemo {
-		pl.memo = make(map[*graph.Graph]uint8)
+// verifier returns the matcher that verifies the plan's candidates, the
+// one compileVerify builds for its kind.
+func (pl *queryPlan) verifier() *subiso.Matcher {
+	if pl.kind == cache.KindSub {
+		return pl.gAsPattern
 	}
-	return pl.memo
+	return pl.gAsTarget
 }
 
 func newPlanner(algo subiso.Algorithm) *planner {
@@ -108,17 +95,15 @@ func (p *planner) compile(g *graph.Graph, kind cache.Kind) *queryPlan {
 		query:      g,
 		kind:       kind,
 		qf:         feature.Of(g),
-		gAsPattern: subiso.CompileSub(g, hitAlgo),
-		gAsTarget:  subiso.CompileSuper(g, hitAlgo),
-		verify:     compileVerify(g, kind, p.algo),
-		memo:       make(map[*graph.Graph]uint8),
+		gAsPattern: compileVerify(g, cache.KindSub, p.algo),
+		gAsTarget:  compileVerify(g, cache.KindSuper, p.algo),
 	}
 }
 
-// compileVerify is the one place a Method M matcher is compiled, in the
-// direction the kind needs: for a subgraph query (or sub entry under
-// repair) "g ⊆ G" — g is the pattern, dataset graphs the targets; for a
-// supergraph query "G ⊆ g" — g is the target.
+// compileVerify compiles g with algo in the direction a kind verifies
+// in: for a subgraph query (or sub entry under repair) "g ⊆ G" — g is
+// the pattern, dataset graphs the targets; for a supergraph query
+// "G ⊆ g" — g is the target.
 func compileVerify(g *graph.Graph, kind cache.Kind, algo subiso.Algorithm) *subiso.Matcher {
 	if kind == cache.KindSub {
 		return subiso.CompileSub(g, algo)

@@ -98,7 +98,7 @@ func TestParallelVerifyCancelAccounting(t *testing.T) {
 	csm := live.Clone()
 	st := QueryStats{Kind: cache.KindSub, CandidatesBefore: csm.Count()}
 	pl := r.planner.compile(q, cache.KindSub)
-	_, err = r.verify(ctx, pl, csm, &st, 0)
+	_, err = r.verify(ctx, pl, nil, csm, &st, QueryOptions{})
 	var ce *CancelError
 	if !errors.As(err, &ce) || ce.Stage != "verify" {
 		t.Fatalf("want *CancelError at stage verify, got %v", err)
@@ -116,7 +116,7 @@ func TestParallelVerifyCancelAccounting(t *testing.T) {
 	// Sequential path: the busy time up to the checkpoint is booked too.
 	csm2 := live.Clone()
 	st2 := QueryStats{Kind: cache.KindSub, CandidatesBefore: csm2.Count()}
-	_, err = r.verify(ctx, pl, csm2, &st2, 1)
+	_, err = r.verify(ctx, pl, nil, csm2, &st2, QueryOptions{MaxVerifyParallelism: 1})
 	if !errors.As(err, &ce) || ce.Stage != "verify" {
 		t.Fatalf("want *CancelError at stage verify, got %v", err)
 	}
@@ -196,9 +196,11 @@ func planStream(t *testing.T, seed int64) (*dataset.Dataset, []*graph.Graph) {
 }
 
 // TestPinnedMethodNeverSwitches pins Method M as a per-runtime constant:
-// a named Method runs every query, and an unset one is VF2+ — it reports
-// VF2+ on every subgraph and supergraph query and does exactly the work,
-// test for test and state for state, of a runtime pinned to VF2+.
+// a named Method runs every query, both of its plan's matchers (hit
+// discovery's and verification's) are compiled with it, and an unset
+// one is VF2+ — it reports VF2+ on every subgraph and supergraph query
+// and does exactly the work, test for test and state for state, of a
+// runtime pinned to VF2+.
 func TestPinnedMethodNeverSwitches(t *testing.T) {
 	newRT := func(ds *dataset.Dataset, algo subiso.Algorithm) *Runtime {
 		t.Helper()
@@ -222,6 +224,10 @@ func TestPinnedMethodNeverSwitches(t *testing.T) {
 			}
 			if res.Stats.PlanAlgorithm != name {
 				t.Fatalf("pinned %s: query %d ran %s", name, i, res.Stats.PlanAlgorithm)
+			}
+			pl := r.planner.planFor(q, cache.KindSub, &QueryStats{})
+			if p, tg := pl.gAsPattern.Name(), pl.gAsTarget.Name(); p != name || tg != name {
+				t.Fatalf("pinned %s: query %d's plan compiled %s as pattern, %s as target", name, i, p, tg)
 			}
 		}
 	}

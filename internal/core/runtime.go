@@ -166,9 +166,9 @@ type QueryStats struct {
 	// VerifyTime is the Method M portion of QueryTime (wall clock: under
 	// parallel verification this is the fan-out/join span).
 	VerifyTime time.Duration
-	// VerifyCPUTime sums the verification workers' busy time; it equals
-	// VerifyTime when sequential, and VerifyCPUTime/VerifyTime is the
-	// realized intra-query parallel speedup.
+	// VerifyCPUTime sums the verification workers' busy time; it is
+	// about VerifyTime when sequential, and VerifyCPUTime/VerifyTime is
+	// the realized intra-query parallel speedup.
 	VerifyCPUTime time.Duration
 	// VerifyWorkers is the number of workers the verification loop fanned
 	// out to (1 = sequential, 0 = nothing left to verify).
@@ -180,11 +180,11 @@ type QueryStats struct {
 	// valid exact repeat went straight to its plan's remembered entry.
 	HitScanned int
 	// HitCandidates is the number of entries that passed the fingerprint
-	// prefilter and so reached a containment verdict (memoized or
-	// tested); on the replay path, the probed entries plus the related
-	// ones; 1 on the exact-repeat fast path, which also counts its entry
-	// as one iso, one containing and one contained hit.
-	// HitCandidates/HitScanned is the prefilter's selectivity.
+	// prefilter and so reached a containment verdict; on the replay
+	// path, the probed entries plus the related ones; 1 on the
+	// exact-repeat fast path, which also counts its entry as one iso, one
+	// containing and one contained hit. HitCandidates/HitScanned is the
+	// prefilter's selectivity.
 	HitCandidates int
 	// Overhead is cache-maintenance time: consistency (log analysis +
 	// validation or purge) plus window/cache updates. Figure 6's
@@ -297,15 +297,15 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	st.CacheBypassed = r.cache != nil && opt.BypassCache
 
 	// Planning: resolve (or reuse) the compiled plan for this query. The
-	// plan carries the Method M verify matcher plus the
-	// hit-discovery artifacts (fingerprint, both query-to-query matchers,
-	// relation memo), so a plan-cache hit skips every per-query
-	// compilation below. Sound for bypassed queries too: plan artifacts
-	// are pure compile state, independent of cache contents.
+	// plan carries the fingerprint and the query's two Method M matchers,
+	// which hit discovery and verification share, so a plan-cache hit
+	// skips every per-query compilation below. Sound for bypassed queries
+	// too: plan artifacts are pure compile state, independent of cache
+	// contents.
 	pt0 := time.Now()
 	plan := r.planner.planFor(g, kind, &st)
 	st.PlanTime = time.Since(pt0)
-	st.PlanAlgorithm = plan.verify.Name()
+	st.PlanAlgorithm = r.planner.algo.Name()
 
 	// Consistency point: reconcile cache with the dataset log (§4: the
 	// Dataset Manager first identifies whether the dataset has changed;
@@ -418,19 +418,8 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 
 	// Verification: Method M sub-iso tests over the pruned candidate set,
 	// through the compiled matcher and (when configured) the intra-query
-	// worker pool.
-	var (
-		verified *bitset.Set
-		err      error
-	)
-	if opt.Limit > 0 {
-		// Streaming folds formula (3) into the emission loop (sure
-		// positives interleave with verified candidates in id order).
-		verified, err = r.streamVerify(ctx, plan, answerSure, csm, &st, opt)
-		answerSure = nil
-	} else {
-		verified, err = r.verify(ctx, plan, csm, &st, opt.MaxVerifyParallelism)
-	}
+	// worker pool, plus formula (3): answer = verified ∪ sure positives.
+	answer, err := r.verify(ctx, plan, answerSure, csm, &st, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -442,165 +431,152 @@ func (r *Runtime) process(ctx context.Context, g *graph.Graph, kind cache.Kind, 
 	if !st.CacheBypassed && st.SubIsoTests >= minCostSampleTests {
 		r.avgTestCost.Add(st.VerifyCPUTime.Seconds() / float64(st.SubIsoTests))
 	}
-
-	// Formula (3): final answer = verified ∪ sure positives.
-	if answerSure != nil {
-		verified.Or(answerSure)
-	}
-	return r.finish(g, kind, verified, live, iso, direct, restrict, useCache, opt.TraceID, start, &st)
+	return r.finish(g, kind, answer, live, iso, direct, restrict, useCache, opt.TraceID, start, &st)
 }
 
 // minVerifyChunk is the fewest candidates worth handing one verification
 // worker: below this, goroutine spawn and bitset merge outweigh the tests.
 const minVerifyChunk = 8
 
-// verify runs Method M over the pruned candidate set through the plan's
-// verify matcher (compiled once per query, cached across structurally
-// equal repeats), fanning contiguous candidate chunks out to a bounded
-// worker pool when r.verifyPar and the candidate count allow. Each worker
-// forks the compiled matcher (own scratch, shared compiled artifacts) and
-// fills a private bitset; the chunks partition the ids, so the final
-// union is exactly the sequential answer. Sequential use of the plan's
-// own matcher is fine: the runtime is single-threaded per query.
+// verify runs Method M over the pruned candidate set csm through the
+// plan's verifier and returns the answer, csm's positives plus the sure
+// positives of formula (1) (formula (3); sure is nil without a cache).
+// Every path is one or more walkCandidates runs:
+//   - full: one walk over csm, the sure positives added afterwards;
+//   - streamed (opt.Limit > 0): one walk over csm ∪ sure in id order,
+//     sure ids emitted untested, stopping at the Limit-th answer. So a
+//     truncated answer is exactly the smallest ids of the full one.
+//     Answers must come out in order, so it never uses the pool;
+//   - pooled: when r.verifyPar and the candidate count allow, contiguous
+//     chunks of csm walked concurrently, each worker on its own fork of
+//     the verifier (own scratch, shared compiled artifacts). The chunks
+//     partition the ids, so the union is exactly the sequential answer.
 //
-// Cancellation is cooperative: every cancelCheckInterval tests the loop
-// polls ctx's done channel (a non-blocking select against a channel
-// that is nil for context.Background, so the fault-free path pays one
-// predictable branch). A cancelled query returns *CancelError with
-// stage "verify"; partial worker bitsets are discarded.
-func (r *Runtime) verify(ctx context.Context, pl *queryPlan, csm *bitset.Set, st *QueryStats, maxPar int) (*bitset.Set, error) {
+// A cancelled query returns *CancelError with stage "verify"; partial
+// answers are discarded.
+func (r *Runtime) verify(ctx context.Context, pl *queryPlan, sure, csm *bitset.Set, st *QueryStats, opt QueryOptions) (*bitset.Set, error) {
 	count := csm.Count()
-	st.SubIsoTests = count
 	st.TestsSaved = st.CandidatesBefore - count
-	verified := bitset.New(st.CandidatesBefore)
-	if count == 0 {
-		return verified, nil
-	}
-	done := ctx.Done()
 	workers := r.verifyPar
-	if maxPar > 0 && workers > maxPar {
-		workers = maxPar
+	if opt.MaxVerifyParallelism > 0 && workers > opt.MaxVerifyParallelism {
+		workers = opt.MaxVerifyParallelism
 	}
 	if most := (count + minVerifyChunk - 1) / minVerifyChunk; workers > most {
 		workers = most
 	}
-	vt0 := time.Now()
-	if workers <= 1 {
-		// Sequential: iterate the bitset directly — no materialized id
-		// slice, keeping the verify path allocation-lean.
-		m := pl.verify
-		s0 := m.States()
-		cancelled := false
-		n := 0
-		csm.ForEach(func(id int) bool {
-			if n++; n%cancelCheckInterval == 0 {
-				select {
-				case <-done:
-					cancelled = true
-					return false
-				default:
-				}
-			}
-			if m.Contains(r.ds.Graph(id)) {
-				verified.Set(id)
-			}
-			return true
-		})
-		st.VerifyTime = time.Since(vt0)
-		st.VerifyCPUTime = st.VerifyTime
-		st.SearchStates = m.States() - s0
-		st.VerifyWorkers = 1
-		if cancelled {
-			return nil, &CancelError{Stage: "verify", Err: ctx.Err()}
+	n := st.CandidatesBefore
+	if count == 0 && opt.Limit == 0 {
+		answer := bitset.New(n)
+		if sure != nil {
+			answer.Or(sure)
 		}
-		return verified, nil
+		return answer, nil
 	}
-	ids := csm.Indices()
-	parts := make([]*bitset.Set, workers)
-	busy := make([]time.Duration, workers)
-	states := make([]int, workers)
-	cancelled := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(ids)/workers, (w+1)*len(ids)/workers
-		wg.Add(1)
-		go func(w int, chunk []int) {
-			defer wg.Done()
-			t0 := time.Now()
-			m := pl.verify.Fork()
-			defer func() {
-				busy[w] = time.Since(t0)
-				states[w] = m.States()
-			}()
-			out := bitset.New(st.CandidatesBefore)
-			for i, id := range chunk {
-				if i%cancelCheckInterval == cancelCheckInterval-1 {
-					select {
-					case <-done:
-						cancelled[w] = true
-						return
-					default:
-					}
-				}
-				if m.Contains(r.ds.Graph(id)) {
-					out.Set(id)
-				}
+	done := ctx.Done()
+	var runs []verifyRun
+	vt0 := time.Now()
+	switch {
+	case opt.Limit > 0:
+		cands := csm
+		if sure != nil {
+			cands = csm.Clone()
+			cands.Or(sure) // disjoint: the pruner removed sure ids from csm
+		}
+		runs = []verifyRun{r.walkCandidates(done, pl.verifier(), cands, sure, 0, cands.Len(), opt.Limit, n)}
+		sure = nil // the walk emitted the sure positives it reached
+	case workers == 1:
+		runs = []verifyRun{r.walkCandidates(done, pl.verifier(), csm, nil, 0, csm.Len(), 0, n)}
+	default:
+		// Chunk w starts at csm's (w·count/workers)-th id.
+		bounds := make([]int, workers+1)
+		bounds[workers] = csm.Len()
+		rank, next := 0, 1
+		csm.ForEach(func(id int) bool {
+			if rank == next*count/workers {
+				bounds[next] = id
+				next++
 			}
-			parts[w] = out
-		}(w, ids[lo:hi])
-	}
-	wg.Wait()
-	// Book every worker's busy time and states before deciding the
-	// outcome: a cancelled worker still burned CPU up to its checkpoint,
-	// and verify_cpu_sec must account for all of it — under deadline
-	// pressure (exactly when operators read this gauge) returning at
-	// the first cancelled worker would silently drop the busy time of
-	// every worker after it.
-	anyCancelled := false
-	for w := 0; w < workers; w++ {
-		st.VerifyCPUTime += busy[w]
-		st.SearchStates += states[w]
-		anyCancelled = anyCancelled || cancelled[w]
+			rank++
+			return next < workers
+		})
+		runs = make([]verifyRun, workers)
+		var wg sync.WaitGroup
+		for w := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runs[w] = r.walkCandidates(done, pl.verifier().Fork(), csm, nil, bounds[w], bounds[w+1], 0, n)
+			}()
+		}
+		wg.Wait()
 	}
 	st.VerifyTime = time.Since(vt0)
-	st.VerifyWorkers = workers
-	if anyCancelled {
+	st.VerifyWorkers = len(runs)
+	// Book every run before deciding the outcome: a cancelled worker
+	// still burned CPU up to its checkpoint, and verify_cpu_sec must
+	// account for all of it — under deadline pressure (exactly when
+	// operators read this gauge) returning at the first cancelled worker
+	// would silently drop the busy time of every worker after it.
+	cancelled := false
+	for _, run := range runs {
+		st.SubIsoTests += run.tests
+		st.SearchStates += run.states
+		st.VerifyCPUTime += run.busy
+		st.Truncated = st.Truncated || run.stopped
+		cancelled = cancelled || run.cancelled
+	}
+	if cancelled {
 		return nil, &CancelError{Stage: "verify", Err: ctx.Err()}
 	}
-	for w := 0; w < workers; w++ {
-		verified.Or(parts[w])
+	answer := runs[0].out
+	for _, run := range runs[1:] {
+		answer.Or(run.out)
 	}
-	return verified, nil
+	if sure != nil {
+		answer.Or(sure)
+	}
+	return answer, nil
 }
 
-// streamVerify is the streaming counterpart of verify plus formula (3):
-// it walks the union of the sure positives (formula (1)) and the pruned
-// candidate set in ascending id order, emitting each answer the moment
-// it is known — sure positives without a test, candidates right after
-// their Method M test — and stops once opt.Limit answers are out. Ids
-// are visited in ascending order,
-// so an early-stopped answer is exactly the smallest |answer| ids of the
-// full answer set. Streaming is sequential by construction (answers must
-// come out in order), so it ignores the worker pool.
-func (r *Runtime) streamVerify(ctx context.Context, pl *queryPlan, sure, csm *bitset.Set, st *QueryStats, opt QueryOptions) (*bitset.Set, error) {
-	st.TestsSaved = st.CandidatesBefore - csm.Count()
-	union := csm.Clone()
-	if sure != nil {
-		union.Or(sure) // disjoint: the pruner removed sure ids from csm
-	}
-	m := pl.verify
-	s0 := m.States()
-	out := bitset.New(st.CandidatesBefore)
-	done := ctx.Done()
-	vt0 := time.Now()
-	tests, emitted := 0, 0
-	stopped, cancelled := false, false
-	union.ForEach(func(id int) bool {
+// verifyRun is what one walkCandidates call did.
+type verifyRun struct {
+	out           *bitset.Set // the answers it found or emitted
+	tests, states int         // Method M tests run and search states they explored
+	busy          time.Duration
+	// stopped reports a stop at the limit, cancelled one at a checkpoint.
+	stopped, cancelled bool
+}
+
+// walkCandidates is the one candidate loop behind full, streamed and
+// pooled verification. It visits cands' ids in [lo, hi) in ascending
+// order, tests each with m and collects the positives into a fresh
+// bitset sized for n ids. An id in sure (nil for none) is emitted
+// without a test. The walk stops once limit answers are out (0: no
+// limit). Every cancelCheckInterval tests it polls done, a non-blocking
+// select on a channel that is nil for context.Background, so the
+// fault-free path pays one predictable branch.
+//
+// Stopping at the limit is conservative: a stop at the very last
+// candidate could still have produced the complete answer, but proving
+// that would mean testing the remainder — exactly what a limit avoids.
+// SubIsoTests then counts only the tests run, so CandidatesBefore =
+// SubIsoTests + TestsSaved does not hold for a truncated query.
+func (r *Runtime) walkCandidates(done <-chan struct{}, m *subiso.Matcher, cands, sure *bitset.Set, lo, hi, limit, n int) verifyRun {
+	t0, s0 := time.Now(), m.States()
+	run := verifyRun{out: bitset.New(n)}
+	emitted := 0
+	cands.ForEach(func(id int) bool {
+		if id < lo {
+			return true
+		}
+		if id >= hi {
+			return false
+		}
 		if sure == nil || !sure.Get(id) {
-			if tests++; tests%cancelCheckInterval == 0 {
+			if run.tests++; run.tests%cancelCheckInterval == 0 {
 				select {
 				case <-done:
-					cancelled = true
+					run.cancelled = true
 					return false
 				default:
 				}
@@ -609,32 +585,16 @@ func (r *Runtime) streamVerify(ctx context.Context, pl *queryPlan, sure, csm *bi
 				return true
 			}
 		}
-		out.Set(id)
-		if emitted++; emitted >= opt.Limit {
-			stopped = true
+		run.out.Set(id)
+		if emitted++; emitted == limit {
+			run.stopped = true
 			return false
 		}
 		return true
 	})
-	// SubIsoTests counts tests actually executed: a streaming query may
-	// stop before exhausting the candidate set, so the exact identity
-	// CandidatesBefore = SubIsoTests + TestsSaved of the full
-	// verification path does not hold for truncated queries.
-	st.SubIsoTests = tests
-	st.SearchStates = m.States() - s0
-	st.VerifyTime = time.Since(vt0)
-	st.VerifyCPUTime = st.VerifyTime
-	st.VerifyWorkers = 1
-	if cancelled {
-		return nil, &CancelError{Stage: "verify", Err: ctx.Err()}
-	}
-	if stopped {
-		// Conservative: stopping at the very last candidate could still
-		// have produced the complete answer, but proving that would mean
-		// testing the remainder — exactly what streaming avoids.
-		st.Truncated = true
-	}
-	return out, nil
+	run.states = m.States() - s0
+	run.busy = time.Since(t0)
+	return run
 }
 
 // streamClip applies streaming semantics to an answer already known in
@@ -782,7 +742,7 @@ func (r *Runtime) CacheStats() cache.Stats {
 //
 // Discovery walks the cache in ForEach order in two steps. First an
 // isomorphism probe: an entry of equal size whose fingerprint subsumes
-// g's both ways gets one (memoized) containment test. If one proves
+// g's both ways gets one containment test. If one proves
 // isomorphic, its memoized relation sets — recorded at admission, when
 // the query behind it was classified against every entry — replay the
 // full hit classification with zero query-to-query sub-iso tests. Under
@@ -794,7 +754,7 @@ func (r *Runtime) CacheStats() cache.Stats {
 // reference in findhits_test.go.
 func (r *Runtime) findHits(pl *queryPlan, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
 	kind, qf := pl.kind, pl.qf
-	h := newHitClassifier(pl, st)
+	h := &hitClassifier{pl: pl, st: st}
 	st.HitScanned = r.cache.Size() + r.cache.WindowLen()
 	probed := 0
 	var isoBase *cache.Entry
@@ -803,7 +763,8 @@ func (r *Runtime) findHits(pl *queryPlan, st *QueryStats) (direct, restrict []*c
 			return true
 		}
 		probed++
-		if h.isoProbe(e) {
+		// Equal size and one-directional containment force isomorphism.
+		if pl.gAsPattern.Contains(e.Query) {
 			isoBase = e
 			return false
 		}
@@ -842,91 +803,31 @@ func (r *Runtime) findHits(pl *queryPlan, st *QueryStats) (direct, restrict []*c
 // the fingerprint verdicts (false means the relation is guaranteed
 // absent), the reference passes true for both.
 type hitClassifier struct {
-	// pl supplies the query's fingerprint and its two query-to-query
-	// matchers — the query compiled once in each direction, amortized
-	// over the whole pass (and over every repeat the plan serves).
+	// pl supplies the query's fingerprint and its two compiled matchers,
+	// amortized over the whole pass (and over every repeat the plan
+	// serves).
 	pl *queryPlan
-	// memo is the plan's containment-verdict memo, keyed by the cached
-	// query's graph pointer. Sound forever: graphs are immutable, and
-	// whether one contains another is a dataset-independent fact, so a
-	// repeat replays hit classification with zero query-to-query tests.
-	memo map[*graph.Graph]uint8
-	st   *QueryStats
+	st *QueryStats
 
 	direct, restrict []*cache.Entry
 	iso              *cache.Entry
 }
 
-// memo bits: the *Known bit marks a computed verdict, the *True bit its
-// value. "contain" is g ⊆ e.Query, "contained" is e.Query ⊆ g.
-const (
-	memoContainKnown uint8 = 1 << iota
-	memoContainTrue
-	memoContainedKnown
-	memoContainedTrue
-)
-
-func newHitClassifier(pl *queryPlan, st *QueryStats) *hitClassifier {
-	return &hitClassifier{pl: pl, memo: pl.verdicts(), st: st}
-}
-
 func (h *hitClassifier) visit(e *cache.Entry, mayContain, mayBeContained bool) {
 	// The decisive query-to-query tests, in the directions the caller
-	// left open. An isomorphic entry is *both* a containing and a
-	// contained hit (and the second test is skipped: same size plus
-	// one-directional containment forces isomorphism). When the plan memo
-	// already knows a verdict the test is skipped; a computed verdict is
-	// stored for the next repeat. A closed direction is guaranteed
-	// absent, so nothing needs to be computed or memoized on that side.
-	bits := h.memo[e.Query]
-	isContaining := false
-	if mayContain {
-		if bits&memoContainKnown != 0 {
-			isContaining = bits&memoContainTrue != 0
-		} else {
-			isContaining = h.pl.gAsPattern.Contains(e.Query)
-			bits |= memoContainKnown
-			if isContaining {
-				bits |= memoContainTrue
-			}
-		}
-	}
-	isContained := false
-	if mayBeContained {
-		if bits&memoContainedKnown != 0 {
-			isContained = bits&memoContainedTrue != 0
-		} else {
-			isContained = (isContaining && e.Fp.SameSize(h.pl.qf)) || h.pl.gAsTarget.Contains(e.Query)
-			bits |= memoContainedKnown
-			if isContained {
-				bits |= memoContainedTrue
-			}
-		}
-	}
-	h.memo[e.Query] = bits
+	// left open; a closed direction is guaranteed absent. An isomorphic
+	// entry is *both* a containing and a contained hit, and its second
+	// test is skipped: same size plus one-directional containment forces
+	// isomorphism.
+	isContaining := mayContain && h.pl.gAsPattern.Contains(e.Query)
+	isContained := mayBeContained &&
+		((isContaining && e.Fp.SameSize(h.pl.qf)) || h.pl.gAsTarget.Contains(e.Query))
 	h.record(e, isContaining, isContained)
 }
 
-// isoProbe reports whether e.Query, whose fingerprint the caller found
-// equal in size and subsuming the query's both ways, is isomorphic to
-// the query: one-directional containment then suffices. The verdict is
-// read from (and recorded into) the plan memo.
-func (h *hitClassifier) isoProbe(e *cache.Entry) bool {
-	bits := h.memo[e.Query]
-	if bits&memoContainKnown != 0 {
-		return bits&memoContainTrue != 0
-	}
-	bits |= memoContainKnown
-	v := h.pl.gAsPattern.Contains(e.Query)
-	if v {
-		bits |= memoContainTrue
-	}
-	h.memo[e.Query] = bits
-	return v
-}
-
-// record books one classified entry; the relation fast path calls it
-// directly with memoized verdicts, skipping the tests in visit.
+// record books one classified entry; the relation replay calls it
+// directly with the relations recorded at admission, skipping the tests
+// in visit.
 func (h *hitClassifier) record(e *cache.Entry, isContaining, isContained bool) {
 	if isContaining && isContained {
 		h.st.IsoHits++

@@ -387,6 +387,11 @@ func FuzzVisitOrder(f *testing.F) {
 // compile directions: CompileSub(pattern) and CompileSuper(target) must
 // each report pattern ⊆ target exactly when Brute does. The sizes keep
 // Brute's exhaustive search fast on any input.
+//
+// Each matcher first tests a query-sized graph (its own compiled graph),
+// as a query plan's matchers run hit discovery's query-to-query tests
+// before verification; the fuzzed test must then explore exactly the
+// search states a fresh matcher does.
 func FuzzMatcherAgreesWithBrute(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 1, 2}, []byte{5, 0, 1, 1, 2, 2, 3, 3, 4}, false)
 	f.Add([]byte{2, 0, 1, 1, 2, 2, 0}, []byte{3, 0, 1, 1, 2, 2, 3, 3, 0}, false) // triangle vs square
@@ -404,11 +409,27 @@ func FuzzMatcherAgreesWithBrute(f *testing.F) {
 		want := Brute{}.Contains(p, tg)
 		for _, name := range Names() {
 			algo, _ := New(name)
-			if got := CompileSub(p, algo).Contains(tg); got != want {
-				t.Fatalf("%s CompileSub: %v, brute %v\npattern %v\ntarget %v", name, got, want, p, tg)
-			}
-			if got := CompileSuper(tg, algo).Contains(p); got != want {
-				t.Fatalf("%s CompileSuper: %v, brute %v\npattern %v\ntarget %v", name, got, want, p, tg)
+			for _, c := range []struct {
+				dir         string
+				compile     func() *Matcher
+				first, test *graph.Graph
+			}{
+				{"CompileSub", func() *Matcher { return CompileSub(p, algo) }, p, tg},
+				{"CompileSuper", func() *Matcher { return CompileSuper(tg, algo) }, tg, p},
+			} {
+				m, fresh := c.compile(), c.compile()
+				if !m.Contains(c.first) {
+					t.Fatalf("%s %s: a graph does not contain itself\n%v", name, c.dir, c.first)
+				}
+				s0 := m.States()
+				if got := m.Contains(c.test); got != want {
+					t.Fatalf("%s %s: %v, brute %v\npattern %v\ntarget %v", name, c.dir, got, want, p, tg)
+				}
+				fresh.Contains(c.test)
+				if d := m.States() - s0; d != fresh.States() {
+					t.Fatalf("%s %s: %d states after a first test, %d fresh\npattern %v\ntarget %v",
+						name, c.dir, d, fresh.States(), p, tg)
+				}
 			}
 		}
 	})
