@@ -17,6 +17,7 @@ import (
 
 	"gcplus/internal/cache"
 	"gcplus/internal/dataset"
+	"gcplus/internal/feature"
 	"gcplus/internal/graph"
 	"gcplus/internal/subiso"
 	"gcplus/internal/testutil"
@@ -150,6 +151,8 @@ func TestFindHitsMatchesScan(t *testing.T) {
 				}
 				if isoScan != nil {
 					requireReplay(t, rt, q, kind, step)
+				} else {
+					requireTestedOnce(t, rt, q, kind, step)
 				}
 
 				// Run the query for real so the cache keeps evolving
@@ -198,6 +201,42 @@ func requireReplay(t *testing.T, rt *Runtime, q *graph.Graph, kind cache.Kind, s
 			"the isomorphism probe alone explores %d/0 over %d probed and %d related entries",
 			step, pl.gAsPattern.States(), pl.gAsTarget.States(), st.HitCandidates,
 			probe.gAsPattern.States(), probed, related)
+	}
+}
+
+// requireTestedOnce asserts that hit discovery for q, which has no
+// isomorphic entry in the cache, tests each entry at most once per
+// direction: the pattern side on every entry whose fingerprint may
+// contain q's, the target side on every entry whose fingerprint may be
+// contained in q's, except the equal-size ones the isomorphism probe
+// rejected, which can be related to q only as isomorphs. A second fresh
+// plan runs exactly those tests here, so both matchers' search states
+// must match it.
+func requireTestedOnce(t *testing.T, rt *Runtime, q *graph.Graph, kind cache.Kind, step int) {
+	t.Helper()
+	pl, once := rt.planner.compile(q, kind), rt.planner.compile(q, kind)
+	var st QueryStats
+	if _, _, iso := rt.findHits(pl, &st); iso != nil {
+		t.Fatalf("step %d: findHits found an isomorphic entry the scan missed", step)
+	}
+	rt.cache.ForEach(func(e *cache.Entry) bool {
+		if e.Kind != kind {
+			return true
+		}
+		mayContain, mayBeContained := once.qf.SubsumedBy(e.Fp), e.Fp.SubsumedBy(once.qf)
+		if mayContain {
+			once.gAsPattern.Contains(e.Query)
+		}
+		if mayBeContained && !(mayContain && once.qf.SameSize(e.Fp)) {
+			once.gAsTarget.Contains(e.Query)
+		}
+		return true
+	})
+	if pl.gAsPattern.States() != once.gAsPattern.States() || pl.gAsTarget.States() != once.gAsTarget.States() {
+		t.Fatalf("step %d: hit discovery explored %d/%d pattern/target states; "+
+			"one test per entry and open direction explores %d/%d",
+			step, pl.gAsPattern.States(), pl.gAsTarget.States(),
+			once.gAsPattern.States(), once.gAsTarget.States())
 	}
 }
 
@@ -276,6 +315,47 @@ func TestOverlappingDirectHitsCreditMarginally(t *testing.T) {
 		}
 	}
 	requireCreditsBounded(t, rt, graph.Path(1, 2), cache.KindSub)
+}
+
+// TestProbeRejectIsNotRetested caches a query whose fingerprint equals
+// the probe's but which is not isomorphic to it: a triangle with a
+// three-edge tail and a square with a two-edge tail share size, degree
+// sequence and labels. The isomorphism probe tests the cached entry and
+// rejects it; the fallback walk must not test it again in either
+// direction.
+func TestProbeRejectIsNotRetested(t *testing.T) {
+	build := func(edges [][2]int) *graph.Graph {
+		b := graph.NewBuilder()
+		for i := 0; i < 6; i++ {
+			b.AddVertex(1)
+		}
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+		}
+		return b.MustBuild()
+	}
+	triangleTail := build([][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}})
+	squareTail := build([][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}, {4, 5}})
+	if fa, fb := feature.Of(triangleTail), feature.Of(squareTail); !fa.SameSize(fb) || !fa.SubsumedBy(fb) || !fb.SubsumedBy(fa) {
+		t.Fatal("the fixture's two queries must share a fingerprint")
+	}
+	rt, err := NewRuntime(dataset.New([]*graph.Graph{triangleTail, squareTail}), Options{
+		Cache: &cache.Config{Capacity: 4, WindowSize: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.SubgraphQuery(triangleTail); err != nil {
+		t.Fatal(err)
+	}
+	requireTestedOnce(t, rt, squareTail, cache.KindSub, 0)
+	var st QueryStats
+	pl := rt.planner.compile(squareTail, cache.KindSub)
+	rt.findHits(pl, &st)
+	if st.HitCandidates != 1 || pl.gAsPattern.States() == 0 || pl.gAsTarget.States() != 0 {
+		t.Fatalf("%d candidates, %d/%d pattern/target states; want the probe's one test only",
+			st.HitCandidates, pl.gAsPattern.States(), pl.gAsTarget.States())
+	}
 }
 
 // benchHitRuntime returns a runtime whose cache has been warmed with up

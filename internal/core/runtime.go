@@ -749,9 +749,9 @@ func (r *Runtime) CacheStats() cache.Stats {
 // the Zipf workloads of the paper most queries are repeats, so most hit
 // discovery collapses to this path. Otherwise every same-kind entry is
 // classified, skipping the containment test in each direction its
-// fingerprint rules out. The differential property test pins
-// classification, credit order and iso selection to the prefilter-free
-// reference in findhits_test.go.
+// fingerprint rules out, and both tests on an entry the probe rejected.
+// The differential property test pins classification, credit order and
+// iso selection to the prefilter-free reference in findhits_test.go.
 func (r *Runtime) findHits(pl *queryPlan, st *QueryStats) (direct, restrict []*cache.Entry, iso *cache.Entry) {
 	kind, qf := pl.kind, pl.qf
 	h := &hitClassifier{pl: pl, st: st}
@@ -782,16 +782,28 @@ func (r *Runtime) findHits(pl *queryPlan, st *QueryStats) (direct, restrict []*c
 		}
 	}
 	// Every probed entry passes the prefilter again below, so counting
-	// only this walk keeps HitCandidates a distinct-entry count.
+	// only this walk keeps HitCandidates a distinct-entry count. The
+	// entries the probe rejected, those before isoBase (all of them when
+	// it is nil), are unrelated to g: with equal size, containment either
+	// way would be the isomorphism the probe ruled out. They are counted
+	// but not tested again.
+	rejected := true
 	r.cache.ForEach(func(e *cache.Entry) bool {
 		if e.Kind != kind {
 			return true
 		}
-		mayContain, mayBeContained := qf.SubsumedBy(e.Fp), e.Fp.SubsumedBy(qf)
-		if mayContain || mayBeContained {
-			st.HitCandidates++
-			h.visit(e, mayContain, mayBeContained)
+		if e == isoBase {
+			rejected = false
 		}
+		mayContain, mayBeContained := qf.SubsumedBy(e.Fp), e.Fp.SubsumedBy(qf)
+		if !mayContain && !mayBeContained {
+			return true
+		}
+		st.HitCandidates++
+		if rejected && qf.SameSize(e.Fp) && mayContain && mayBeContained {
+			return true
+		}
+		h.visit(e, mayContain, mayBeContained)
 		return true
 	})
 	return h.direct, h.restrict, h.iso

@@ -388,10 +388,12 @@ func FuzzVisitOrder(f *testing.F) {
 // each report pattern ⊆ target exactly when Brute does. The sizes keep
 // Brute's exhaustive search fast on any input.
 //
-// Each matcher first tests a query-sized graph (its own compiled graph),
-// as a query plan's matchers run hit discovery's query-to-query tests
-// before verification; the fuzzed test must then explore exactly the
-// search states a fresh matcher does.
+// Each direction is checked twice: on a fresh matcher, as when a plan's
+// first test is a verification, and on one that first tested a
+// query-sized graph (its own compiled graph), as a query plan's matchers
+// run hit discovery's query-to-query tests before verification. Both
+// must give Brute's verdict, and the reused one must explore exactly the
+// search states the fresh one does.
 func FuzzMatcherAgreesWithBrute(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 1, 2}, []byte{5, 0, 1, 1, 2, 2, 3, 3, 4}, false)
 	f.Add([]byte{2, 0, 1, 1, 2, 2, 0}, []byte{3, 0, 1, 1, 2, 2, 3, 3, 0}, false) // triangle vs square
@@ -425,7 +427,9 @@ func FuzzMatcherAgreesWithBrute(f *testing.F) {
 				if got := m.Contains(c.test); got != want {
 					t.Fatalf("%s %s: %v, brute %v\npattern %v\ntarget %v", name, c.dir, got, want, p, tg)
 				}
-				fresh.Contains(c.test)
+				if got := fresh.Contains(c.test); got != want {
+					t.Fatalf("%s %s fresh: %v, brute %v\npattern %v\ntarget %v", name, c.dir, got, want, p, tg)
+				}
 				if d := m.States() - s0; d != fresh.States() {
 					t.Fatalf("%s %s: %d states after a first test, %d fresh\npattern %v\ntarget %v",
 						name, c.dir, d, fresh.States(), p, tg)
